@@ -41,8 +41,8 @@ from .cycle_census import (
     find_cycles6,
 )
 from .partition_opt import Optimum, OptimizerConfig, enumerate_feasible, optimize
-from .power_opt import CpoConfig, CpoState, init_ab_powers, refine_layout, \
-    run_cpo, weighted_theta
+from .power_opt import CpoConfig, CpoState, refine_layout, run_cpo, \
+    weighted_theta
 from .trapping_sets import (
     InducedConfig,
     ObjectSpecies,

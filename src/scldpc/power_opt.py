@@ -14,6 +14,14 @@ accepted only if it strictly lowers the lifted 6-cycle count while keeping
 the lifted graph free of 4-cycles.  Failure escalates the subset size;
 exhausting the schedule re-samples candidates (when sampling) until the
 stale-round limit.  Everything is deterministic given the seed.
+
+A touched cycle's signed power sum is linear in the subset's new powers,
+so once the first s-1 powers are fixed it is active for exactly the last
+powers that solve one congruence mod p (Fossorier, IEEE T-IT 50(8), 2004).
+An exhaustive round over all p**s assignments therefore tabulates
+p**(s-1) prefix sums per touched cycle, p**(s-1) * |touched| work in all,
+instead of evaluating every cycle at every candidate; sampled rounds score
+their random candidates directly.
 """
 
 from __future__ import annotations
@@ -28,8 +36,6 @@ import numpy as np
 from .code_model import PartitionMatrix, SCCodeSpec, ab_powers
 from .cycle_census import starter_cycles4, starter_cycles6
 
-init_ab_powers = ab_powers
-
 
 @dataclass(frozen=True)
 class CpoConfig:
@@ -38,7 +44,9 @@ class CpoConfig:
     seed: int | None = None
     subset_size_schedule: tuple = (1, 2, 3)
     power_candidates: int | None = None  # None: exhaustive joint assignments
-    exhaustive_cap: int = 8192  # joint assignments above this are sampled
+    # joint assignments above this are sampled; an exhaustive round of size
+    # s costs p**(s-1) * |touched cycles| and holds a p**s score vector
+    exhaustive_cap: int = 8192
     target_f_sc: int = 0
     max_stale_rounds: int = 60
     max_rounds: int | None = None
@@ -78,6 +86,14 @@ _SIGNS6 = np.array([1, -1, 1, -1, 1, -1], dtype=np.int64)
 _SIGNS4 = np.array([1, -1, 1, -1], dtype=np.int64)
 
 
+def _cycles_by_cell(res: np.ndarray, ncells: int) -> list:
+    """Per residue cell, the ascending indices of the cycles through it."""
+    n = max(len(res), 1)
+    cycle = np.repeat(np.arange(len(res), dtype=np.int64), res.shape[1])
+    cell, cycle = np.divmod(np.unique(res.ravel() * n + cycle), n)
+    return np.split(cycle, np.searchsorted(cell, np.arange(1, ncells)))
+
+
 class CycleSystem:
     """Starter cycles of a coupled spec in residue-cell coordinates.
 
@@ -114,21 +130,14 @@ class CycleSystem:
             res4[n] = [(r % g) * kp + (c % kp) for r, c in walk]
         self.res4 = res4
 
-        ncells = g * kp
-        self.cell_to_6 = [
-            np.unique(np.nonzero((res6 == c).any(axis=1))[0]) for c in range(ncells)
-        ] if len(six) else [np.array([], dtype=np.int64)] * ncells
-        self.cell_to_4 = [
-            np.unique(np.nonzero((res4 == c).any(axis=1))[0]) for c in range(ncells)
-        ] if len(four) else [np.array([], dtype=np.int64)] * ncells
+        self.cell_to_6 = _cycles_by_cell(res6, g * kp)
+        self.cell_to_4 = _cycles_by_cell(res4, g * kp)
 
-    def sums6(self, f_flat: np.ndarray, idx=None) -> np.ndarray:
-        cells = self.res6 if idx is None else self.res6[idx]
-        return (f_flat[cells] * _SIGNS6).sum(axis=1)
+    def sums6(self, f_flat: np.ndarray) -> np.ndarray:
+        return (f_flat[self.res6] * _SIGNS6).sum(axis=1)
 
-    def sums4(self, f_flat: np.ndarray, idx=None) -> np.ndarray:
-        cells = self.res4 if idx is None else self.res4[idx]
-        return (f_flat[cells] * _SIGNS4).sum(axis=1)
+    def sums4(self, f_flat: np.ndarray) -> np.ndarray:
+        return (f_flat[self.res4] * _SIGNS4).sum(axis=1)
 
     def active6(self, f_flat: np.ndarray) -> np.ndarray:
         return self.sums6(f_flat) % self.p == 0
@@ -175,24 +184,105 @@ def weighted_theta(system: CycleSystem, f_flat: np.ndarray):
 _CAND_CHUNK = 32768
 
 
-def _candidate_chunks(rng, p: int, size: int, policy, cap: int):
-    """Joint power assignments for a subset, in deterministic order,
-    yielded in blocks to bound memory."""
-    total = p**size
-    if policy is None and total <= cap:
-        for start in range(0, total, _CAND_CHUNK):
-            idx = np.arange(start, min(start + _CAND_CHUNK, total), dtype=np.int64)
-            block = np.empty((len(idx), size), dtype=np.int64)
-            for j in range(size - 1, -1, -1):
-                block[:, j] = idx % p
-                idx = idx // p
-            yield block
-        return
-    n = policy if policy is not None else cap
+def _candidate_chunks(rng, p: int, size: int, n: int):
+    """n random joint power assignments for a subset, yielded in blocks to
+    bound memory."""
     while n > 0:
         take = min(n, _CAND_CHUNK)
         yield rng.integers(0, p, size=(take, size), dtype=np.int64)
         n -= take
+
+
+def _linear_forms(res, signs, cell_to, subset, f_flat):
+    """Signed power sums of the cycles through `subset` as base + coef @ x.
+
+    x holds the subset cells' powers and coef[:, j] is the signed
+    multiplicity of subset cell j in each touched cycle's walk.  Returns
+    the touched cycle indices, base and coef.
+    """
+    touched = np.unique(np.concatenate([cell_to[c] for c in subset]))
+    cells = res[touched]
+    coef = np.stack([((cells == c) * signs).sum(axis=1) for c in subset], axis=1)
+    base = (f_flat[cells] * signs).sum(axis=1) - coef @ f_flat[subset]
+    return touched, base, coef
+
+
+def _active_table(p: int, base, coef, weight=None) -> np.ndarray:
+    """Weight (count when weight is None) of the cycles active at every joint
+    power assignment x of a subset, as a (p**(s-1), p) table: one row per
+    prefix x[:-1] in lexicographic order, one column per last power.
+
+    A cycle's sum is base + coef @ x.  Its residue r over the prefix is
+    built up one power at a time; with the prefix fixed the cycle is active
+    exactly where r + v*x[-1] = 0 mod p for its last coefficient v, so each
+    last power needs the one residue (-v*x[-1]) % p.  Cycles are counted
+    per (class, prefix, r), a class being a (v, weight) pair, and every
+    column reads its residue from each class.  This covers v = 0 (the whole
+    row) and v sharing a factor with a composite p alike.
+    """
+    n, x = len(base), np.arange(p)
+    r = base[:, None] % p
+    for j in range(coef.shape[1] - 1):
+        r = (r[:, :, None] + coef[:, j, None, None] * x) % p
+        r = r.reshape(n, r.shape[1] * p)
+    n_pre = r.shape[1]
+    w = np.ones(n, dtype=np.int64) if weight is None else weight
+    classes, cls = np.unique(np.stack([coef[:, -1] % p, w], axis=1), axis=0,
+                             return_inverse=True)
+    r += np.arange(n_pre) * p
+    r += (cls * (n_pre * p))[:, None]
+    cube = np.bincount(r.ravel(), minlength=len(classes) * n_pre * p)
+    cube = cube.reshape(len(classes), n_pre, p)
+    need = (-classes[:, :1] * x) % p
+    active = np.take_along_axis(cube, need[:, None, :], axis=2)
+    return np.tensordot(classes[:, 1], active, axes=1)
+
+
+class _SubsetScorer:
+    """Lifted 6-cycle count after re-powering one cell subset.
+
+    Only the cycles through the subset change; their sums are kept as
+    linear forms in the subset's powers.  A candidate that activates a
+    touched 4-cycle scores the current count, so it is never accepted.
+    """
+
+    def __init__(self, system: CycleSystem, f_flat: np.ndarray, subset, f_sc: int):
+        self.p, self.size, self.f_sc = system.p, len(subset), f_sc
+        touched6, self.base6, self.coef6 = _linear_forms(
+            system.res6, _SIGNS6, system.cell_to_6, subset, f_flat)
+        _, self.base4, self.coef4 = _linear_forms(
+            system.res4, _SIGNS4, system.cell_to_4, subset, f_flat)
+        self.w6 = system.weight6[touched6]
+        now = (self.base6 + self.coef6 @ f_flat[subset]) % self.p == 0
+        self.f_rest = f_sc - int(self.w6[now].sum())
+
+    def dense_scores(self, cands: np.ndarray) -> np.ndarray:
+        """Scores of the given (n, size) candidate rows."""
+        p = self.p
+        act6 = (self.base6[:, None] + self.coef6 @ cands.T) % p == 0
+        f_cand = self.f_rest + (self.w6[:, None] * act6).sum(axis=0)
+        act4 = (self.base4[:, None] + self.coef4 @ cands.T) % p == 0
+        f_cand[act4.any(axis=0)] = self.f_sc
+        return f_cand
+
+    def table_scores(self) -> np.ndarray:
+        """Scores of all p**size candidates, in lexicographic order."""
+        p, k = self.p, self.size - 1
+        # loop over leading powers so no table has more than _CAND_CHUNK rows
+        lead = 0
+        while p ** (k - lead) > _CAND_CHUNK:
+            lead += 1
+        out = []
+        for head in itertools.product(range(p), repeat=lead):
+            head = np.array(head, dtype=np.int64)
+            f_cand = self.f_rest + _active_table(
+                p, self.base6 + self.coef6[:, :lead] @ head,
+                self.coef6[:, lead:], self.w6)
+            kills = _active_table(p, self.base4 + self.coef4[:, :lead] @ head,
+                                  self.coef4[:, lead:])
+            f_cand[kills > 0] = self.f_sc
+            out.append(f_cand.ravel())
+        return np.concatenate(out)
 
 
 def run_cpo(spec: SCCodeSpec, config: CpoConfig) -> CpoState:
@@ -252,48 +342,28 @@ def run_cpo(spec: SCCodeSpec, config: CpoConfig) -> CpoState:
             subset = np.sort(rng.choice(pool, size=size, replace=False))
         rounds += 1
 
-        touched6 = (
-            np.unique(np.concatenate([system.cell_to_6[c] for c in subset]))
-            if len(system.res6)
-            else np.array([], dtype=np.int64)
-        )
-        touched4 = (
-            np.unique(np.concatenate([system.cell_to_4[c] for c in subset]))
-            if len(system.res4)
-            else np.array([], dtype=np.int64)
-        )
-        coef6 = np.zeros((len(touched6), size), dtype=np.int64)
-        for j, c in enumerate(subset):
-            coef6[:, j] = ((system.res6[touched6] == c) * _SIGNS6).sum(axis=1)
-        coef4 = np.zeros((len(touched4), size), dtype=np.int64)
-        for j, c in enumerate(subset):
-            coef4[:, j] = ((system.res4[touched4] == c) * _SIGNS4).sum(axis=1)
-
-        base6 = system.sums6(f_flat, touched6) - coef6 @ f_flat[subset]
-        base4 = system.sums4(f_flat, touched4) - coef4 @ f_flat[subset]
-        act_now = (system.sums6(f_flat, touched6) % p == 0) if len(touched6) else None
-        f_top = int(system.weight6[touched6][act_now].sum()) if len(touched6) else 0
-
-        w_top = system.weight6[touched6][:, None] if len(touched6) else None
+        scorer = _SubsetScorer(system, f_flat, subset, f_sc)
         f_best = f_sc
         best_row = None
-        first_row = None
-        for cands in _candidate_chunks(
-            rng, p, size, config.power_candidates, config.exhaustive_cap
-        ):
-            if first_row is None:
-                first_row = cands[0].copy()
-            f_cand = np.full(len(cands), f_sc - f_top, dtype=np.int64)
-            if len(touched6):
-                sums6 = (base6[:, None] + coef6 @ cands.T) % p
-                f_cand += (w_top * (sums6 == 0)).sum(axis=0)
-            if len(touched4):
-                sums4 = (base4[:, None] + coef4 @ cands.T) % p
-                f_cand[(sums4 == 0).any(axis=0)] = f_sc
+        if config.power_candidates is None and p**size <= config.exhaustive_cap:
+            first_row = np.zeros(size, dtype=np.int64)
+            f_cand = scorer.table_scores()
             n = int(np.argmin(f_cand))
             if f_cand[n] < f_best:
                 f_best = int(f_cand[n])
-                best_row = cands[n].copy()
+                best_row = np.array(np.unravel_index(n, (p,) * size))
+        else:
+            first_row = None
+            n_sampled = (config.exhaustive_cap if config.power_candidates is None
+                         else config.power_candidates)
+            for cands in _candidate_chunks(rng, p, size, n_sampled):
+                if first_row is None:
+                    first_row = cands[0].copy()
+                f_cand = scorer.dense_scores(cands)
+                n = int(np.argmin(f_cand))
+                if f_cand[n] < f_best:
+                    f_best = int(f_cand[n])
+                    best_row = cands[n].copy()
         accepted = best_row is not None
         tried = best_row if accepted else first_row
         trace.append(
@@ -308,10 +378,14 @@ def run_cpo(spec: SCCodeSpec, config: CpoConfig) -> CpoState:
         )
         if accepted:
             f_flat[subset] = best_row
-            f_sc_incremental = f_best
             f_sc = system.f_sc(f_flat)
-            assert f_sc == f_sc_incremental, "incremental count drifted"
-            assert system.count_active4(f_flat) == 0
+            if f_sc != f_best:
+                raise RuntimeError(
+                    f"incremental count drifted: scored {f_best}, recounted {f_sc}")
+            n4 = system.count_active4(f_flat)
+            if n4:
+                raise RuntimeError(
+                    f"accepted powers activate {n4} lifted 4-cycles, expected 0")
             theta_prime, theta = weighted_theta(system, f_flat)
             level = 0
             stale = 0

@@ -6,6 +6,8 @@ dense matrices, no combinatorial shortcuts beyond basic pruning.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from scldpc.code_model import PartitionMatrix, sc_lift, sc_protograph
@@ -26,6 +28,38 @@ def lifted_cycles6(spec) -> int:
 
 def lifted_cycles4(spec) -> int:
     return count_cycles4(sc_lift(spec))
+
+
+def dense_candidate_scores(system, f_flat, subset, p) -> np.ndarray:
+    """Lifted 6-cycle count after each joint power assignment of `subset`.
+
+    All p**len(subset) assignments in lexicographic order, scored by
+    evaluating every touched cycle's signed power sum at every candidate.
+    A candidate that activates a touched 4-cycle scores the current count.
+    """
+    subset = np.asarray(subset, dtype=np.int64)
+    signs6 = np.array([1, -1, 1, -1, 1, -1], dtype=np.int64)
+    signs4 = signs6[:4]
+    cands = np.array(list(itertools.product(range(p), repeat=len(subset))),
+                     dtype=np.int64)
+    f_sc = system.f_sc(f_flat)
+
+    def forms(res, signs):
+        touched = np.nonzero(np.isin(res, subset).any(axis=1))[0]
+        coef = np.zeros((len(touched), len(subset)), dtype=np.int64)
+        for j, c in enumerate(subset):
+            coef[:, j] = ((res[touched] == c) * signs).sum(axis=1)
+        sums = (f_flat[res[touched]] * signs).sum(axis=1)
+        return touched, sums - coef @ f_flat[subset], sums, coef
+
+    touched6, base6, now6, coef6 = forms(system.res6, signs6)
+    _, base4, _, coef4 = forms(system.res4, signs4)
+    w6 = system.weight6[touched6]
+    f_cand = np.full(len(cands), f_sc - int(w6[now6 % p == 0].sum()),
+                     dtype=np.int64)
+    f_cand += (w6[:, None] * ((base6[:, None] + coef6 @ cands.T) % p == 0)).sum(axis=0)
+    f_cand[((base4[:, None] + coef4 @ cands.T) % p == 0).any(axis=0)] = f_sc
+    return f_cand
 
 
 def direct_overlap(partition: PartitionMatrix, rows) -> int:

@@ -30,6 +30,8 @@ from scldpc.trapping_sets import ObjectSpecies, common_denominator, enumerate_ob
 from oracles import (connected_species_count, direct_overlap, lifted_cycles4,
                      lifted_cycles6, protograph_cycles6, random_partition)
 
+pytestmark = pytest.mark.slow
+
 L = 30
 
 UNCOUPLED_G3 = 138_720

@@ -1,14 +1,20 @@
 from __future__ import annotations
 
+import hashlib
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from scldpc.code_model import (CirculantBlockCode, PartitionMatrix, SCCodeSpec,
-                               ab_code, partition_from_cutting_vector)
-from scldpc.power_opt import (CpoConfig, CycleSystem, init_ab_powers,
-                              refine_layout, run_cpo, weighted_theta)
+                               ab_code, ab_powers, partition_from_cutting_vector)
+from scldpc import power_opt
+from scldpc.io_formats import trace_csv
+from scldpc.power_opt import (CpoConfig, CycleSystem, _cycles_by_cell,
+                              _SubsetScorer, refine_layout, run_cpo,
+                              weighted_theta)
 
-from oracles import lifted_cycles4, random_partition
+from oracles import dense_candidate_scores, lifted_cycles4, random_partition
 
 
 def uncut(gamma, kappa, m=1):
@@ -20,7 +26,7 @@ def spec_for(gamma, kappa, p, partition, L):
 
 
 def test_ab_power_values():
-    f = init_ab_powers(3, 5, 7)
+    f = ab_powers(3, 5, 7)
     assert f.shape == (3, 5)
     assert (f[0] == 0).all()
     assert (f[:, 0] == 0).all()
@@ -166,3 +172,114 @@ def test_cpo_beats_starting_point():
     state = run_cpo(spec, CpoConfig(seed=3, subset_size_schedule=(1, 2, 3),
                                     max_stale_rounds=20))
     assert state.f_sc < start
+
+
+def random_system(rng, p, max_kappa=5):
+    g, kp = int(rng.integers(3, 5)), int(rng.integers(1, max_kappa + 1))
+    m = int(rng.integers(0, 3))
+    block = CirculantBlockCode(g, kp, p, rng.integers(0, p, (g, kp)))
+    return CycleSystem(SCCodeSpec(block, random_partition(rng, g, kp, m), m + 2))
+
+
+def scramble_walks(rng, system):
+    """Replace every cycle's cells by random ones, repeats allowed.
+
+    In a coupled code a residue cell occurs at most once per cycle, so
+    subset coefficients are 0 or +-1; scrambled walks also give the +-2
+    and +-3 coefficients the scorer handles in general.
+    """
+    ncells = system.gamma * system.kappa
+    system.res6 = rng.integers(0, ncells, system.res6.shape)
+    system.res4 = rng.integers(0, ncells, system.res4.shape)
+    system.cell_to_6 = _cycles_by_cell(system.res6, ncells)
+    system.cell_to_4 = _cycles_by_cell(system.res4, ncells)
+
+
+def test_cycles_by_cell_match_per_cell_scan():
+    rng = np.random.default_rng(5)
+    for n in range(16):
+        system = random_system(rng, 7)
+        if n % 2:
+            scramble_walks(rng, system)
+        ncells = system.gamma * system.kappa
+        for res, cell_to in ((system.res6, system.cell_to_6),
+                             (system.res4, system.cell_to_4)):
+            assert len(cell_to) == ncells
+            for c in range(ncells):
+                assert np.array_equal(cell_to[c],
+                                      np.nonzero((res == c).any(axis=1))[0])
+
+
+@pytest.mark.parametrize("chunk", [None, 40])
+def test_table_scores_match_dense_oracle(monkeypatch, chunk):
+    # a small chunk makes the table scorer loop over leading powers
+    if chunk is not None:
+        monkeypatch.setattr(power_opt, "_CAND_CHUNK", chunk)
+    rng = np.random.default_rng(11)
+    seen = Counter()
+    signs = np.array([1, -1, 1, -1, 1, -1])
+    for _ in range(240):
+        p = int(rng.choice([5, 6, 7, 8, 9, 10]))
+        system = random_system(rng, p)
+        if rng.random() < 0.5:
+            scramble_walks(rng, system)
+        f = rng.integers(0, p, system.gamma * system.kappa).astype(np.int64)
+        size = min(int(rng.integers(1, 5)), system.gamma * system.kappa)
+        subset = np.sort(rng.choice(system.gamma * system.kappa, size, replace=False))
+        got = _SubsetScorer(system, f, subset, system.f_sc(f)).table_scores()
+        assert np.array_equal(got, dense_candidate_scores(system, f, subset, p))
+
+        seen[f"size{size}"] += 1
+        seen["composite"] += p in (6, 8, 9, 10)
+        for res, name in ((system.res6, "6"), (system.res4, "4")):
+            hit = res[np.isin(res, subset).any(axis=1)]
+            seen["no" + name] += not len(hit)
+            # the last cell's coefficient picks the table's congruence:
+            # 0 (cycle misses the cell), +-2, or sharing a factor with p
+            last = ((hit == subset[-1]) * signs[: res.shape[1]]).sum(axis=1)
+            seen["coef0"] += int((last == 0).sum())
+            seen["coef2"] += int((abs(last) == 2).sum())
+            seen["shared"] += int(((last % p != 0) & (np.gcd(last, p) > 1)).sum())
+    for key in ("size1", "size2", "size3", "size4", "composite", "no6", "no4",
+                "coef0", "coef2", "shared"):
+        assert seen[key] > 0, key
+
+
+# (f_sc, rounds, sha256 of the trace CSV) recorded with the dense
+# per-candidate scorer (oracles.dense_candidate_scores); the first config
+# mixes exhaustive and sampled rounds, the second has composite p
+@pytest.mark.parametrize("gamma, kappa, p, cuts, L, config, expected", [
+    (3, 7, 7, (2, 4, 6), 10,
+     CpoConfig(seed=5, subset_size_schedule=(1, 2, 3, 4, 5),
+               exhaustive_cap=8192, max_stale_rounds=4),
+     (700, 45, "afd55b66c3e2e9554470946ef14e937c9c54d5c1db06d1d3487cd5996224da6d")),
+    (3, 6, 9, (1, 3, 5), 8,
+     CpoConfig(seed=2, subset_size_schedule=(1, 2, 3, 4), max_stale_rounds=4),
+     (63, 29, "bd7be5f5d412cb6b46e6c631db26a1145626d1481285787024274bcdd4c4ef2c")),
+])
+def test_pinned_traces(gamma, kappa, p, cuts, L, config, expected):
+    part = partition_from_cutting_vector(cuts, gamma, kappa)
+    state = run_cpo(spec_for(gamma, kappa, p, part, L), config)
+    digest = hashlib.sha256(trace_csv(state.trace).encode()).hexdigest()
+    assert (state.f_sc, state.rounds, digest) == expected
+
+
+@pytest.mark.parametrize("method, message", [
+    ("f_sc", "incremental count drifted"),
+    ("count_active4", "lifted 4-cycles"),
+])
+def test_invariant_breaks_raise(monkeypatch, method, message):
+    # skew every call after the initial one, so the first accepted move
+    # disagrees with what the scorer predicted
+    real = getattr(CycleSystem, method)
+    calls = []
+
+    def skewed(self, f_flat):
+        calls.append(1)
+        return real(self, f_flat) + (len(calls) > 1)
+
+    monkeypatch.setattr(CycleSystem, method, skewed)
+    part = partition_from_cutting_vector([2, 4, 6], 3, 7)
+    with pytest.raises(RuntimeError, match=message):
+        run_cpo(spec_for(3, 7, 7, part, 10),
+                CpoConfig(seed=1, subset_size_schedule=(1, 2)))
