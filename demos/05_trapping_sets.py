@@ -44,7 +44,10 @@ for gamma in (3, 4):
 # Counting in a coupled code: instead of scanning the full lifted
 # matrix, each species is searched inside a sliding window just wide
 # enough to contain any connected instance, and window counts are
-# weighted by how many replicas each span fits into.
+# weighted by how many replicas each span fits into.  The search starts
+# only from the offset-0 column of each circulant column block: shifting
+# every circulant offset together maps the code onto itself, so an
+# instance with c columns in its first block stands for p / c instances.
 gamma, kappa, p, L = 3, 7, 7, 12
 part = partition_from_cutting_vector([2, 4, 6], gamma, kappa)
 spec = SCCodeSpec(ab_code(gamma, kappa, p), part, L)

@@ -238,9 +238,7 @@ def window(spec: SCCodeSpec, r: int, k: int, lifted: bool = False) -> np.ndarray
         raise ValueError(f"replica index {r} outside [1, {spec.L}]")
     if not 1 <= k <= spec.L - r + 1:
         raise ValueError(f"span {k} outside [1, {spec.L - r + 1}] for replica {r}")
-    g, kp = spec.gamma, spec.kappa
-    scale = spec.p if lifted else 1
-    full = sc_lift(spec) if lifted else sc_protograph(spec)
-    rows = slice((r - 1) * g * scale, (r + spec.m + k - 1) * g * scale)
-    cols = slice((r - 1) * kp * scale, (r + k - 1) * kp * scale)
-    return full[rows, cols]
+    # every replica carries the same components, so the window is the
+    # whole matrix of the k-replica code
+    short = SCCodeSpec(spec.block, spec.partition, k)
+    return sc_lift(short) if lifted else sc_protograph(short)

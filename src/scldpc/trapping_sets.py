@@ -17,6 +17,15 @@ consecutive replicas, so counting window-resident instances that start
 in the first replica and weighting by position yields the full-matrix
 count.
 
+Within the window, shifting every circulant offset by the same s is an
+automorphism that keeps each column in its replica, so the search only
+starts from the kappa offset-0 columns of replica 1.  An object O whose
+lowest column block holds c(O) of its columns has its lowest column at
+offset 0 under exactly c(O) of the p shifts.  Those shifts are a union
+of cosets of O's stabilizer H, so the orbit of p/|H| objects is found
+c(O)/|H| times, and weighting each find by p/c(O) counts it exactly,
+for every p.
+
 Disconnected variable sets cannot reach the small `b` values of the
 dominant species (each extra component adds at least gamma odd
 checks), so the connected search is exhaustive for the species listed
@@ -58,21 +67,12 @@ class InducedConfig:
     b: int
     check_rows: tuple
     check_degrees: tuple
+    is_absorbing_set: bool
 
     @property
     def is_trapping_set(self) -> bool:
         # Def: any nonempty set with b odd checks is an (a, b) trapping set.
         return True
-
-    @property
-    def is_absorbing_set(self) -> bool:
-        return bool(self._absorbing)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_absorbing", None)
-
-    def _set_absorbing(self, flag: bool):
-        object.__setattr__(self, "_absorbing", flag)
 
 
 @dataclass(frozen=True)
@@ -109,15 +109,14 @@ def classify(h: np.ndarray, vn_cols) -> InducedConfig:
     even_rows = touched[~odd]
     n_even = sub[even_rows].sum(axis=0)
     n_odd = sub[touched[odd]].sum(axis=0)
-    cfg = InducedConfig(
+    return InducedConfig(
         vn_set=cols,
         a=len(cols),
         b=b,
         check_rows=tuple(int(r) for r in touched),
         check_degrees=tuple(int(d) for d in deg[touched]),
+        is_absorbing_set=bool(np.all(n_even > n_odd)),
     )
-    cfg._set_absorbing(bool(np.all(n_even > n_odd)))
-    return cfg
 
 
 def max_shortest_path_vns(template: np.ndarray) -> int:
@@ -226,15 +225,21 @@ def dominant_species(gamma: int):
     return list(table[gamma])
 
 
-def _column_rows(w: np.ndarray):
-    return [np.nonzero(w[:, c])[0] for c in range(w.shape[1])]
+def _fold_orbit_tallies(tally: dict, p: int) -> dict:
+    """Per-span counts from the (span k, c) tallies of offset-0 roots.
 
-
-def _adjacency_lists(w: np.ndarray):
-    dense = w.astype(np.float32)
-    shared = dense.T @ dense
-    np.fill_diagonal(shared, 0.0)
-    return [np.nonzero(shared[c] > 0)[0].tolist() for c in range(w.shape[1])]
+    Each find with c columns in its root's block stands for p/c objects;
+    the finds of one orbit with stabilizer H number c/|H|, so n * p is a
+    multiple of c for every tally n.
+    """
+    per_span: dict = {}
+    for (k, c), n in sorted(tally.items()):
+        if n * p % c:
+            raise RuntimeError(
+                "span %d: %d finds with %d root-block columns cannot come "
+                "from whole orbits of the p=%d circulant shift" % (k, n, c, p))
+        per_span[k] = per_span.get(k, 0) + n * p // c
+    return per_span
 
 
 def enumerate_objects(spec: SCCodeSpec, species: ObjectSpecies) -> CycleCensus:
@@ -242,9 +247,11 @@ def enumerate_objects(spec: SCCodeSpec, species: ObjectSpecies) -> CycleCensus:
 
     Enumerates connected variable subsets of size species.a inside the
     first window of (path_vns - 1) * m + 1 replicas whose lowest column
-    falls in replica 1, classifies each, and tags it with its exact
-    replica span k.  The per-span counts weighted by (L - k + 1) give
-    the full-matrix total.
+    is one of the kappa offset-0 columns of replica 1, classifies each,
+    and tags it with its exact replica span k and the number c of its
+    columns in its lowest column block.  Weighting each find by p / c
+    (see the module docstring) and each span by (L - k + 1) gives the
+    full-matrix total.
     """
     if species.a > MAX_SUBSET_SIZE:
         raise ValueError(
@@ -257,57 +264,50 @@ def enumerate_objects(spec: SCCodeSpec, species: ObjectSpecies) -> CycleCensus:
         raise ValueError(
             "window has %d columns (cap %d); use the closed-form cycle "
             "census for protograph-scale audits" % (ncols, MAX_WINDOW_COLUMNS))
-    cols_per_replica = spec.kappa * spec.p
-    rows = _column_rows(w)
-    nbr = _adjacency_lists(w)
-    nrows = w.shape[0]
+    p = spec.p
+    cols_per_replica = spec.kappa * p
+    rows = [np.nonzero(col)[0].tolist() for col in w.T]
+    shared = w.T.astype(np.float32) @ w.astype(np.float32)
+    np.fill_diagonal(shared, 0.0)
+    nbr = [np.nonzero(col)[0].tolist() for col in shared]
     a = species.a
     want_as = species.kind == "AS"
-    per_span: dict = {}
-    counts = np.zeros(nrows, dtype=np.int64)
+    counts = [0] * w.shape[0]
+    odd = 0
+    tally: dict = {}
 
-    def matches(sub) -> bool:
-        for c in sub:
-            counts[rows[c]] += 1
-        touched = np.concatenate([rows[c] for c in sub])
-        uniq = np.unique(touched)
-        deg = counts[uniq]
-        odd = deg % 2 == 1
-        ok = int(odd.sum()) == species.b
-        if ok and want_as:
-            for c in sub:
-                d = counts[rows[c]]
-                n_odd = int((d % 2 == 1).sum())
-                if len(rows[c]) - n_odd <= n_odd:
-                    ok = False
-                    break
-        for c in sub:
-            counts[rows[c]] -= 1
-        return ok
+    def add(c, step):
+        # in-set degree of each check of c; odd tracks how many are odd
+        nonlocal odd
+        for r in rows[c]:
+            counts[r] += step
+            odd += 1 if counts[r] & 1 else -1
 
-    def record(sub):
-        if not matches(sub):
-            return
-        k = max(c // cols_per_replica for c in sub) + 1
-        per_span[k] = per_span.get(k, 0) + 1
+    def absorbing(sub) -> bool:
+        return all(2 * sum(counts[r] & 1 for r in rows[c]) < len(rows[c])
+                   for c in sub)
 
     def extend(sub, ext, blocked, root):
         # ext holds unprocessed extension candidates; blocked is the
         # subset plus every neighbor seen so far, which keeps each
         # connected subset from being produced twice.
         if len(sub) == a:
-            record(sub)
+            if odd == species.b and (not want_as or absorbing(sub)):
+                key = (max(sub) // cols_per_replica + 1,
+                       sum(c < root + p for c in sub))
+                tally[key] = tally.get(key, 0) + 1
             return
         ext = list(ext)
         while ext:
             cand = ext.pop()
             grow = [u for u in nbr[cand] if u > root and u not in blocked]
+            add(cand, 1)
             extend(sub + [cand], ext + grow, blocked | set(grow), root)
+            add(cand, -1)
 
-    for root in range(min(cols_per_replica, ncols)):
-        if a == 1:
-            record([root])
-            continue
+    for root in range(0, cols_per_replica, p):
         seeds = [u for u in nbr[root] if u > root]
+        add(root, 1)
         extend([root], seeds, {root} | set(seeds), root)
-    return CycleCensus(spec.L, per_span)
+        add(root, -1)
+    return CycleCensus(spec.L, _fold_orbit_tallies(tally, p))

@@ -10,8 +10,10 @@ import itertools
 
 import numpy as np
 
-from scldpc.code_model import PartitionMatrix, sc_lift, sc_protograph
-from scldpc.cycle_census import count_cycles4, count_cycles6
+from scldpc.code_model import PartitionMatrix, sc_lift, sc_protograph, window
+from scldpc.cycle_census import CycleCensus, count_cycles4, count_cycles6
+from scldpc.trapping_sets import (MAX_SUBSET_SIZE, MAX_WINDOW_COLUMNS,
+                                  replica_span)
 
 
 def random_partition(rng, gamma: int, kappa: int, m: int) -> PartitionMatrix:
@@ -74,14 +76,22 @@ def direct_overlap(partition: PartitionMatrix, rows) -> int:
     return int(mask.sum())
 
 
+def _column_rows(w: np.ndarray):
+    return [np.nonzero(w[:, c])[0] for c in range(w.shape[1])]
+
+
+def _adjacency_lists(w: np.ndarray):
+    dense = w.astype(np.float32)
+    shared = dense.T @ dense
+    np.fill_diagonal(shared, 0.0)
+    return [np.nonzero(shared[c] > 0)[0].tolist() for c in range(w.shape[1])]
+
+
 def connected_species_count(h: np.ndarray, species) -> int:
     """Species instances anywhere in h, by connected subset search."""
     h = np.asarray(h, dtype=bool)
-    rows = [np.nonzero(h[:, c])[0] for c in range(h.shape[1])]
-    dense = h.astype(np.float32)
-    shared = dense.T @ dense
-    np.fill_diagonal(shared, 0.0)
-    nbr = [np.nonzero(shared[c] > 0)[0].tolist() for c in range(h.shape[1])]
+    rows = _column_rows(h)
+    nbr = _adjacency_lists(h)
     counts = np.zeros(h.shape[0], dtype=np.int64)
     a = species.a
     total = 0
@@ -123,6 +133,82 @@ def connected_species_count(h: np.ndarray, species) -> int:
         seeds = [u for u in nbr[root] if u > root]
         extend([root], seeds, {root} | set(seeds), root)
     return total
+
+
+def windowed_species_census(spec, species) -> CycleCensus:
+    """Per-span species counts by windowed search from every replica-1 root.
+
+    Enumerates connected variable subsets of size species.a inside the
+    first window of (path_vns - 1) * m + 1 replicas whose lowest column
+    falls in replica 1, classifies each, and tags it with its exact
+    replica span k.  The per-span counts weighted by (L - k + 1) give
+    the full-matrix total.
+    """
+    if species.a > MAX_SUBSET_SIZE:
+        raise ValueError(
+            "subset search capped at a <= %d; use the closed-form cycle "
+            "census for protograph-scale audits" % MAX_SUBSET_SIZE)
+    chi = min(replica_span(species.path_vns, spec.m), spec.L)
+    w = window(spec, 1, chi, lifted=True)
+    ncols = w.shape[1]
+    if ncols > MAX_WINDOW_COLUMNS:
+        raise ValueError(
+            "window has %d columns (cap %d); use the closed-form cycle "
+            "census for protograph-scale audits" % (ncols, MAX_WINDOW_COLUMNS))
+    cols_per_replica = spec.kappa * spec.p
+    rows = _column_rows(w)
+    nbr = _adjacency_lists(w)
+    nrows = w.shape[0]
+    a = species.a
+    want_as = species.kind == "AS"
+    per_span: dict = {}
+    counts = np.zeros(nrows, dtype=np.int64)
+
+    def matches(sub) -> bool:
+        for c in sub:
+            counts[rows[c]] += 1
+        touched = np.concatenate([rows[c] for c in sub])
+        uniq = np.unique(touched)
+        deg = counts[uniq]
+        odd = deg % 2 == 1
+        ok = int(odd.sum()) == species.b
+        if ok and want_as:
+            for c in sub:
+                d = counts[rows[c]]
+                n_odd = int((d % 2 == 1).sum())
+                if len(rows[c]) - n_odd <= n_odd:
+                    ok = False
+                    break
+        for c in sub:
+            counts[rows[c]] -= 1
+        return ok
+
+    def record(sub):
+        if not matches(sub):
+            return
+        k = max(c // cols_per_replica for c in sub) + 1
+        per_span[k] = per_span.get(k, 0) + 1
+
+    def extend(sub, ext, blocked, root):
+        # ext holds unprocessed extension candidates; blocked is the
+        # subset plus every neighbor seen so far, which keeps each
+        # connected subset from being produced twice.
+        if len(sub) == a:
+            record(sub)
+            return
+        ext = list(ext)
+        while ext:
+            cand = ext.pop()
+            grow = [u for u in nbr[cand] if u > root and u not in blocked]
+            extend(sub + [cand], ext + grow, blocked | set(grow), root)
+
+    for root in range(min(cols_per_replica, ncols)):
+        if a == 1:
+            record([root])
+            continue
+        seeds = [u for u in nbr[root] if u > root]
+        extend([root], seeds, {root} | set(seeds), root)
+    return CycleCensus(spec.L, per_span)
 
 
 def all_subsets_species_count(h: np.ndarray, species) -> int:

@@ -191,3 +191,21 @@ def test_lifted_window_matches_full_slice():
     rows = slice((2 - 1) * g * p, (2 + m + 2 - 1) * g * p)
     cols = slice((2 - 1) * k * p, (2 + 2 - 1) * k * p)
     assert np.array_equal(win, h[rows, cols])
+
+
+def test_window_matches_full_matrix_slice_random():
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        g, k = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        p, m = int(rng.integers(1, 6)), int(rng.integers(0, 3))
+        L = int(rng.integers(1, 6))
+        block = CirculantBlockCode(g, k, p, rng.integers(0, p, size=(g, k)))
+        part = PartitionMatrix(m, rng.integers(0, m + 1, size=(g, k)))
+        spec = SCCodeSpec(block, part, L)
+        kw = int(rng.integers(1, L + 1))
+        r = int(rng.integers(1, L - kw + 2))
+        for lifted, full in ((False, sc_protograph(spec)), (True, sc_lift(spec))):
+            s = p if lifted else 1
+            rows = slice((r - 1) * g * s, (r + m + kw - 1) * g * s)
+            cols = slice((r - 1) * k * s, (r + kw - 1) * k * s)
+            assert np.array_equal(window(spec, r, kw, lifted), full[rows, cols])

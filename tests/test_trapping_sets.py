@@ -3,8 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from scldpc.code_model import (PartitionMatrix, SCCodeSpec, ab_code,
-                               partition_from_cutting_vector, sc_lift)
+from scldpc import trapping_sets
+from scldpc.code_model import (CirculantBlockCode, PartitionMatrix, SCCodeSpec,
+                               ab_code, partition_from_cutting_vector, sc_lift)
 from scldpc.cycle_census import active_cycles6
 from scldpc.trapping_sets import (MAX_SUBSET_SIZE, ObjectSpecies, classify,
                                   common_denominator, cycle_template,
@@ -13,7 +14,7 @@ from scldpc.trapping_sets import (MAX_SUBSET_SIZE, ObjectSpecies, classify,
                                   six_four_template)
 
 from oracles import (all_subsets_species_count, connected_species_count,
-                     random_partition)
+                     random_partition, windowed_species_census)
 
 
 def four_two_template():
@@ -184,3 +185,68 @@ def test_window_size_cap():
     spec = SCCodeSpec(ab_code(3, 17, 131), part, 4)
     with pytest.raises(ValueError, match="columns"):
         enumerate_objects(spec, ObjectSpecies(3, 3, "AS", 2))
+
+
+def random_species_case(rng):
+    """A random coupled code and a species drawn from one of its subsets.
+
+    b is read off a random connected subset of the lift, so most species
+    occur; an AS draw retries until the subset is absorbing.
+    """
+    gamma, kappa = int(rng.integers(2, 5)), int(rng.integers(1, 5))
+    p, m = int(rng.choice([2, 3, 4, 5, 6, 8, 9])), int(rng.integers(0, 3))
+    block = CirculantBlockCode(gamma, kappa, p,
+                               rng.integers(0, p, size=(gamma, kappa)))
+    spec = SCCodeSpec(block, random_partition(rng, gamma, kappa, m),
+                      int(rng.integers(1, 5)))
+    h = sc_lift(spec).astype(bool)
+    a, kind = int(rng.integers(1, 6)), str(rng.choice(["TS", "AS"]))
+    for _ in range(20):
+        sub = [int(rng.integers(kappa * p))]
+        while len(sub) < a:
+            near = np.nonzero(h[h[:, sub].any(axis=1)].any(axis=0))[0]
+            near = np.setdiff1d(near, sub)
+            if not len(near):
+                break
+            sub.append(int(rng.choice(near)))
+        cfg = classify(h, sub)
+        if kind == "TS" or cfg.is_absorbing_set:
+            break
+    return spec, ObjectSpecies(cfg.a, cfg.b, kind, int(rng.integers(1, 4)))
+
+
+def test_orbit_search_matches_all_roots_oracle():
+    rng = np.random.default_rng(2024)
+    found = {"TS": 0, "AS": 0}
+    for _ in range(220):
+        spec, species = random_species_case(rng)
+        per_span = enumerate_objects(spec, species).per_span
+        assert per_span == windowed_species_census(spec, species).per_span
+        found[species.kind] += bool(per_span)
+    assert found["TS"] >= 100 and found["AS"] >= 15
+
+
+def test_orbit_with_nontrivial_stabilizer(monkeypatch):
+    # p = 2, all four columns of a 2 x 2 circulant array: the set is fixed
+    # by the shift, so it is found once with c = 2 and stands for 2/2 = 1
+    tallies = []
+    fold = trapping_sets._fold_orbit_tallies
+
+    def spy(tally, p):
+        tallies.append(dict(tally))
+        return fold(tally, p)
+
+    monkeypatch.setattr(trapping_sets, "_fold_orbit_tallies", spy)
+    block = CirculantBlockCode(2, 2, 2, np.array([[0, 0], [0, 1]]))
+    spec = SCCodeSpec(block, PartitionMatrix(0, np.zeros((2, 2))), 1)
+    species = ObjectSpecies(4, 0, "AS", 2)
+    census = enumerate_objects(spec, species)
+    assert any(n % c for (_, c), n in tallies[0].items())
+    assert census.per_span == windowed_species_census(spec, species).per_span
+    assert census.total == all_subsets_species_count(sc_lift(spec), species)
+
+
+def test_fold_rejects_a_tally_that_is_not_whole_orbits():
+    assert trapping_sets._fold_orbit_tallies({(1, 2): 3, (1, 1): 1}, 4) == {1: 10}
+    with pytest.raises(RuntimeError, match="orbits"):
+        trapping_sets._fold_orbit_tallies({(1, 3): 1}, 4)
