@@ -6,6 +6,15 @@ and r3, c23 in r2 and r3, with the three columns distinct.  Three all-ones
 rows over three columns therefore contain 6 cycles, the Hamiltonian cycles
 of K_{3,3}.
 
+Any 0/1 matrix is counted directly from its row-pair overlaps, without
+listing a cycle.  With A[i,j] the number of columns rows i and j share and
+t the number of columns covering all three rows of a triple, the triple
+carries abc - t(a+b+c) + 2t cycles, where a, b, c are its three pairwise
+overlaps (inclusion-exclusion on the three ways two of its columns can
+coincide; cf. Halford and Chugg, IEEE T-IT 52(1), 2006).  Summed over all
+row triples this is a weighted triangle sum over the overlap graph, minus
+per-column corrections; a 4-cycle is a row pair with two shared columns.
+
 Counts in the coupled protograph decompose by the replica where a cycle's
 leftmost column sits and by its span k (number of consecutive replicas its
 columns touch).  The count of span-k cycles starting in a replica does not
@@ -20,7 +29,8 @@ protograph cycle walks cells (h1,l1),(h1,l2),(h2,l2),(h2,l3),(h3,l3),
 f(h1,l1) - f(h1,l2) + f(h2,l2) - f(h2,l3) + f(h3,l3) - f(h3,l1) is 0 mod p
 and none otherwise; such a cycle is called active.  The power of any
 coupled-matrix cell depends only on its row residue mod gamma and column
-residue mod kappa, so activity can be decided inside one window.
+residue mod kappa, so activity can be decided inside one window.  The
+starter cycles of that window are listed one by one.
 """
 
 from __future__ import annotations
@@ -34,7 +44,100 @@ from .code_model import SCCodeSpec, window
 from .overlaps import OverlapSet, overlaps_from_partition
 
 # ---------------------------------------------------------------------------
-# brute-force enumeration (oracle-grade, definition-faithful)
+# direct counts of an arbitrary matrix from its row-pair overlaps
+
+# wedges (pairs of overlap-graph edges at one row) scored per pass of the
+# triangle sum; bounds its memory, whatever the matrix size
+_WEDGE_CHUNK = 1 << 18
+
+
+def _row_pair_overlaps(h: np.ndarray):
+    """Nonzero row-pair overlaps of a 0/1 matrix, from each column's row pairs.
+
+    Returns (keys, overlap, excess): the pairs i < j sharing a column as
+    sorted keys i * rows + j, the number of columns each pair shares, and
+    the sum of (degree - 2) over those columns.
+    """
+    h = np.asarray(h, dtype=bool)
+    n_rows = h.shape[0]
+    # the ones, ordered by column with rows ascending (a flat scan is much
+    # faster than a strided one)
+    rows, cols = np.divmod(np.flatnonzero(h), max(h.shape[1], 1))
+    order = np.argsort(cols, kind="stable")
+    rows, cols = rows[order], cols[order]
+    degree = np.bincount(cols, minlength=h.shape[1])
+    starts = np.concatenate(([0], np.cumsum(degree)))
+    keys, excess = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for d in np.unique(degree[degree >= 2]):  # columns of one degree pair up together
+        first = starts[:-1][degree == d]
+        block = rows[first[:, None] + np.arange(d)]
+        a, b = np.triu_indices(d, 1)
+        pairs = (block[:, a] * n_rows + block[:, b]).ravel()
+        keys.append(pairs)
+        excess.append(np.full(len(pairs), d - 2, dtype=np.int64))
+    keys, inverse, overlap = np.unique(np.concatenate(keys), return_inverse=True,
+                                       return_counts=True)
+    excess = np.bincount(inverse, weights=np.concatenate(excess),
+                         minlength=len(keys))
+    return keys.astype(np.int64), overlap.astype(np.int64), excess.astype(np.int64)
+
+
+def count_cycles6(h: np.ndarray) -> int:
+    """Number of 6-cycles of a 0/1 matrix, from its row-pair overlaps.
+
+    N6 = sum over triangles {i,j,k} of the overlap graph of A_ij A_ik A_jk
+         - sum over columns of (d-2) * (sum of A over the column's row pairs)
+         + 2 * sum over columns of C(d, 3),
+    with d a column's degree.  The triangle sum visits every wedge (two
+    overlap-graph edges at a centre row) and closes it by a lookup in the
+    sorted pair keys, _WEDGE_CHUNK wedges at a time; each triangle is seen
+    once per corner.
+    """
+    n_rows = np.shape(h)[0]
+    keys, overlap, excess = _row_pair_overlaps(h)
+    # symmetric edge list sorted by (centre, neighbour): each centre's
+    # neighbours form one ascending segment
+    lo, hi = np.divmod(keys, max(n_rows, 1))
+    centre, nbr = np.concatenate((lo, hi)), np.concatenate((hi, lo))
+    order = np.lexsort((nbr, centre))
+    centre, nbr, weight = centre[order], nbr[order], np.tile(overlap, 2)[order]
+    arm = np.arange(len(nbr))
+    # an arm (one edge at its centre) pairs with the later edges of its segment
+    arm_wedges = np.cumsum(np.bincount(centre, minlength=n_rows))[centre] - 1 - arm
+    cum = np.concatenate(([0], np.cumsum(arm_wedges)))
+    wedge_sum = 0
+    e0 = 0
+    while e0 < len(nbr):
+        stop = int(np.searchsorted(cum, cum[e0] + _WEDGE_CHUNK, side="right")) - 1
+        e1 = max(stop, e0 + 1)  # a single arm longer than the chunk runs alone
+        first = np.repeat(arm[e0:e1], arm_wedges[e0:e1])
+        second = first + 1 + np.arange(len(first)) - np.repeat(
+            cum[e0:e1] - cum[e0], arm_wedges[e0:e1])
+        closing = nbr[first] * n_rows + nbr[second]
+        pos = np.minimum(np.searchsorted(keys, closing), len(keys) - 1)
+        hit = keys[pos] == closing
+        wedge_sum += int((weight[first] * weight[second] * overlap[pos])[hit].sum())
+        e0 = e1
+    if wedge_sum % 3:
+        raise RuntimeError(
+            f"triangle wedge sum {wedge_sum} is not a multiple of 3")
+    # a degree-d column has C(d,2) pairs of excess d-2, so excess sums to
+    # 3 * sum C(d,3)
+    n6 = ((wedge_sum + 2 * int(excess.sum())) // 3
+          - int((overlap * excess).sum()))
+    if n6 < 0:
+        raise RuntimeError(f"negative 6-cycle count {n6}")
+    return n6
+
+
+def count_cycles4(h: np.ndarray) -> int:
+    """Number of 4-cycles: C(A_ij, 2) summed over the row-pair overlaps."""
+    _, overlap, _ = _row_pair_overlaps(h)
+    return int((overlap * (overlap - 1)).sum()) // 2
+
+
+# ---------------------------------------------------------------------------
+# cycle enumeration (starter cycles of a window; each cycle listed once)
 
 
 def _supports(h: np.ndarray):
@@ -74,11 +177,6 @@ def find_cycles6(h: np.ndarray):
     return out
 
 
-def count_cycles6(h: np.ndarray) -> int:
-    """Number of 6-cycles, by direct enumeration."""
-    return len(find_cycles6(h))
-
-
 def find_cycles4(h: np.ndarray):
     """All 4-cycles as ((r1, r2), (c1, c2)), both pairs sorted ascending."""
     row_cols, col_rows = _supports(h)
@@ -94,10 +192,6 @@ def find_cycles4(h: np.ndarray):
             for c1, c2 in itertools.combinations(shared, 2):
                 out.append(((r1, r2), (c1, c2)))
     return out
-
-
-def count_cycles4(h: np.ndarray) -> int:
-    return len(find_cycles4(h))
 
 
 # ---------------------------------------------------------------------------

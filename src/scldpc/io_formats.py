@@ -59,24 +59,62 @@ def write_alist(matrix: np.ndarray, path) -> None:
         fh.write(alist_string(matrix))
 
 
+def _index_lists(table: np.ndarray, degree: np.ndarray, bound: int, what: str):
+    """Entries of zero-padded 1-based index lists, checked against degrees."""
+    filled = np.arange(table.shape[1]) < degree[:, None]
+    if not np.array_equal(table != 0, filled):
+        raise ValueError(f"malformed alist file: {what} degree line disagrees "
+                         f"with the {what} lists")
+    if table.size and (table.min() < 0 or table.max() > bound):
+        raise ValueError(f"malformed alist file: {what} list index outside "
+                         f"[1, {bound}]")
+    return table[filled] - 1
+
+
 def read_alist(path) -> np.ndarray:
-    """Parse an alist file back into a dense boolean matrix."""
+    """Parse an alist file back into a dense boolean matrix.
+
+    Every part of the file must agree: the header, the maximum degrees,
+    both degree lines, the column lists and the row lists; a mismatch, an
+    out-of-range index, a truncated file or trailing tokens raise
+    ValueError.
+    """
     with open(path) as fh:
-        tokens = fh.read().split()
-    it = iter(tokens)
+        text = fh.read()
     try:
-        ncols, nrows = int(next(it)), int(next(it))
-        dc, _dr = int(next(it)), int(next(it))
-        for _ in range(ncols + nrows):
-            next(it)
-        h = np.zeros((nrows, ncols), dtype=bool)
-        for c in range(ncols):
-            for _ in range(dc):
-                r = int(next(it))
-                if r:
-                    h[r - 1, c] = True
-    except (StopIteration, ValueError) as exc:
-        raise ValueError("malformed alist file") from exc
+        tokens = np.array(text.split(), dtype=np.int64)
+    except (ValueError, OverflowError) as exc:
+        raise ValueError("malformed alist file: non-integer token") from exc
+    if len(tokens) < 4:
+        raise ValueError("malformed alist file: truncated header")
+    ncols, nrows, dc, dr = (int(v) for v in tokens[:4])
+    if ncols < 1 or nrows < 1 or dc < 0 or dr < 0:
+        raise ValueError("malformed alist file: bad header")
+    size = 4 + ncols + nrows + ncols * dc + nrows * dr
+    if len(tokens) != size:
+        raise ValueError(f"malformed alist file: {len(tokens)} tokens where "
+                         f"the header implies {size}")
+    col_deg = tokens[4:4 + ncols]
+    row_deg = tokens[4 + ncols:4 + ncols + nrows]
+    if (min(col_deg.min(), row_deg.min()) < 0 or col_deg.max() != dc
+            or row_deg.max() != dr):
+        raise ValueError("malformed alist file: degree lines disagree with "
+                         "the maximum degree line")
+    at = 4 + ncols + nrows
+    col_lists = tokens[at:at + ncols * dc].reshape(ncols, dc)
+    row_lists = tokens[at + ncols * dc:].reshape(nrows, dr)
+    rows = _index_lists(col_lists, col_deg, nrows, "column")
+    cols = np.repeat(np.arange(ncols), col_deg)
+    by_col = np.sort(cols * nrows + rows)
+    by_row = np.sort(_index_lists(row_lists, row_deg, ncols, "row") * nrows
+                     + np.repeat(np.arange(nrows), row_deg))
+    if np.any(by_col[1:] == by_col[:-1]):
+        raise ValueError("malformed alist file: repeated index in a column list")
+    if not np.array_equal(by_col, by_row):
+        raise ValueError("malformed alist file: row lists disagree with the "
+                         "column lists")
+    h = np.zeros((nrows, ncols), dtype=bool)
+    h[rows, cols] = True
     return h
 
 

@@ -3,8 +3,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from scldpc.code_model import (PartitionMatrix, SCCodeSpec, ab_code,
-                               partition_from_cutting_vector, sc_protograph)
+from scldpc import cycle_census
+from scldpc.code_model import (CirculantBlockCode, PartitionMatrix, SCCodeSpec,
+                               ab_code, partition_from_cutting_vector, sc_lift,
+                               sc_protograph)
 from scldpc.cycle_census import (active_cycles6, census_from_partition,
                                  census_protograph, count_cycles4,
                                  count_cycles6, count_lifted_cycles4,
@@ -13,8 +15,8 @@ from scldpc.cycle_census import (active_cycles6, census_from_partition,
                                  cycles6_two_replicas, find_cycles6,
                                  span_terms, starter_cycles6)
 from scldpc.overlaps import overlaps_from_partition
-from oracles import (lifted_cycles4, lifted_cycles6, protograph_cycles6,
-                     random_partition)
+from oracles import (brute_cycles4, brute_cycles6, lifted_cycles4,
+                     lifted_cycles6, protograph_cycles6, random_partition)
 
 
 def test_direct_count_all_ones():
@@ -32,6 +34,65 @@ def test_direct_count_known_small():
     ], dtype=bool)
     # enumerate by hand: triples of rows = 1, needs injective col choices
     assert count_cycles6(h) == len(find_cycles6(h))
+
+
+def _random_matrices(rng, n):
+    """Seeded 0/1 matrices of 0-12 rows and columns, bool or uint8.
+
+    Each column draws its degree from 0 to the row count; some draws clear
+    a row; edge shapes and all-ones matrices come first.
+    """
+    cases = [np.zeros((0, 0)), np.zeros((0, 7)), np.zeros((6, 0)),
+             np.zeros((5, 5)), np.ones((1, 9)), np.ones((9, 1)),
+             np.ones((3, 3)), np.ones((5, 7)), np.ones((10, 10))]
+    while len(cases) < n:
+        n_rows, n_cols = (int(v) for v in rng.integers(0, 13, size=2))
+        h = np.zeros((n_rows, n_cols), dtype=bool)
+        for c in range(n_cols):
+            d = int(rng.integers(0, n_rows + 1))
+            h[rng.choice(n_rows, size=d, replace=False), c] = True
+        if n_rows and rng.random() < 0.3:
+            h[rng.integers(n_rows)] = False
+        cases.append(h)
+    return [h.astype(np.uint8 if i % 2 else bool) for i, h in enumerate(cases)]
+
+
+def _random_lifts(rng, n):
+    out = []
+    for _ in range(n):
+        g, k = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+        p, m = int(rng.integers(1, 6)), int(rng.integers(0, 3))
+        L = int(rng.integers(1, 4))
+        code = CirculantBlockCode(g, k, p, rng.integers(0, p, size=(g, k)))
+        out.append(sc_lift(SCCodeSpec(code, random_partition(rng, g, k, m), L)))
+    return out
+
+
+def test_direct_counts_match_brute_force(monkeypatch):
+    rng = np.random.default_rng(41)
+    with_cycles = 0
+    for h in _random_matrices(rng, 320) + _random_lifts(rng, 60):
+        want6, want4 = brute_cycles6(h), brute_cycles4(h)
+        with_cycles += want6 > 0
+        # the default chunk, then a few wedges per pass of the triangle sum
+        for chunk in (cycle_census._WEDGE_CHUNK, 3):
+            monkeypatch.setattr(cycle_census, "_WEDGE_CHUNK", chunk)
+            assert count_cycles6(h) == want6
+            assert count_cycles4(h) == want4
+    assert with_cycles > 150
+
+
+@pytest.mark.parametrize("table, message", [
+    # pair (0, 1) claims more shared columns than its columns can hold
+    ((np.array([1]), np.array([5]), np.array([10])), "negative"),
+    # unsorted pair keys close only one corner of the triangle {0, 1, 2}
+    ((np.array([5, 1, 2]), np.ones(3, dtype=np.int64),
+      np.zeros(3, dtype=np.int64)), "multiple of 3"),
+])
+def test_count_cycles6_invariant_breaks_raise(monkeypatch, table, message):
+    monkeypatch.setattr(cycle_census, "_row_pair_overlaps", lambda h: table)
+    with pytest.raises(RuntimeError, match=message):
+        count_cycles6(np.ones((3, 3), dtype=bool))
 
 
 def test_kernel_one_replica_all_equal():

@@ -1,0 +1,28 @@
+"""Each demo script runs to completion in a fresh interpreter.
+
+demos/06_two_vector_scan.py is left out: it scans the whole
+two-cutting-vector space with its own evaluator and takes about a minute.
+"""
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = ["01_build_a_code.py", "02_cycle_census.py", "03_partition_search.py",
+         "04_power_search.py", "05_trapping_sets.py"]
+
+
+@pytest.mark.parametrize("name", DEMOS)
+def test_demo_runs(name, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src") + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    done = subprocess.run([sys.executable, str(ROOT / "demos" / name)],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr

@@ -49,6 +49,49 @@ def test_alist_rejects_garbage(tmp_path):
         read_alist(path)
 
 
+def test_alist_round_trip_with_empty_rows_and_columns(tmp_path):
+    rng = np.random.default_rng(5)
+    h = (rng.random((12, 20)) < 0.25).astype(np.uint8)
+    h[:, [0, 7, 19]] = 0
+    h[[3, 11]] = 0
+    h[0, 1] = 1
+    path = tmp_path / "m.alist"
+    write_alist(h, path)
+    assert np.array_equal(read_alist(path), h.astype(bool))
+
+
+# alist of [[1, 1, 0], [0, 1, 0]], one line per list; the edits below
+# corrupt one part of it
+_ALIST_LINES = ["3 2", "2 2", "1 2 0", "2 1", "1 0", "1 2", "0 0", "1 2", "2 0"]
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({2: "2 1 0"}, "column degree line disagrees"),
+    ({3: "2 2"}, "row degree line disagrees"),
+    ({1: "2 3"}, "tokens where the header implies"),
+    ({2: "1 1 0", 5: "2 0", 7: "1 0", 8: "2 0", 3: "1 1", 1: "2 2"},
+     "maximum degree line"),
+    ({8: "3 0"}, "row lists disagree"),
+    ({4: "1 0", 5: "2 2"}, "repeated index"),
+    ({4: "3 0"}, "outside"),
+    ({4: "-1 0"}, "outside"),
+    ({8: None}, "tokens where the header implies"),
+    ({9: "garbage"}, "non-integer"),
+    ({9: "7"}, "tokens where the header implies"),
+    ({0: "0 2"}, "bad header"),
+])
+def test_alist_rejects_inconsistent_files(tmp_path, edit, message):
+    path = tmp_path / "ok.alist"
+    path.write_text("\n".join(_ALIST_LINES) + "\n")
+    assert np.array_equal(read_alist(path), [[1, 1, 0], [0, 1, 0]])
+    lines = list(_ALIST_LINES) + [""]
+    for i, text in edit.items():
+        lines[i] = text
+    path.write_text("\n".join(t for t in lines if t is not None) + "\n")
+    with pytest.raises(ValueError, match="malformed alist file: .*" + message):
+        read_alist(path)
+
+
 def test_int_grid_round_trip(tmp_path):
     g = np.array([[0, 1, 2], [2, 1, 0]])
     path = tmp_path / "grid.txt"
