@@ -24,6 +24,9 @@ __all__ = [
 ]
 
 
+_SCAN_SLAB = 1 << 20  # matrix entries converted to bool at a time
+
+
 def alist_string(matrix: np.ndarray) -> str:
     """Standard alist text for a binary matrix.
 
@@ -35,22 +38,31 @@ def alist_string(matrix: np.ndarray) -> str:
     h = np.asarray(matrix)
     if h.ndim != 2 or h.size == 0:
         raise ValueError("need a nonempty 2-d matrix")
-    h = h.astype(bool)
     nrows, ncols = h.shape
-    col_deg = h.sum(axis=0)
-    row_deg = h.sum(axis=1)
+    # the ones in row-major order, then stably by column: a flat scan is much
+    # faster than a strided one, and a bool scan than one of any other dtype;
+    # converting one slab at a time makes no dense copy of the matrix
+    flat = h.reshape(-1)
+    ones = np.concatenate([np.flatnonzero(flat[i:i + _SCAN_SLAB].astype(bool)) + i
+                           for i in range(0, flat.size, _SCAN_SLAB)])
+    rows, cols = np.divmod(ones, ncols)
+    by_col = np.argsort(cols, kind="stable")
+    col_deg = np.bincount(cols, minlength=ncols)
+    row_deg = np.bincount(rows, minlength=nrows)
     dc, dr = int(col_deg.max()), int(row_deg.max())
-    out = [f"{ncols} {nrows}", f"{dc} {dr}"]
-    out.append(" ".join(str(int(d)) for d in col_deg))
-    out.append(" ".join(str(int(d)) for d in row_deg))
-    for c in range(ncols):
-        idx = (np.nonzero(h[:, c])[0] + 1).tolist()
-        idx += [0] * (dc - len(idx))
-        out.append(" ".join(str(i) for i in idx))
-    for r in range(nrows):
-        idx = (np.nonzero(h[r])[0] + 1).tolist()
-        idx += [0] * (dr - len(idx))
-        out.append(" ".join(str(i) for i in idx))
+
+    def padded(owner, index, degree, width):
+        # 1-based indices in the owner's slot, zeros past its degree
+        table = np.zeros((len(degree), width), dtype=np.int64)
+        slot = np.arange(len(owner)) - np.repeat(np.cumsum(degree) - degree, degree)
+        table[owner, slot] = index + 1
+        return [" ".join(map(str, line)) for line in table.tolist()]
+
+    out = [f"{ncols} {nrows}", f"{dc} {dr}",
+           " ".join(map(str, col_deg.tolist())),
+           " ".join(map(str, row_deg.tolist()))]
+    out += padded(cols[by_col], rows[by_col], col_deg, dc)
+    out += padded(rows, cols, row_deg, dr)
     return "\n".join(out) + "\n"
 
 

@@ -193,21 +193,6 @@ def pattern_counts(ind: IndependentOverlaps) -> PatternCounts:
     return PatternCounts(g, m, ind.kappa, np.array(counts, dtype=np.int64))
 
 
-def overlaps_from_patterns(pc: PatternCounts) -> OverlapSet:
-    """Full overlap table from pattern counts: t_S sums the patterns covering S."""
-    g, m = pc.gamma, pc.m
-    pats = column_patterns(g, m)
-    table = {}
-    for s in valid_overlap_sets(g, m):
-        need = {r % g: r // g for r in s}
-        total = 0
-        for v, n in zip(pats, pc.counts):
-            if all(v[j] == x for j, x in need.items()):
-                total += int(n)
-        table[s] = total
-    return OverlapSet(g, m, pc.kappa, table)
-
-
 def cover_matrix(gamma: int, m: int, row_sets) -> np.ndarray:
     """0/1 matrix with entry [s, v] = 1 iff pattern v covers row set s.
 

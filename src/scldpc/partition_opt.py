@@ -7,16 +7,21 @@ pattern.  Pattern counts are the natural search space because feasibility
 is just nonnegativity plus the column budget, and the balance constraint
 (each component receives roughly kappa*gamma/(m+1) circulants) is linear.
 
-Three strategies share one vectorized evaluator: exhaustive enumeration of
-balanced compositions (certifies optimality), depth-first branch-and-bound
-using the partial-column-multiset census as a lower bound (adding a column
-never removes cycles), and seeded multi-restart steepest descent for
-spaces too large to enumerate.
+Three strategies share one vectorized evaluator.  Exhaustive search and
+branch-and-bound also share one block expander, `_balanced_blocks`, which
+emits the balanced compositions in lexicographic order, about `batch` rows
+at a time.  Exhaustive search scores every one (certifies optimality).
+Branch-and-bound prunes each new frontier of partial count vectors whose
+census already exceeds the incumbent (adding a column never removes
+cycles); its `evaluated` counts the incumbent's local-search rows, the
+bounded partial rows and the scored complete rows.  Seeded multi-restart
+steepest descent serves spaces too large to enumerate.  `time_budget_s`
+bounds local search (after its first restart) and branch-and-bound, which
+then reports certified=False.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -48,6 +53,12 @@ class OptimizerConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.balance_slack < 0:
             raise ValueError("balance slack must be >= 0")
+        if self.restarts < 1:
+            raise ValueError("restarts must be >= 1")
+        if self.batch < 1:
+            raise ValueError("batch must be >= 1")
+        if self.time_budget_s is not None and self.time_budget_s < 0:
+            raise ValueError("time budget must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -142,43 +153,53 @@ def _component_loads(gamma: int, m: int) -> np.ndarray:
     return out
 
 
-def _balanced_compositions(kappa: int, loads: np.ndarray, lo: int, hi: int):
+def _balanced_blocks(kappa: int, loads: np.ndarray, lo: int, hi: int,
+                     block: int, prune=None):
     """Pattern-count vectors summing to kappa with per-component totals in [lo, hi].
 
-    Lexicographic order; pruned on partial totals.
+    Yields arrays of rows in lexicographic order.  A frontier of partial
+    count vectors is expanded one pattern at a time, every count 0..remaining
+    at once (the last pattern takes exactly the remainder), and children are
+    dropped when a component total exceeds hi or can no longer reach lo.
+    Frontiers are handled depth-first off a stack, and parents are split by
+    their cumulative child count so one step builds about `block` rows.
+    `prune(rows)`, if given, returns a keep mask for each new frontier of
+    partial rows (patterns from the next one on still zero).
     """
     ncomp, nparts = loads.shape
     suffix_max = np.zeros((nparts + 1, ncomp), dtype=np.int64)
     for vi in range(nparts - 1, -1, -1):
         suffix_max[vi] = np.maximum(suffix_max[vi + 1], loads[:, vi])
-    counts = np.zeros(nparts, dtype=np.int64)
-    totals = np.zeros(ncomp, dtype=np.int64)
-
-    def rec(vi, remaining):
-        nonlocal totals
+    # entries (next pattern, partial count rows, their component totals)
+    stack = [(0, np.zeros((1, nparts), dtype=np.int64),
+              np.zeros((1, ncomp), dtype=np.int64))]
+    while stack:
+        vi, rows, totals = stack.pop()
+        remaining = kappa - rows.sum(axis=1)
+        first = remaining if vi == nparts - 1 else np.zeros_like(remaining)
+        width = remaining - first + 1
+        ends = np.cumsum(width)
+        take = max(int(np.searchsorted(ends, block, side="right")), 1)
+        if take < len(rows):
+            stack.append((vi, rows[take:], totals[take:]))
+        width, ends = width[:take], ends[:take]
+        parent = np.repeat(np.arange(take), width)
+        c = first[parent] + np.arange(len(parent)) - np.repeat(ends - width, width)
+        rows = rows[parent]
+        rows[:, vi] = c
+        totals = totals[parent] + c[:, None] * loads[:, vi]
+        left = (remaining[parent] - c)[:, None] * suffix_max[vi + 1]
+        ok = ~((totals > hi).any(axis=1) | (totals + left < lo).any(axis=1))
+        rows, totals = rows[ok], totals[ok]
+        if vi < nparts - 1 and prune is not None and len(rows):
+            keep = prune(rows)
+            rows, totals = rows[keep], totals[keep]
+        if not len(rows):
+            continue
         if vi == nparts - 1:
-            counts[vi] = remaining
-            totals += remaining * loads[:, vi]
-            if (totals >= lo).all() and (totals <= hi).all():
-                yield counts.copy()
-            totals -= remaining * loads[:, vi]
-            counts[vi] = 0
-            return
-        if (totals + remaining * suffix_max[vi] < lo).any():
-            return
-        for c in range(remaining + 1):
-            counts[vi] = c
-            totals += c * loads[:, vi]
-            if (totals > hi).any():
-                totals -= c * loads[:, vi]
-                counts[vi] = 0
-                break
-            yield from rec(vi + 1, remaining - c)
-            totals -= c * loads[:, vi]
+            yield rows
         else:
-            counts[vi] = 0
-
-    yield from rec(0, kappa)
+            stack.append((vi + 1, rows, totals))
 
 
 def composition_space(kappa: int, gamma: int, m: int) -> int:
@@ -196,9 +217,10 @@ def enumerate_feasible(gamma: int, kappa: int, m: int,
     """
     loads = _component_loads(gamma, m)
     lo, hi = balance_bounds(gamma, kappa, m, config.balance_slack)
-    ev = _Evaluator(gamma, m, 1)
-    for n in _balanced_compositions(kappa, loads, lo, hi):
-        yield IndependentOverlaps(gamma, m, kappa, ev.independent_values(n))
+    cover = cover_matrix(gamma, m, independent_overlap_sets(gamma, m))
+    for rows in _balanced_blocks(kappa, loads, lo, hi, config.batch):
+        for values in (rows @ cover.T).tolist():
+            yield IndependentOverlaps(gamma, m, kappa, tuple(values))
 
 
 def _best_of(ev: _Evaluator, batch_rows, best=None, evaluated=0):
@@ -217,14 +239,6 @@ def _best_of(ev: _Evaluator, batch_rows, best=None, evaluated=0):
             if best is None or cand[:2] < best[:2]:
                 best = cand
     return best, evaluated
-
-
-def _chunks(gen, size):
-    while True:
-        block = list(itertools.islice(gen, size))
-        if not block:
-            return
-        yield block
 
 
 def _random_balanced(rng, kappa, loads, lo, hi, attempts=2000):
@@ -268,34 +282,34 @@ def _random_balanced(rng, kappa, loads, lo, hi, attempts=2000):
 
 
 def _local_search(ev, kappa, loads, lo, hi, config, deadline):
+    """Seeded multi-restart steepest descent over single-column moves.
+
+    Every move (vi -> wi, vi != wi, vi-major) is a fixed step row, so one
+    descent step scores all balance-feasible moves at once.  The first
+    restart always runs to its local minimum; later ones stop at the
+    deadline.
+    """
     rng = np.random.default_rng(config.seed)
     nparts = loads.shape[1]
-    moves = [(vi, wi) for vi in range(nparts) for wi in range(nparts) if vi != wi]
+    vi, wi = np.nonzero(~np.eye(nparts, dtype=bool))
+    step = np.zeros((len(vi), nparts), dtype=np.int64)
+    step[np.arange(len(vi)), vi] = -1
+    step[np.arange(len(vi)), wi] = 1
+    shift = step @ loads.T
     best = None
     evaluated = 0
-    for _ in range(config.restarts):
-        if deadline is not None and time.monotonic() > deadline:
+    for restart in range(config.restarts):
+        if restart and deadline is not None and time.monotonic() > deadline:
             break
         n = _random_balanced(rng, kappa, loads, lo, hi)
         val = int(ev.objective(n.reshape(1, -1))[0])
         evaluated += 1
         while True:
-            cand_rows = []
-            cand_moves = []
-            for vi, wi in moves:
-                if n[vi] == 0:
-                    continue
-                t2 = loads @ n - loads[:, vi] + loads[:, wi]
-                if (t2 < lo).any() or (t2 > hi).any():
-                    continue
-                row = n.copy()
-                row[vi] -= 1
-                row[wi] += 1
-                cand_rows.append(row)
-                cand_moves.append((vi, wi))
-            if not cand_rows:
+            t2 = loads @ n + shift
+            ok = (n[vi] > 0) & ((t2 >= lo) & (t2 <= hi)).all(axis=1)
+            if not ok.any():
                 break
-            arr = np.array(cand_rows, dtype=np.int64)
+            arr = n + step[ok]
             vals = ev.objective(arr)
             evaluated += len(arr)
             i = int(np.argmin(vals))
@@ -310,50 +324,36 @@ def _local_search(ev, kappa, loads, lo, hi, config, deadline):
 
 
 def _branch_and_bound(ev, kappa, loads, lo, hi, config, deadline):
-    incumbent, evaluated = _local_search(
+    """Depth-first search pruned by the census of the partial counts.
+
+    Adding a column never removes cycles, so a partial row whose census
+    exceeds the incumbent cannot lead to an optimum; ties survive, which
+    keeps the lexicographic tie-break.  Returns (best, evaluated, complete):
+    complete is False when the deadline cut the search short.
+    """
+    best, evaluated = _local_search(
         ev, kappa, loads, lo, hi,
         OptimizerConfig(strategy="local-search", balance_slack=config.balance_slack,
                         seed=config.seed if config.seed is not None else 0,
                         restarts=min(config.restarts, 10)),
         deadline,
     )
-    ncomp, nparts = loads.shape
-    suffix_max = np.zeros((nparts + 1, ncomp), dtype=np.int64)
-    for vi in range(nparts - 1, -1, -1):
-        suffix_max[vi] = np.maximum(suffix_max[vi + 1], loads[:, vi])
-    counts = np.zeros(nparts, dtype=np.int64)
-    totals = np.zeros(ncomp, dtype=np.int64)
-    best = list(incumbent) if incumbent else None
-    state = {"evaluated": evaluated}
+    bounded = 0
+    cut = False
 
-    def rec(vi, remaining):
-        nonlocal best, totals
-        if vi == nparts:
-            if remaining == 0 and (totals >= lo).all():
-                val = int(ev.objective(counts.reshape(1, -1))[0])
-                state["evaluated"] += 1
-                cand = (val, ev.independent_values(counts), counts.copy())
-                if best is None or cand[:2] < tuple(best)[:2]:
-                    best = list(cand)
-            return
-        if (totals + remaining * suffix_max[vi] < lo).any():
-            return
-        bound = int(ev.objective(counts.reshape(1, -1))[0])
-        state["evaluated"] += 1
-        if best is not None and bound > best[0]:
-            return
-        for c in range(remaining + 1):
-            counts[vi] = c
-            totals += c * loads[:, vi]
-            if (totals > hi).any():
-                totals -= c * loads[:, vi]
-                break
-            rec(vi + 1, remaining - c)
-            totals -= c * loads[:, vi]
-        counts[vi] = 0
+    def keep(rows):
+        nonlocal bounded, cut
+        if deadline is not None and time.monotonic() > deadline:
+            cut = True
+            return np.zeros(len(rows), dtype=bool)
+        bounded += len(rows)
+        return ev.objective(rows) <= best[0]
 
-    rec(0, kappa)
-    return tuple(best), state["evaluated"]
+    for rows in _balanced_blocks(kappa, loads, lo, hi, config.batch, keep):
+        best, evaluated = _best_of(ev, [rows], best, evaluated)
+        if cut:
+            break
+    return best, evaluated + bounded, not cut
 
 
 def optimize(gamma: int, kappa: int, m: int, L: int,
@@ -368,7 +368,8 @@ def optimize(gamma: int, kappa: int, m: int, L: int,
     loads = _component_loads(gamma, m)
     lo, hi = balance_bounds(gamma, kappa, m, config.balance_slack)
     deadline = (
-        time.monotonic() + config.time_budget_s if config.time_budget_s else None
+        None if config.time_budget_s is None
+        else time.monotonic() + config.time_budget_s
     )
 
     strategy = config.strategy
@@ -377,12 +378,12 @@ def optimize(gamma: int, kappa: int, m: int, L: int,
         strategy = "exhaustive" if small else "local-search"
 
     if strategy == "exhaustive":
-        gen = _balanced_compositions(kappa, loads, lo, hi)
-        best, evaluated = _best_of(ev, _chunks(gen, config.batch))
+        best, evaluated = _best_of(
+            ev, _balanced_blocks(kappa, loads, lo, hi, config.batch))
         certified = True
     elif strategy == "branch-and-bound":
-        best, evaluated = _branch_and_bound(ev, kappa, loads, lo, hi, config, deadline)
-        certified = True
+        best, evaluated, certified = _branch_and_bound(
+            ev, kappa, loads, lo, hi, config, deadline)
     else:
         if config.seed is None:
             raise ValueError("local search requires a seed")

@@ -7,11 +7,13 @@ dense matrices, no combinatorial shortcuts beyond basic pruning.
 from __future__ import annotations
 
 import itertools
+import time
 
 import numpy as np
 
 from scldpc.code_model import PartitionMatrix, sc_lift, sc_protograph, window
 from scldpc.cycle_census import CycleCensus, find_cycles4, find_cycles6
+from scldpc.partition_opt import OptimizerConfig, _random_balanced
 from scldpc.trapping_sets import (MAX_SUBSET_SIZE, MAX_WINDOW_COLUMNS,
                                   replica_span)
 
@@ -241,3 +243,163 @@ def all_subsets_species_count(h: np.ndarray, species) -> int:
                 continue
         total += 1
     return total
+
+
+def balanced_compositions(kappa: int, loads: np.ndarray, lo: int, hi: int):
+    """Pattern-count vectors summing to kappa with per-component totals in [lo, hi].
+
+    Lexicographic order; pruned on partial totals.
+    """
+    ncomp, nparts = loads.shape
+    suffix_max = np.zeros((nparts + 1, ncomp), dtype=np.int64)
+    for vi in range(nparts - 1, -1, -1):
+        suffix_max[vi] = np.maximum(suffix_max[vi + 1], loads[:, vi])
+    counts = np.zeros(nparts, dtype=np.int64)
+    totals = np.zeros(ncomp, dtype=np.int64)
+
+    def rec(vi, remaining):
+        nonlocal totals
+        if vi == nparts - 1:
+            counts[vi] = remaining
+            totals += remaining * loads[:, vi]
+            if (totals >= lo).all() and (totals <= hi).all():
+                yield counts.copy()
+            totals -= remaining * loads[:, vi]
+            counts[vi] = 0
+            return
+        if (totals + remaining * suffix_max[vi] < lo).any():
+            return
+        for c in range(remaining + 1):
+            counts[vi] = c
+            totals += c * loads[:, vi]
+            if (totals > hi).any():
+                totals -= c * loads[:, vi]
+                counts[vi] = 0
+                break
+            yield from rec(vi + 1, remaining - c)
+            totals -= c * loads[:, vi]
+        else:
+            counts[vi] = 0
+
+    yield from rec(0, kappa)
+
+
+
+def local_search(ev, kappa, loads, lo, hi, config, deadline):
+    rng = np.random.default_rng(config.seed)
+    nparts = loads.shape[1]
+    moves = [(vi, wi) for vi in range(nparts) for wi in range(nparts) if vi != wi]
+    best = None
+    evaluated = 0
+    for _ in range(config.restarts):
+        if deadline is not None and time.monotonic() > deadline:
+            break
+        n = _random_balanced(rng, kappa, loads, lo, hi)
+        val = int(ev.objective(n.reshape(1, -1))[0])
+        evaluated += 1
+        while True:
+            cand_rows = []
+            cand_moves = []
+            for vi, wi in moves:
+                if n[vi] == 0:
+                    continue
+                t2 = loads @ n - loads[:, vi] + loads[:, wi]
+                if (t2 < lo).any() or (t2 > hi).any():
+                    continue
+                row = n.copy()
+                row[vi] -= 1
+                row[wi] += 1
+                cand_rows.append(row)
+                cand_moves.append((vi, wi))
+            if not cand_rows:
+                break
+            arr = np.array(cand_rows, dtype=np.int64)
+            vals = ev.objective(arr)
+            evaluated += len(arr)
+            i = int(np.argmin(vals))
+            if vals[i] >= val:
+                break
+            val = int(vals[i])
+            n = arr[i]
+        cand = (val, ev.independent_values(n), n.copy())
+        if best is None or cand[:2] < best[:2]:
+            best = cand
+    return best, evaluated
+
+
+
+def branch_and_bound(ev, kappa, loads, lo, hi, config, deadline):
+    incumbent, evaluated = local_search(
+        ev, kappa, loads, lo, hi,
+        OptimizerConfig(strategy="local-search", balance_slack=config.balance_slack,
+                        seed=config.seed if config.seed is not None else 0,
+                        restarts=min(config.restarts, 10)),
+        deadline,
+    )
+    ncomp, nparts = loads.shape
+    suffix_max = np.zeros((nparts + 1, ncomp), dtype=np.int64)
+    for vi in range(nparts - 1, -1, -1):
+        suffix_max[vi] = np.maximum(suffix_max[vi + 1], loads[:, vi])
+    counts = np.zeros(nparts, dtype=np.int64)
+    totals = np.zeros(ncomp, dtype=np.int64)
+    best = list(incumbent) if incumbent else None
+    state = {"evaluated": evaluated}
+
+    def rec(vi, remaining):
+        nonlocal best, totals
+        if vi == nparts:
+            if remaining == 0 and (totals >= lo).all():
+                val = int(ev.objective(counts.reshape(1, -1))[0])
+                state["evaluated"] += 1
+                cand = (val, ev.independent_values(counts), counts.copy())
+                if best is None or cand[:2] < tuple(best)[:2]:
+                    best = list(cand)
+            return
+        if (totals + remaining * suffix_max[vi] < lo).any():
+            return
+        bound = int(ev.objective(counts.reshape(1, -1))[0])
+        state["evaluated"] += 1
+        if best is not None and bound > best[0]:
+            return
+        for c in range(remaining + 1):
+            counts[vi] = c
+            totals += c * loads[:, vi]
+            if (totals > hi).any():
+                totals -= c * loads[:, vi]
+                break
+            rec(vi + 1, remaining - c)
+            totals -= c * loads[:, vi]
+        counts[vi] = 0
+
+    rec(0, kappa)
+    return tuple(best), state["evaluated"]
+
+
+def scan_alist_string(matrix: np.ndarray) -> str:
+    """Standard alist text for a binary matrix.
+
+    Line 1 is "N M" (columns rows), line 2 the maximum column and row
+    degrees, then per-column degrees, per-row degrees, per-column
+    1-based row indices padded with zeros to the maximum degree, and
+    per-row column indices padded likewise.
+    """
+    h = np.asarray(matrix)
+    if h.ndim != 2 or h.size == 0:
+        raise ValueError("need a nonempty 2-d matrix")
+    h = h.astype(bool)
+    nrows, ncols = h.shape
+    col_deg = h.sum(axis=0)
+    row_deg = h.sum(axis=1)
+    dc, dr = int(col_deg.max()), int(row_deg.max())
+    out = [f"{ncols} {nrows}", f"{dc} {dr}"]
+    out.append(" ".join(str(int(d)) for d in col_deg))
+    out.append(" ".join(str(int(d)) for d in row_deg))
+    for c in range(ncols):
+        idx = (np.nonzero(h[:, c])[0] + 1).tolist()
+        idx += [0] * (dc - len(idx))
+        out.append(" ".join(str(i) for i in idx))
+    for r in range(nrows):
+        idx = (np.nonzero(h[r])[0] + 1).tolist()
+        idx += [0] * (dr - len(idx))
+        out.append(" ".join(str(i) for i in idx))
+    return "\n".join(out) + "\n"

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from scldpc import io_formats
 from scldpc.cli import main
 from scldpc.code_model import (SCCodeSpec, ab_code,
                                partition_from_cutting_vector, sc_lift)
@@ -13,7 +14,7 @@ from scldpc.io_formats import (alist_string, census_csv, read_alist,
                                write_alist, write_int_grid)
 from scldpc.trapping_sets import common_denominator, enumerate_objects
 
-from oracles import random_partition
+from oracles import random_partition, scan_alist_string
 
 
 def test_alist_identity_two_by_two():
@@ -313,3 +314,29 @@ def test_trace_csv_layout():
 
     text = trace_csv([Row()])
     assert text.splitlines()[1] == "1,0:3;2:1,4;6,100,90,1"
+
+
+@pytest.mark.parametrize("slab", [None, 7])
+def test_alist_string_matches_scan_oracle(monkeypatch, slab):
+    if slab is not None:  # many slabs, some ending mid-row
+        monkeypatch.setattr(io_formats, "_SCAN_SLAB", slab)
+    rng = np.random.default_rng(12)
+    for case in range(320):
+        rows, cols = (int(v) for v in rng.integers(1, 16, size=2))
+        h = rng.random((rows, cols)) < rng.random()
+        if case % 4 == 1:
+            h[rng.integers(rows)] = False
+            h[:, rng.integers(cols)] = False
+        elif case % 4 == 2:
+            h[:] = case % 8 == 2  # all zeros or all ones
+        h = h.astype(np.uint8) if case % 2 else h
+        assert alist_string(h) == scan_alist_string(h), case
+    for _ in range(20):
+        g = int(rng.integers(2, 5))
+        k = int(rng.integers(2, 7))
+        m = int(rng.integers(0, 3))
+        p = int(rng.integers(2, 8))
+        spec = SCCodeSpec(ab_code(g, k, p), random_partition(rng, g, k, m),
+                          int(rng.integers(1, 5)))
+        h = sc_lift(spec)
+        assert alist_string(h) == scan_alist_string(h)

@@ -2,18 +2,22 @@ from __future__ import annotations
 
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from scldpc import partition_opt
 from scldpc.code_model import PartitionMatrix
 from scldpc.cycle_census import census_from_partition
 from scldpc.overlaps import (column_patterns, partition_from_overlaps,
                              pattern_counts, restrict_to_independent,
                              overlaps_from_partition)
-from scldpc.partition_opt import (OptimizerConfig, balance_bounds,
+from scldpc.partition_opt import (OptimizerConfig, _balanced_blocks,
+                                  _component_loads, _Evaluator, balance_bounds,
                                   composition_space, enumerate_feasible,
                                   optimize)
+from oracles import balanced_compositions, local_search
 
 
 def brute_force_optimum(gamma, kappa, m, L, slack=0):
@@ -149,3 +153,109 @@ def test_tie_break_is_lexicographic():
     opt = optimize(g, k, m, L, OptimizerConfig(strategy="exhaustive"))
     assert opt.f_star == best_val
     assert opt.overlaps.values == min(vectors)
+
+
+def test_block_expander_matches_recursive_oracle():
+    # same rows in the same order at every block size, infeasible bounds
+    # included (lo > hi, or lo above what kappa columns can reach)
+    rng = np.random.default_rng(7)
+    empty = full = 0
+    for case in range(80):
+        g = int(rng.integers(2, 5))
+        m = int(rng.integers(0, 3))
+        k = int(rng.integers(1, 10))
+        if composition_space(k, g, m) > 3_000:
+            continue
+        loads = _component_loads(g, m)
+        lo, hi = balance_bounds(g, k, m, int(rng.integers(0, 3)))
+        if case % 10 == 0:
+            lo = hi + 1
+        elif case % 10 == 1:
+            lo = hi = k * g + 1
+        expect = np.array(list(balanced_compositions(k, loads, lo, hi)),
+                          dtype=np.int64).reshape(-1, loads.shape[1])
+        for block in (1 << 15, 1, 7):
+            got = list(_balanced_blocks(k, loads, lo, hi, block))
+            assert all(len(rows) for rows in got)
+            got = np.concatenate(got) if got else expect[:0]
+            assert np.array_equal(got, expect), (g, m, k, lo, hi, block)
+        empty += not len(expect)
+        full += len(expect) > 100
+    assert empty >= 5 and full >= 5
+
+
+def test_local_search_matches_loop_oracle():
+    rng = np.random.default_rng(8)
+    for _ in range(24):
+        g = int(rng.integers(2, 5))
+        m = 1 if g == 4 else int(rng.integers(1, 3))
+        k = int(rng.integers(2, 13))
+        L = int(rng.integers(1, 9))
+        cfg = OptimizerConfig(strategy="local-search", seed=int(rng.integers(1000)),
+                              restarts=int(rng.integers(1, 6)),
+                              balance_slack=int(rng.integers(0, 3)))
+        lo, hi = balance_bounds(g, k, m, cfg.balance_slack)
+        (val, ind, row), evaluated = local_search(
+            _Evaluator(g, m, L), k, _component_loads(g, m), lo, hi, cfg, None)
+        opt = optimize(g, k, m, L, cfg)
+        assert (opt.f_star, opt.overlaps.values, opt.evaluated) == (val, ind, evaluated)
+        assert np.array_equal(opt.patterns.counts, row)
+
+
+def test_branch_and_bound_matches_exhaustive_random():
+    rng = np.random.default_rng(9)
+    cases = 0
+    while cases < 24:
+        g = int(rng.integers(2, 5))
+        m = int(rng.integers(1, 3))
+        k = int(rng.integers(2, 9))
+        if composition_space(k, g, m) > 20_000:
+            continue
+        cases += 1
+        L = int(rng.integers(1, 9))
+        slack = int(rng.integers(0, 2))
+        batch = int(rng.choice([3, 64, 1 << 15]))
+        ex = optimize(g, k, m, L, OptimizerConfig(strategy="exhaustive",
+                                                  balance_slack=slack))
+        bb = optimize(g, k, m, L, OptimizerConfig(strategy="branch-and-bound",
+                                                  balance_slack=slack, batch=batch))
+        assert (bb.f_star, bb.overlaps.values) == (ex.f_star, ex.overlaps.values)
+        assert bb.certified
+
+
+def test_branch_and_bound_budget_cut_is_not_certified(monkeypatch):
+    full = optimize(3, 9, 1, 10, OptimizerConfig(strategy="branch-and-bound"))
+    # a clock that advances one second per reading runs out after the
+    # incumbent's ten restarts, a few blocks into the search
+    ticks = itertools.count()
+    monkeypatch.setattr(partition_opt, "time",
+                        SimpleNamespace(monotonic=lambda: float(next(ticks))))
+    cut = optimize(3, 9, 1, 10, OptimizerConfig(strategy="branch-and-bound",
+                                                time_budget_s=14))
+    assert full.certified and not cut.certified
+    assert cut.evaluated < full.evaluated
+    assert cut.f_star >= full.f_star
+    part = partition_from_overlaps(cut.overlaps)
+    assert census_from_partition(part, 10).total == cut.f_star
+
+
+def test_zero_budget_stops_branch_and_bound():
+    opt = optimize(3, 9, 1, 10, OptimizerConfig(strategy="branch-and-bound",
+                                                time_budget_s=0.0))
+    assert not opt.certified
+
+
+def test_local_search_budgets_run_the_first_restart():
+    one = optimize(3, 9, 1, 10, OptimizerConfig(strategy="local-search", seed=4,
+                                                restarts=1))
+    for budget in (1e-9, 0.0):
+        opt = optimize(3, 9, 1, 10, OptimizerConfig(
+            strategy="local-search", seed=4, restarts=30, time_budget_s=budget))
+        assert (opt.f_star, opt.evaluated) == (one.f_star, one.evaluated)
+
+
+@pytest.mark.parametrize("bad", [dict(batch=0), dict(restarts=0),
+                                 dict(time_budget_s=-1.0)])
+def test_config_rejects_bad_values(bad):
+    with pytest.raises(ValueError):
+        OptimizerConfig(**bad)
