@@ -70,6 +70,15 @@ def _int_list(text: str):
     return tuple(int(v) for v in text.replace(",", " ").split())
 
 
+_STRATEGIES = ("auto", "exhaustive", "branch-and-bound", "local-search")
+
+
+def _strategy(text: str) -> str:
+    if text not in _STRATEGIES:
+        raise ValueError(f"unknown strategy: {text!r}")
+    return text
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="scldpc",
@@ -94,8 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, help="seed for heuristic stages")
         sp.add_argument("--config", help="INI file with default flag values")
         sp.add_argument("--out", help="output directory")
-        sp.add_argument("--strategy", choices=["auto", "exhaustive",
-                        "branch-and-bound", "local-search"])
+        sp.add_argument("--strategy", choices=_STRATEGIES)
         sp.add_argument("--restarts", type=int)
         sp.add_argument("--slack", type=int, help="balance slack per component")
         sp.add_argument("--cpo-target", type=int)
@@ -117,12 +125,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _bool(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {text!r}") from None
+
+
 _CONFIG_KEYS = {
     "gamma": int, "kappa": int, "p": int, "m": int, "L": int,
     "zeta": _int_list, "overlaps": _int_list, "partition_file": str,
-    "use_optimizer": lambda s: s.lower() in ("1", "true", "yes"),
+    "use_optimizer": _bool,
     "powers_file": str, "matrix": str, "seed": int, "out": str,
-    "strategy": str, "restarts": int, "slack": int,
+    "strategy": _strategy, "restarts": int, "slack": int,
     "cpo_target": int, "cpo_schedule": _int_list, "cpo_stale": int,
     "cpo_cap": int, "cpo_budget": float,
 }
@@ -140,8 +155,20 @@ def _load_config_file(path: str) -> dict:
                 key = "L"
             if key not in _CONFIG_KEYS:
                 raise SystemExit(f"unknown config key: {key}")
-            merged[key] = _CONFIG_KEYS[key](raw)
+            try:
+                merged[key] = _CONFIG_KEYS[key](raw)
+            except ValueError:
+                raise SystemExit(
+                    f"bad value for config key {key}: {raw!r}") from None
     return merged
+
+
+# smallest accepted value of each numeric setting (every entry of a list)
+_AT_LEAST = {
+    "gamma": 1, "kappa": 1, "p": 1, "m": 0, "L": 1, "seed": 0, "restarts": 1,
+    "slack": 0, "cpo_target": 0, "cpo_schedule": 1, "cpo_stale": 0,
+    "cpo_cap": 1, "cpo_budget": 0,
+}
 
 
 def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunConfig:
@@ -153,6 +180,12 @@ def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunCo
         val = getattr(args, key, None)
         if val is not None and val is not False:
             setattr(cfg, key, val)
+    for key, least in _AT_LEAST.items():
+        val = getattr(cfg, key)
+        vals = val if isinstance(val, tuple) else (val,)
+        if val is not None and (not vals or min(vals) < least):
+            parser.error(f"--{key.replace('_', '-')} must be >= {least}, "
+                         f"got {val}")
     if cfg.out == "." and os.environ.get(ENV_OUT):
         cfg.out = os.environ[ENV_OUT]
     sources = cfg.partition_sources()

@@ -15,13 +15,16 @@ the lifted graph free of 4-cycles.  Failure escalates the subset size;
 exhausting the schedule re-samples candidates (when sampling) until the
 stale-round limit.  Everything is deterministic given the seed.
 
-A touched cycle's signed power sum is linear in the subset's new powers,
-so once the first s-1 powers are fixed it is active for exactly the last
-powers that solve one congruence mod p (Fossorier, IEEE T-IT 50(8), 2004).
-An exhaustive round over all p**s assignments therefore tabulates
-p**(s-1) prefix sums per touched cycle, p**(s-1) * |touched| work in all,
-instead of evaluating every cycle at every candidate; sampled rounds score
-their random candidates directly.
+A touched cycle's signed power sum is linear in the subset's new powers
+and depends only on its support S, the subset cells whose coefficient is
+nonzero mod p.  Once the powers of all but the last cell of S are fixed,
+the cycle is active for exactly the last powers that solve one congruence
+mod p (Fossorier, IEEE T-IT 50(8), 2004).  An exhaustive round over all
+p**s assignments therefore tabulates p**(|S|-1) prefix sums per touched
+cycle and broadcast-adds one p**|S| table per distinct support into the
+p**s scores, instead of evaluating every cycle at every candidate; most
+touched cycles have |S| = 1.  Sampled rounds score their random candidates
+directly.
 """
 
 from __future__ import annotations
@@ -45,7 +48,8 @@ class CpoConfig:
     subset_size_schedule: tuple = (1, 2, 3)
     power_candidates: int | None = None  # None: exhaustive joint assignments
     # joint assignments above this are sampled; an exhaustive round of size
-    # s costs p**(s-1) * |touched cycles| and holds a p**s score vector
+    # s costs p**(|S|-1) per touched cycle of support S plus p**s per
+    # distinct support, and holds a p**s score vector
     exhaustive_cap: int = 8192
     target_f_sc: int = 0
     max_stale_rounds: int = 60
@@ -57,6 +61,16 @@ class CpoConfig:
             raise ValueError("subset sizes must be >= 1")
         if self.power_candidates is not None and self.power_candidates < 1:
             raise ValueError("candidate sample size must be >= 1")
+        if self.exhaustive_cap < 1:
+            raise ValueError(f"exhaustive_cap must be >= 1, got {self.exhaustive_cap}")
+        if self.max_stale_rounds < 0:
+            raise ValueError(
+                f"max_stale_rounds must be >= 0, got {self.max_stale_rounds}")
+        if self.max_rounds is not None and self.max_rounds < 0:
+            raise ValueError(f"max_rounds must be >= 0, got {self.max_rounds}")
+        if self.time_budget_s is not None and self.time_budget_s < 0:
+            raise ValueError(
+                f"time_budget_s must be >= 0, got {self.time_budget_s}")
 
 
 @dataclass
@@ -200,42 +214,76 @@ def _linear_forms(res, signs, cell_to, subset, f_flat):
     multiplicity of subset cell j in each touched cycle's walk.  Returns
     the touched cycle indices, base and coef.
     """
-    touched = np.unique(np.concatenate([cell_to[c] for c in subset]))
+    mark = np.zeros(len(res), dtype=bool)
+    for c in subset:
+        mark[cell_to[c]] = True
+    touched = np.flatnonzero(mark)
     cells = res[touched]
-    coef = np.stack([((cells == c) * signs).sum(axis=1) for c in subset], axis=1)
+    coef = signs @ (cells[:, :, None] == subset)
     base = (f_flat[cells] * signs).sum(axis=1) - coef @ f_flat[subset]
     return touched, base, coef
 
 
-def _active_table(p: int, base, coef, weight=None) -> np.ndarray:
-    """Weight (count when weight is None) of the cycles active at every joint
-    power assignment x of a subset, as a (p**(s-1), p) table: one row per
-    prefix x[:-1] in lexicographic order, one column per last power.
+def _support_table(p: int, base, coef, weight) -> np.ndarray:
+    """Weight of the cycles active at every joint power assignment x of a
+    subset, as an array of shape (p,) * s indexed by x.
 
-    A cycle's sum is base + coef @ x.  Its residue r over the prefix is
-    built up one power at a time; with the prefix fixed the cycle is active
-    exactly where r + v*x[-1] = 0 mod p for its last coefficient v, so each
-    last power needs the one residue (-v*x[-1]) % p.  Cycles are counted
-    per (class, prefix, r), a class being a (v, weight) pair, and every
-    column reads its residue from each class.  This covers v = 0 (the whole
-    row) and v sharing a factor with a composite p alike.
+    A cycle's sum is base + coef @ x and depends only on its support, the
+    columns j with coef[:, j] % p != 0, so a cycle with support S is
+    tabulated over the p**|S| assignments of S alone and broadcast along
+    the other axes; a cycle with an empty support is a constant.  Within a
+    support the residue r over the prefix x[S[:-1]] is built up one power
+    at a time; with the prefix fixed the cycle is active exactly where
+    r + v*x[S[-1]] = 0 mod p for its last coefficient v, so each last power
+    needs the one residue (-v*x[S[-1]]) % p.  All supports of one size
+    share one bincount over (support, v, weight) classes, prefixes and
+    residues, and every last power reads its residue from each class.
+    This covers v sharing a factor with a composite p.
     """
-    n, x = len(base), np.arange(p)
-    r = base[:, None] % p
-    for j in range(coef.shape[1] - 1):
-        r = (r[:, :, None] + coef[:, j, None, None] * x) % p
-        r = r.reshape(n, r.shape[1] * p)
-    n_pre = r.shape[1]
-    w = np.ones(n, dtype=np.int64) if weight is None else weight
-    classes, cls = np.unique(np.stack([coef[:, -1] % p, w], axis=1), axis=0,
-                             return_inverse=True)
-    r += np.arange(n_pre) * p
-    r += (cls * (n_pre * p))[:, None]
-    cube = np.bincount(r.ravel(), minlength=len(classes) * n_pre * p)
-    cube = cube.reshape(len(classes), n_pre, p)
-    need = (-classes[:, :1] * x) % p
-    active = np.take_along_axis(cube, need[:, None, :], axis=2)
-    return np.tensordot(classes[:, 1], active, axes=1)
+    n, s = coef.shape
+    x = np.arange(p)
+    live = coef % p != 0
+    size = live.sum(axis=1)
+    order = np.argsort(size, kind="stable")
+    base, coef, live = base[order] % p, coef[order], live[order]
+    weight = weight[order]
+    wvals, wcls = np.unique(weight, return_inverse=True)
+    nw = len(wvals)
+    sup = live @ (1 << np.arange(s))
+    flat = coef[live] % p  # each cycle's support coefficients, in order
+    ends = np.cumsum(np.bincount(size, minlength=s + 1)).tolist()
+    const = weight[:ends[0]][base[:ends[0]] == 0].sum()
+    table = np.full((p,) * s, const, dtype=np.int64)
+    at = 0  # start of this size's coefficients in flat
+    for k in range(1, s + 1):
+        a, b = ends[k - 1], ends[k]
+        if a == b:
+            continue
+        c = flat[at:at + (b - a) * k].reshape(b - a, k)
+        at += (b - a) * k
+        r = base[a:b, None]
+        for j in range(k - 1):
+            r = (r[:, :, None] + c[:, j, None, None] * x) % p
+            r = r.reshape(b - a, r.shape[1] * p)
+        n_pre = r.shape[1]
+        # classes present among this size's (support, v, weight) keys
+        key = (sup[a:b] * p + c[:, -1]) * nw + wcls[a:b]
+        hit = np.bincount(key, minlength=(2 ** s) * p * nw) > 0
+        classes = np.flatnonzero(hit)
+        cls = (np.cumsum(hit) - 1)[key]
+        r += ((cls * n_pre)[:, None] + np.arange(n_pre)) * p
+        cube = np.bincount(r.ravel(), minlength=len(classes) * n_pre * p)
+        cls_sup, v = np.divmod(classes // nw, p)
+        rows = (np.arange(len(classes) * n_pre) * p).reshape(-1, n_pre, 1)
+        need = (-v[:, None] * x) % p
+        active = cube[rows + need[:, None, :]].reshape(len(classes), n_pre * p)
+        active *= wvals[classes % nw, None]
+        # classes are sorted by support: sum each support's run of them
+        masks = np.flatnonzero(hit.reshape(2 ** s, p * nw).any(axis=1))
+        sums = np.add.reduceat(active, np.searchsorted(cls_sup, masks))
+        for mask, t in zip(masks.tolist(), sums):
+            table += t.reshape([p if mask >> j & 1 else 1 for j in range(s)])
+    return table
 
 
 class _SubsetScorer:
@@ -268,19 +316,24 @@ class _SubsetScorer:
     def table_scores(self) -> np.ndarray:
         """Scores of all p**size candidates, in lexicographic order."""
         p, k = self.p, self.size - 1
-        # loop over leading powers so no table has more than _CAND_CHUNK rows
+        # a touched 4-cycle outweighs all touched 6-cycles together, so one
+        # table scores both: an entry of at least `kill` activates a 4-cycle
+        kill = int(self.w6.sum()) + 1
+        base = np.concatenate([self.base6, self.base4])
+        coef = np.concatenate([self.coef6, self.coef4])
+        weight = np.concatenate([self.w6, np.full(len(self.base4), kill)])
+        # loop over leading powers so no table has more than _CAND_CHUNK
+        # prefix rows
         lead = 0
         while p ** (k - lead) > _CAND_CHUNK:
             lead += 1
         out = []
         for head in itertools.product(range(p), repeat=lead):
             head = np.array(head, dtype=np.int64)
-            f_cand = self.f_rest + _active_table(
-                p, self.base6 + self.coef6[:, :lead] @ head,
-                self.coef6[:, lead:], self.w6)
-            kills = _active_table(p, self.base4 + self.coef4[:, :lead] @ head,
-                                  self.coef4[:, lead:])
-            f_cand[kills > 0] = self.f_sc
+            table = _support_table(p, base + coef[:, :lead] @ head,
+                                   coef[:, lead:], weight)
+            f_cand = self.f_rest + table
+            f_cand[table >= kill] = self.f_sc
             out.append(f_cand.ravel())
         return np.concatenate(out)
 

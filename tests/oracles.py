@@ -76,6 +76,59 @@ def dense_candidate_scores(system, f_flat, subset, p) -> np.ndarray:
     return f_cand
 
 
+def _active_table(p: int, base, coef, weight=None) -> np.ndarray:
+    """Weight (count when weight is None) of the cycles active at every joint
+    power assignment x of a subset, as a (p**(s-1), p) table: one row per
+    prefix x[:-1] in lexicographic order, one column per last power.
+
+    A cycle's sum is base + coef @ x.  Its residue r over the prefix is
+    built up one power at a time; with the prefix fixed the cycle is active
+    exactly where r + v*x[-1] = 0 mod p for its last coefficient v, so each
+    last power needs the one residue (-v*x[-1]) % p.  Cycles are counted
+    per (class, prefix, r), a class being a (v, weight) pair, and every
+    column reads its residue from each class.  This covers v = 0 (the whole
+    row) and v sharing a factor with a composite p alike.
+    """
+    n, x = len(base), np.arange(p)
+    r = base[:, None] % p
+    for j in range(coef.shape[1] - 1):
+        r = (r[:, :, None] + coef[:, j, None, None] * x) % p
+        r = r.reshape(n, r.shape[1] * p)
+    n_pre = r.shape[1]
+    w = np.ones(n, dtype=np.int64) if weight is None else weight
+    classes, cls = np.unique(np.stack([coef[:, -1] % p, w], axis=1), axis=0,
+                             return_inverse=True)
+    r += np.arange(n_pre) * p
+    r += (cls * (n_pre * p))[:, None]
+    cube = np.bincount(r.ravel(), minlength=len(classes) * n_pre * p)
+    cube = cube.reshape(len(classes), n_pre, p)
+    need = (-classes[:, :1] * x) % p
+    active = np.take_along_axis(cube, need[:, None, :], axis=2)
+    return np.tensordot(classes[:, 1], active, axes=1)
+
+
+def prefix_table_scores(scorer, chunk: int = 32768) -> np.ndarray:
+    """Scores of all p**size candidates of a power_opt._SubsetScorer, in
+    lexicographic order, by tabulating every touched cycle over all
+    p**(size-1) power prefixes."""
+    p, k = scorer.p, scorer.size - 1
+    # loop over leading powers so no table has more than `chunk` rows
+    lead = 0
+    while p ** (k - lead) > chunk:
+        lead += 1
+    out = []
+    for head in itertools.product(range(p), repeat=lead):
+        head = np.array(head, dtype=np.int64)
+        f_cand = scorer.f_rest + _active_table(
+            p, scorer.base6 + scorer.coef6[:, :lead] @ head,
+            scorer.coef6[:, lead:], scorer.w6)
+        kills = _active_table(p, scorer.base4 + scorer.coef4[:, :lead] @ head,
+                              scorer.coef4[:, lead:])
+        f_cand[kills > 0] = scorer.f_sc
+        out.append(f_cand.ravel())
+    return np.concatenate(out)
+
+
 def direct_overlap(partition: PartitionMatrix, rows) -> int:
     """Columns where every listed row of the stacked components is 1."""
     g, m = partition.gamma, partition.m
@@ -100,7 +153,60 @@ def _adjacency_lists(w: np.ndarray):
 
 
 def connected_species_count(h: np.ndarray, species) -> int:
-    """Species instances anywhere in h, by connected subset search."""
+    """Species instances anywhere in h, by connected subset search.
+
+    Every column is a search root.  Check degrees and the number of odd
+    checks are Python ints updated as a column enters or leaves the subset.
+    """
+    h = np.asarray(h, dtype=bool)
+    rows = [r.tolist() for r in _column_rows(h)]
+    nbr = _adjacency_lists(h)
+    deg = [0] * h.shape[0]
+    odd = 0
+    a = species.a
+    total = 0
+
+    def move(c, step):
+        nonlocal odd
+        for r in rows[c]:
+            deg[r] += step
+            odd += 1 if deg[r] % 2 else -1
+
+    def matches(sub) -> bool:
+        if odd != species.b:
+            return False
+        if species.kind == "AS":
+            for c in sub:
+                n_odd = sum(deg[r] % 2 for r in rows[c])
+                if len(rows[c]) - n_odd <= n_odd:
+                    return False
+        return True
+
+    def extend(sub, ext, blocked, root):
+        nonlocal total
+        if len(sub) == a:
+            total += matches(sub)
+            return
+        ext = list(ext)
+        while ext:
+            cand = ext.pop()
+            grow = [u for u in nbr[cand] if u > root and u not in blocked]
+            move(cand, 1)
+            extend(sub + [cand], ext + grow, blocked | set(grow), root)
+            move(cand, -1)
+
+    for root in range(h.shape[1]):
+        seeds = [u for u in nbr[root] if u > root]
+        move(root, 1)
+        extend([root], seeds, {root} | set(seeds), root)
+        move(root, -1)
+    return total
+
+
+def unique_species_count(h: np.ndarray, species) -> int:
+    """Species instances anywhere in h, by connected subset search that
+    recounts each subset's odd checks with np.unique; the reference for
+    connected_species_count."""
     h = np.asarray(h, dtype=bool)
     rows = _column_rows(h)
     nbr = _adjacency_lists(h)

@@ -258,6 +258,53 @@ def test_cli_config_file_unknown_key(tmp_path):
         main(["census", "--config", str(cfgfile)])
 
 
+@pytest.mark.parametrize("flags, flag", [
+    (["--p", "0"], "--p"),
+    (["--p", "-3"], "--p"),
+    (["--L", "0"], "--L"),
+    (["--m", "-1"], "--m"),
+])
+def test_cli_census_rejects_out_of_range_flags(tmp_path, capsys, flags, flag):
+    code = {"--gamma": "3", "--kappa": "5", "--L": "6", "--zeta": "1,3,4",
+            "--p": "5", "--out": str(tmp_path)}
+    code.update(zip(flags[::2], flags[1::2]))
+    with pytest.raises(SystemExit):
+        main(["census"] + [v for item in code.items() for v in item])
+    assert f"{flag} must be >= " in capsys.readouterr().err
+    assert not (tmp_path / "census.csv").exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--cpo-cap", "0"), ("--cpo-cap", "-5"), ("--cpo-stale", "-1"),
+    ("--cpo-budget", "-1"), ("--cpo-schedule", "0,1"), ("--restarts", "0"),
+    ("--seed", "-1"),
+])
+def test_cli_cpo_rejects_out_of_range_flags(tmp_path, capsys, flag, value):
+    with pytest.raises(SystemExit):
+        main(["cpo", "--gamma", "3", "--kappa", "5", "--p", "5", "--L", "6",
+              "--zeta", "1,3,4", "--seed", "0", "--out", str(tmp_path),
+              flag, value])
+    assert f"{flag} must be >= " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["use_optimizer = ture", "p = five",
+                                  "strategy = foo"])
+def test_cli_config_file_bad_value(tmp_path, line):
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text(f"[code]\ngamma = 3\n{line}\n")
+    key = line.split(" = ")[0]
+    with pytest.raises(SystemExit, match=f"bad value for config key {key}"):
+        main(["census", "--config", str(cfgfile)])
+
+
+def test_cli_config_file_booleans(tmp_path, capsys):
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text("[code]\ngamma = 3\nkappa = 5\nL = 6\nzeta = 1,3,4\n"
+                       f"use_optimizer = off\nout = {tmp_path}\n")
+    assert main(["census", "--config", str(cfgfile)]) == 0
+    assert "protograph cycles-6" in capsys.readouterr().out
+
+
 def test_cli_out_env_var(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("SCLDPC_OUT", str(tmp_path / "envdir"))
     rc = main(["census", "--gamma", "3", "--kappa", "5", "--L", "6",

@@ -14,7 +14,8 @@ from scldpc.power_opt import (CpoConfig, CycleSystem, _cycles_by_cell,
                               _SubsetScorer, refine_layout, run_cpo,
                               weighted_theta)
 
-from oracles import dense_candidate_scores, lifted_cycles4, random_partition
+from oracles import (dense_candidate_scores, lifted_cycles4,
+                     prefix_table_scores, random_partition)
 
 
 def uncut(gamma, kappa, m=1):
@@ -141,6 +142,14 @@ def test_config_validation():
         CpoConfig(subset_size_schedule=(0, 1))
     with pytest.raises(ValueError):
         CpoConfig(power_candidates=0)
+    with pytest.raises(ValueError, match="exhaustive_cap"):
+        CpoConfig(exhaustive_cap=0)
+    with pytest.raises(ValueError, match="max_stale_rounds"):
+        CpoConfig(max_stale_rounds=-1)
+    with pytest.raises(ValueError, match="max_rounds"):
+        CpoConfig(max_rounds=-1)
+    with pytest.raises(ValueError, match="time_budget_s"):
+        CpoConfig(time_budget_s=-0.5)
 
 
 def test_refine_layout_preserves_pattern_multiset():
@@ -226,8 +235,10 @@ def test_table_scores_match_dense_oracle(monkeypatch, chunk):
         f = rng.integers(0, p, system.gamma * system.kappa).astype(np.int64)
         size = min(int(rng.integers(1, 5)), system.gamma * system.kappa)
         subset = np.sort(rng.choice(system.gamma * system.kappa, size, replace=False))
-        got = _SubsetScorer(system, f, subset, system.f_sc(f)).table_scores()
+        scorer = _SubsetScorer(system, f, subset, system.f_sc(f))
+        got = scorer.table_scores()
         assert np.array_equal(got, dense_candidate_scores(system, f, subset, p))
+        assert np.array_equal(got, prefix_table_scores(scorer))
 
         seen[f"size{size}"] += 1
         seen["composite"] += p in (6, 8, 9, 10)
@@ -240,8 +251,13 @@ def test_table_scores_match_dense_oracle(monkeypatch, chunk):
             seen["coef0"] += int((last == 0).sum())
             seen["coef2"] += int((abs(last) == 2).sum())
             seen["shared"] += int(((last % p != 0) & (np.gcd(last, p) > 1)).sum())
+            # a cycle's support: the subset cells its sum depends on mod p
+            coef = (hit[:, :, None] == subset) * signs[: res.shape[1], None]
+            for k in ((coef.sum(axis=1) % p) != 0).sum(axis=1):
+                seen[f"support{k}-{name}"] += 1
     for key in ("size1", "size2", "size3", "size4", "composite", "no6", "no4",
-                "coef0", "coef2", "shared"):
+                "coef0", "coef2", "shared",
+                *(f"support{k}-{n}" for k in range(5) for n in "64")):
         assert seen[key] > 0, key
 
 
