@@ -2,6 +2,7 @@
 
 from .code_model import (
     CirculantBlockCode,
+    ColumnLists,
     PartitionMatrix,
     SCCodeSpec,
     ab_code,
@@ -11,6 +12,7 @@ from .code_model import (
     partition_from_cutting_vector,
     partition_from_cutting_vectors,
     sc_lift,
+    sc_lift_columns,
     sc_protograph,
     window,
 )
@@ -53,7 +55,8 @@ from .trapping_sets import (
     max_shortest_path_vns,
     replica_span,
 )
-from .io_formats import read_alist, read_int_grid, write_alist, write_int_grid
+from .io_formats import (read_alist, read_alist_columns, read_int_grid,
+                         write_alist, write_int_grid)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -4,7 +4,9 @@ Subcommands cover the construction pipeline: optimize the partition,
 count cycles, optimize circulant powers, lift, and export matrices.
 A config file (INI style) can carry any flag value; explicit flags win.
 Artifacts land in --out, the SCLDPC_OUT directory, or the working
-directory, and identical runs produce byte-identical files.
+directory, and identical runs produce byte-identical files.  Input files
+are read before any output is written: a missing or malformed one is a
+usage error (exit status 2) naming its flag and path.
 """
 
 from __future__ import annotations
@@ -19,10 +21,15 @@ from pathlib import Path
 import numpy as np
 
 from .code_model import (CirculantBlockCode, PartitionMatrix, SCCodeSpec,
-                         ab_powers, partition_from_cutting_vectors, sc_lift)
+                         ab_powers, partition_from_cutting_vectors)
 from .cycle_census import active_cycles6, census_from_partition, count_cycles6
-from .io_formats import (census_csv, optimum_csv, read_alist, read_int_grid,
-                         trace_csv, write_alist, write_int_grid)
+from .io_formats import (census_csv, optimum_csv, read_int_grid, trace_csv,
+                         write_alist, write_int_grid)
+# The CLI lifts and reads a code as column lists, never as a dense matrix.
+# It calls them by the names sc_lift and read_alist, the attributes the
+# tracer in perfbench/spans.py wraps to time the CLI's lift and alist read.
+from .code_model import sc_lift_columns as sc_lift
+from .io_formats import read_alist_columns as read_alist
 from .overlaps import (IndependentOverlaps, partition_from_overlaps,
                        partition_from_patterns)
 from .partition_opt import OptimizerConfig, optimize
@@ -200,6 +207,14 @@ def _require(parser, cfg: RunConfig, *names):
             parser.error(f"--{name} is required for this command")
 
 
+def _read_input(parser, flag: str, path, read):
+    """read(path); a missing or malformed file is a usage error naming both."""
+    try:
+        return read(path)
+    except (OSError, ValueError) as exc:
+        parser.error(f"{flag} {path}: {exc}")
+
+
 def _out_dir(cfg: RunConfig) -> Path:
     path = Path(cfg.out)
     path.mkdir(parents=True, exist_ok=True)
@@ -219,13 +234,21 @@ def _partition(parser, cfg: RunConfig) -> PartitionMatrix:
         except ValueError as exc:
             parser.error(str(exc))
     if cfg.overlaps is not None:
-        ind = IndependentOverlaps(cfg.gamma, cfg.m, cfg.kappa, cfg.overlaps)
-        return partition_from_overlaps(ind)
+        try:
+            return partition_from_overlaps(IndependentOverlaps(
+                cfg.gamma, cfg.m, cfg.kappa, cfg.overlaps))
+        except ValueError as exc:
+            parser.error(f"--overlaps: {exc}")
     if cfg.partition_file is not None:
-        grid = read_int_grid(cfg.partition_file)
+        path = cfg.partition_file
+        grid = _read_input(parser, "--partition-file", path, read_int_grid)
         if grid.shape != (cfg.gamma, cfg.kappa):
-            parser.error("partition file shape does not match gamma x kappa")
-        return PartitionMatrix(cfg.m, grid)
+            parser.error(f"--partition-file {path}: shape {grid.shape} does "
+                         "not match gamma x kappa")
+        try:
+            return PartitionMatrix(cfg.m, grid)
+        except ValueError as exc:
+            parser.error(f"--partition-file {path}: {exc}")
     if cfg.use_optimizer:
         _require(parser, cfg, "L")
         opt = _run_optimizer(cfg)
@@ -243,18 +266,22 @@ def _run_optimizer(cfg: RunConfig):
 def _powers(parser, cfg: RunConfig) -> np.ndarray:
     _require(parser, cfg, "p")
     if cfg.powers_file is not None:
-        f = read_int_grid(cfg.powers_file)
+        path = cfg.powers_file
+        f = _read_input(parser, "--powers-file", path, read_int_grid)
         if f.shape != (cfg.gamma, cfg.kappa):
-            parser.error("powers file shape does not match gamma x kappa")
+            parser.error(f"--powers-file {path}: shape {f.shape} does not "
+                         "match gamma x kappa")
         return f % cfg.p
     return ab_powers(cfg.gamma, cfg.kappa, cfg.p)
 
 
+def _block(parser, cfg: RunConfig) -> CirculantBlockCode:
+    return CirculantBlockCode(cfg.gamma, cfg.kappa, cfg.p, _powers(parser, cfg))
+
+
 def _spec(parser, cfg: RunConfig, part: PartitionMatrix) -> SCCodeSpec:
     _require(parser, cfg, "p", "L")
-    block = CirculantBlockCode(cfg.gamma, cfg.kappa, cfg.p,
-                               _powers(parser, cfg))
-    return SCCodeSpec(block, part, cfg.L)
+    return SCCodeSpec(_block(parser, cfg), part, cfg.L)
 
 
 def _cpo_config(cfg: RunConfig) -> CpoConfig:
@@ -277,21 +304,21 @@ def cmd_optimize(parser, cfg: RunConfig) -> int:
 
 
 def cmd_census(parser, cfg: RunConfig) -> int:
-    out = _out_dir(cfg)
     if cfg.matrix is not None:
-        h = read_alist(cfg.matrix)
-        n = count_cycles6(h)
-        (out / "census.csv").write_text(
+        n = count_cycles6(_read_input(parser, "--matrix", cfg.matrix,
+                                      read_alist))
+        (_out_dir(cfg) / "census.csv").write_text(
             "cycles6\n%d\n" % n, newline="")
         print(f"cycles-6 = {n}")
         return 0
     part = _partition(parser, cfg)
     _require(parser, cfg, "L")
+    spec = _spec(parser, cfg, part) if cfg.p is not None else None
+    out = _out_dir(cfg)
     cen = census_from_partition(part, cfg.L)
     (out / "census.csv").write_text(census_csv(cen), newline="")
     print(f"protograph cycles-6 = {cen.total}")
-    if cfg.p is not None:
-        spec = _spec(parser, cfg, part)
+    if spec is not None:
         act = active_cycles6(spec)
         (out / "census_lifted.csv").write_text(
             census_csv(act, p=cfg.p), newline="")
@@ -325,9 +352,9 @@ def cmd_lift(parser, cfg: RunConfig) -> int:
 def cmd_export(parser, cfg: RunConfig) -> int:
     if cfg.matrix is None:
         parser.error("--matrix is required for export")
-    grid = read_int_grid(cfg.matrix)
+    grid = _read_input(parser, "--matrix", cfg.matrix, read_int_grid)
     if not np.isin(grid, (0, 1)).all():
-        parser.error("export expects a 0/1 matrix")
+        parser.error(f"--matrix {cfg.matrix}: export expects a 0/1 matrix")
     out = _out_dir(cfg)
     write_alist(grid.astype(bool), out / "matrix.alist")
     print("wrote matrix.alist")
@@ -338,10 +365,12 @@ def cmd_pipeline(parser, cfg: RunConfig) -> int:
     _require(parser, cfg, "gamma", "kappa", "p", "L")
     if cfg.seed is None:
         parser.error("--seed is required for the pipeline")
-    out = _out_dir(cfg)
+    block = _block(parser, cfg)  # input files are read before any output
+    part = None
     if cfg.partition_sources() and not cfg.use_optimizer:
         part = _partition(parser, cfg)
-    else:
+    out = _out_dir(cfg)
+    if part is None:
         opt = _run_optimizer(cfg)
         (out / "optimum.csv").write_text(optimum_csv(opt), newline="")
         part = partition_from_patterns(opt.patterns)
@@ -349,8 +378,7 @@ def cmd_pipeline(parser, cfg: RunConfig) -> int:
     write_int_grid(part.assign, out / "partition.txt")
     cen = census_from_partition(part, cfg.L)
     (out / "census.csv").write_text(census_csv(cen), newline="")
-    spec = _spec(parser, cfg, part)
-    state = run_cpo(spec, _cpo_config(cfg))
+    state = run_cpo(SCCodeSpec(block, part, cfg.L), _cpo_config(cfg))
     write_int_grid(state.powers, out / "powers.txt")
     (out / "trace.csv").write_text(trace_csv(state.trace), newline="")
     final = SCCodeSpec(CirculantBlockCode(cfg.gamma, cfg.kappa, cfg.p,

@@ -12,6 +12,11 @@ them diagonally over L replicas: replica r (1-based) occupies column block
 r-1 and contributes component x at row block r-1+x.  All row/column and
 block indices are 0-based; only the replica index r is 1-based, matching
 the usual coupled-chain notation.
+
+The lifted matrix is built as ColumnLists, the row index of each 1 in
+column order, by index arithmetic; sc_lift and lift_block are its dense
+views.  The lists are what the alist writer and the direct cycle counts
+take, so a full-length coupled code never needs a dense matrix.
 """
 
 from __future__ import annotations
@@ -195,35 +200,104 @@ def sc_protograph(spec: SCCodeSpec) -> np.ndarray:
     return proto
 
 
-def _lift_cells(mask: np.ndarray, powers: np.ndarray, p: int) -> np.ndarray:
-    """Lift a masked power array into a dense 0/1 matrix of p x p blocks."""
-    g, k = mask.shape
-    out = np.zeros((g * p, k * p), dtype=np.uint8)
-    b = np.arange(p)
-    for h in range(g):
-        for l in range(k):
-            if mask[h, l]:
-                out[h * p + (b + powers[h, l]) % p, l * p + b] = 1
-    return out
+_SCAN_SLAB = 1 << 20  # matrix entries converted to bool at a time
+
+
+@dataclass(frozen=True, eq=False)
+class ColumnLists:
+    """The ones of a 0/1 matrix of the given shape, in column order.
+
+    Entry i is a one at (rows[i], cols[i]); the entries are sorted by
+    column, with rows ascending inside each column, and none repeats.
+    """
+
+    shape: tuple
+    rows: np.ndarray
+    cols: np.ndarray
+
+    def __post_init__(self):
+        shape = tuple(self.shape)
+        if len(shape) != 2 or any(int(n) != n or n < 0 for n in shape):
+            raise ValueError(f"shape must be two nonnegative integers, got {shape}")
+        nrows, ncols = (int(n) for n in shape)
+        rows = np.asarray(self.rows, dtype=np.int64)
+        cols = np.asarray(self.cols, dtype=np.int64)
+        if rows.ndim != 1 or rows.shape != cols.shape:
+            raise ValueError("rows and cols must be 1-d arrays of one length")
+        if rows.size and not (0 <= rows.min() and rows.max() < nrows):
+            raise ValueError(f"row index outside [0, {nrows})")
+        if cols.size and not (0 <= cols.min() and cols.max() < ncols):
+            raise ValueError(f"column index outside [0, {ncols})")
+        key = cols * nrows + rows
+        if np.any(key[1:] <= key[:-1]):
+            raise ValueError("entries must be sorted by column, rows ascending "
+                             "inside a column, with none repeated")
+        object.__setattr__(self, "shape", (nrows, ncols))
+        object.__setattr__(self, "rows", _as_readonly(rows))
+        object.__setattr__(self, "cols", _as_readonly(cols))
+
+    @classmethod
+    def from_dense(cls, matrix) -> "ColumnLists":
+        """The ones of a dense 2-d matrix (any nonzero entry is a one)."""
+        h = np.asarray(matrix)
+        if h.ndim != 2:
+            raise ValueError("need a 2-d matrix")
+        # a flat scan is much faster than a strided one, and a bool scan
+        # than one of any other dtype; converting one slab at a time makes
+        # no dense copy of the matrix
+        flat = h.reshape(-1)
+        ones = np.concatenate(
+            [np.zeros(0, dtype=np.int64)]
+            + [np.flatnonzero(flat[i:i + _SCAN_SLAB].astype(bool)) + i
+               for i in range(0, flat.size, _SCAN_SLAB)])
+        rows, cols = np.divmod(ones, max(h.shape[1], 1))
+        # row-major order, then stably by column
+        by_col = np.argsort(cols, kind="stable")
+        return cls(h.shape, rows[by_col], cols[by_col])
+
+    def dense(self, dtype=bool) -> np.ndarray:
+        """The matrix itself, ones at the listed entries."""
+        out = np.zeros(self.shape, dtype=dtype)
+        out[self.rows, self.cols] = 1
+        return out
+
+
+def as_column_lists(matrix) -> ColumnLists:
+    """Column lists of a dense matrix; column lists pass through unchanged."""
+    if isinstance(matrix, ColumnLists):
+        return matrix
+    return ColumnLists.from_dense(matrix)
+
+
+def sc_lift_columns(spec: SCCodeSpec) -> ColumnLists:
+    """Ones of the lifted coupled matrix, column by column.
+
+    Column (r, l, b), at index ((r-1)*kappa + l)*p + b, holds one 1 per
+    base-matrix row h: in row ((r-1+assign[h,l])*gamma + h)*p
+    + (b + f[h,l]) mod p.  Sorting each column's h by its row block
+    assign[h,l]*gamma + h sorts its rows, so the lists need no search.
+    """
+    g, k, p, L = spec.gamma, spec.kappa, spec.p, spec.L
+    row_block = (spec.partition.assign * g + np.arange(g)[:, None]).T  # (kappa, gamma)
+    order = np.argsort(row_block, axis=1)
+    row_block = np.take_along_axis(row_block, order, axis=1)[None, :, None, :]
+    shift = np.take_along_axis(spec.block.powers.T, order, axis=1)[None, :, None, :]
+    r = np.arange(L)[:, None, None, None]
+    b = np.arange(p)[None, None, :, None]
+    rows = (r * g + row_block) * p + (b + shift) % p  # (L, kappa, p, gamma)
+    cols = np.repeat(np.arange(L * k * p), g)
+    return ColumnLists(((L + spec.m) * g * p, L * k * p), rows.reshape(-1), cols)
 
 
 def lift_block(code: CirculantBlockCode) -> np.ndarray:
     """Lifted parity-check matrix of the uncoupled block code, (gamma*p, kappa*p)."""
-    mask = np.ones((code.gamma, code.kappa), dtype=np.uint8)
-    return _lift_cells(mask, code.powers, code.p)
+    uncoupled = PartitionMatrix(0, np.zeros((code.gamma, code.kappa), dtype=np.int64))
+    return sc_lift(SCCodeSpec(code, uncoupled, 1))
 
 
 def sc_lift(spec: SCCodeSpec) -> np.ndarray:
     """Lifted parity-check matrix of the coupled code, ((L+m)*gamma*p, L*kappa*p)."""
-    g, k, p, m, L = spec.gamma, spec.kappa, spec.p, spec.m, spec.L
-    out = np.zeros(((L + m) * g * p, L * k * p), dtype=np.uint8)
-    for r in range(1, L + 1):
-        for x in range(m + 1):
-            cell = _lift_cells(spec.partition.component(x), spec.block.powers, p)
-            rows = slice((r - 1 + x) * g * p, (r + x) * g * p)
-            cols = slice((r - 1) * k * p, r * k * p)
-            out[rows, cols] |= cell
-    return out
+    return sc_lift_columns(spec).dense(np.uint8)
 
 
 def window(spec: SCCodeSpec, r: int, k: int, lifted: bool = False) -> np.ndarray:

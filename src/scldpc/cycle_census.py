@@ -6,8 +6,9 @@ and r3, c23 in r2 and r3, with the three columns distinct.  Three all-ones
 rows over three columns therefore contain 6 cycles, the Hamiltonian cycles
 of K_{3,3}.
 
-Any 0/1 matrix is counted directly from its row-pair overlaps, without
-listing a cycle.  With A[i,j] the number of columns rows i and j share and
+Any 0/1 matrix, dense or as ColumnLists, is counted directly from its
+row-pair overlaps, without listing a cycle; only each column's rows are
+read.  With A[i,j] the number of columns rows i and j share and
 t the number of columns covering all three rows of a triple, the triple
 carries abc - t(a+b+c) + 2t cycles, where a, b, c are its three pairwise
 overlaps (inclusion-exclusion on the three ways two of its columns can
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .code_model import SCCodeSpec, window
+from .code_model import ColumnLists, SCCodeSpec, as_column_lists, window
 from .overlaps import OverlapSet, overlaps_from_partition
 
 # ---------------------------------------------------------------------------
@@ -48,24 +49,19 @@ from .overlaps import OverlapSet, overlaps_from_partition
 
 # wedges (pairs of overlap-graph edges at one row) scored per pass of the
 # triangle sum; bounds its memory, whatever the matrix size
-_WEDGE_CHUNK = 1 << 18
+_WEDGE_CHUNK = 1 << 15
 
 
-def _row_pair_overlaps(h: np.ndarray):
+def _row_pair_overlaps(ones: ColumnLists):
     """Nonzero row-pair overlaps of a 0/1 matrix, from each column's row pairs.
 
     Returns (keys, overlap, excess): the pairs i < j sharing a column as
     sorted keys i * rows + j, the number of columns each pair shares, and
     the sum of (degree - 2) over those columns.
     """
-    h = np.asarray(h, dtype=bool)
-    n_rows = h.shape[0]
-    # the ones, ordered by column with rows ascending (a flat scan is much
-    # faster than a strided one)
-    rows, cols = np.divmod(np.flatnonzero(h), max(h.shape[1], 1))
-    order = np.argsort(cols, kind="stable")
-    rows, cols = rows[order], cols[order]
-    degree = np.bincount(cols, minlength=h.shape[1])
+    n_rows, n_cols = ones.shape
+    rows = ones.rows  # ordered by column, rows ascending
+    degree = np.bincount(ones.cols, minlength=n_cols)
     starts = np.concatenate(([0], np.cumsum(degree)))
     keys, excess = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     for d in np.unique(degree[degree >= 2]):  # columns of one degree pair up together
@@ -82,8 +78,9 @@ def _row_pair_overlaps(h: np.ndarray):
     return keys.astype(np.int64), overlap.astype(np.int64), excess.astype(np.int64)
 
 
-def count_cycles6(h: np.ndarray) -> int:
-    """Number of 6-cycles of a 0/1 matrix, from its row-pair overlaps.
+def count_cycles6(h) -> int:
+    """Number of 6-cycles of a 0/1 matrix or its ColumnLists, from its
+    row-pair overlaps.
 
     N6 = sum over triangles {i,j,k} of the overlap graph of A_ij A_ik A_jk
          - sum over columns of (d-2) * (sum of A over the column's row pairs)
@@ -93,8 +90,9 @@ def count_cycles6(h: np.ndarray) -> int:
     sorted pair keys, _WEDGE_CHUNK wedges at a time; each triangle is seen
     once per corner.
     """
-    n_rows = np.shape(h)[0]
-    keys, overlap, excess = _row_pair_overlaps(h)
+    ones = as_column_lists(h)
+    n_rows = ones.shape[0]
+    keys, overlap, excess = _row_pair_overlaps(ones)
     # symmetric edge list sorted by (centre, neighbour): each centre's
     # neighbours form one ascending segment
     lo, hi = np.divmod(keys, max(n_rows, 1))
@@ -130,9 +128,10 @@ def count_cycles6(h: np.ndarray) -> int:
     return n6
 
 
-def count_cycles4(h: np.ndarray) -> int:
-    """Number of 4-cycles: C(A_ij, 2) summed over the row-pair overlaps."""
-    _, overlap, _ = _row_pair_overlaps(h)
+def count_cycles4(h) -> int:
+    """Number of 4-cycles of a 0/1 matrix or its ColumnLists: C(A_ij, 2)
+    summed over the row-pair overlaps."""
+    _, overlap, _ = _row_pair_overlaps(as_column_lists(h))
     return int((overlap * (overlap - 1)).sum()) // 2
 
 

@@ -1,7 +1,8 @@
 """File formats: alist matrices, small integer grids, CSV reports.
 
 Everything here writes LF-terminated text so identical runs produce
-byte-identical artifacts.
+byte-identical artifacts.  An alist is written from, and read into, the
+ColumnLists of its matrix; the dense matrix is an optional view.
 """
 
 from __future__ import annotations
@@ -11,9 +12,12 @@ import io
 
 import numpy as np
 
+from .code_model import ColumnLists, as_column_lists
+
 __all__ = [
     "alist_string",
     "write_alist",
+    "read_alist_columns",
     "read_alist",
     "write_int_grid",
     "read_int_grid",
@@ -24,29 +28,20 @@ __all__ = [
 ]
 
 
-_SCAN_SLAB = 1 << 20  # matrix entries converted to bool at a time
-
-
-def alist_string(matrix: np.ndarray) -> str:
-    """Standard alist text for a binary matrix.
+def alist_string(matrix) -> str:
+    """Standard alist text for a binary matrix or its ColumnLists.
 
     Line 1 is "N M" (columns rows), line 2 the maximum column and row
     degrees, then per-column degrees, per-row degrees, per-column
     1-based row indices padded with zeros to the maximum degree, and
     per-row column indices padded likewise.
     """
-    h = np.asarray(matrix)
-    if h.ndim != 2 or h.size == 0:
+    ones = as_column_lists(matrix)
+    nrows, ncols = ones.shape
+    if nrows == 0 or ncols == 0:
         raise ValueError("need a nonempty 2-d matrix")
-    nrows, ncols = h.shape
-    # the ones in row-major order, then stably by column: a flat scan is much
-    # faster than a strided one, and a bool scan than one of any other dtype;
-    # converting one slab at a time makes no dense copy of the matrix
-    flat = h.reshape(-1)
-    ones = np.concatenate([np.flatnonzero(flat[i:i + _SCAN_SLAB].astype(bool)) + i
-                           for i in range(0, flat.size, _SCAN_SLAB)])
-    rows, cols = np.divmod(ones, ncols)
-    by_col = np.argsort(cols, kind="stable")
+    rows, cols = ones.rows, ones.cols
+    by_row = np.argsort(rows, kind="stable")  # columns stay ascending in a row
     col_deg = np.bincount(cols, minlength=ncols)
     row_deg = np.bincount(rows, minlength=nrows)
     dc, dr = int(col_deg.max()), int(row_deg.max())
@@ -61,12 +56,13 @@ def alist_string(matrix: np.ndarray) -> str:
     out = [f"{ncols} {nrows}", f"{dc} {dr}",
            " ".join(map(str, col_deg.tolist())),
            " ".join(map(str, row_deg.tolist()))]
-    out += padded(cols[by_col], rows[by_col], col_deg, dc)
-    out += padded(rows, cols, row_deg, dr)
+    out += padded(cols, rows, col_deg, dc)
+    out += padded(rows[by_row], cols[by_row], row_deg, dr)
     return "\n".join(out) + "\n"
 
 
-def write_alist(matrix: np.ndarray, path) -> None:
+def write_alist(matrix, path) -> None:
+    """Write alist_string(matrix), a dense matrix or its ColumnLists, to path."""
     with open(path, "w", newline="") as fh:
         fh.write(alist_string(matrix))
 
@@ -83,13 +79,13 @@ def _index_lists(table: np.ndarray, degree: np.ndarray, bound: int, what: str):
     return table[filled] - 1
 
 
-def read_alist(path) -> np.ndarray:
-    """Parse an alist file back into a dense boolean matrix.
+def read_alist_columns(path) -> ColumnLists:
+    """Parse an alist file into the ColumnLists of its matrix.
 
     Every part of the file must agree: the header, the maximum degrees,
     both degree lines, the column lists and the row lists; a mismatch, an
     out-of-range index, a truncated file or trailing tokens raise
-    ValueError.
+    ValueError.  A column's rows may be listed in any order.
     """
     with open(path) as fh:
         text = fh.read()
@@ -116,8 +112,7 @@ def read_alist(path) -> np.ndarray:
     col_lists = tokens[at:at + ncols * dc].reshape(ncols, dc)
     row_lists = tokens[at + ncols * dc:].reshape(nrows, dr)
     rows = _index_lists(col_lists, col_deg, nrows, "column")
-    cols = np.repeat(np.arange(ncols), col_deg)
-    by_col = np.sort(cols * nrows + rows)
+    by_col = np.sort(np.repeat(np.arange(ncols), col_deg) * nrows + rows)
     by_row = np.sort(_index_lists(row_lists, row_deg, ncols, "row") * nrows
                      + np.repeat(np.arange(nrows), row_deg))
     if np.any(by_col[1:] == by_col[:-1]):
@@ -125,9 +120,16 @@ def read_alist(path) -> np.ndarray:
     if not np.array_equal(by_col, by_row):
         raise ValueError("malformed alist file: row lists disagree with the "
                          "column lists")
-    h = np.zeros((nrows, ncols), dtype=bool)
-    h[rows, cols] = True
-    return h
+    cols, rows = np.divmod(by_col, nrows)
+    return ColumnLists((nrows, ncols), rows, cols)
+
+
+def read_alist(path) -> np.ndarray:
+    """Parse an alist file back into a dense boolean matrix.
+
+    The dense view of read_alist_columns, with the same checks.
+    """
+    return read_alist_columns(path).dense()
 
 
 def write_int_grid(grid: np.ndarray, path) -> None:
@@ -141,15 +143,25 @@ def write_int_grid(grid: np.ndarray, path) -> None:
 
 
 def read_int_grid(path) -> np.ndarray:
+    """Small integer matrix from space-separated rows; blank lines are skipped.
+
+    A non-integer token, a file without rows, or rows of unequal length
+    raise ValueError.
+    """
     rows = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rows.append([int(v) for v in line.split()])
-    if not rows or any(len(r) != len(rows[0]) for r in rows):
-        raise ValueError("malformed integer grid file")
+        for number, line in enumerate(fh, 1):
+            try:
+                row = [int(v) for v in line.split()]
+            except ValueError:
+                raise ValueError("malformed integer grid file: non-integer "
+                                 f"token on line {number}") from None
+            if row:
+                rows.append(row)
+    if not rows:
+        raise ValueError("malformed integer grid file: no rows")
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise ValueError("malformed integer grid file: rows of unequal length")
     return np.array(rows, dtype=np.int64)
 
 

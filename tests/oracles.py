@@ -32,6 +32,22 @@ def brute_cycles4(h) -> int:
     return len(find_cycles4(h))
 
 
+def dense_sc_lift(spec) -> np.ndarray:
+    """Lifted coupled matrix, by OR-ing every replica's lifted components in."""
+    g, k, p, m, L = spec.gamma, spec.kappa, spec.p, spec.m, spec.L
+    f, b = spec.block.powers, np.arange(p)
+    out = np.zeros(((L + m) * g * p, L * k * p), dtype=np.uint8)
+    for r in range(1, L + 1):
+        for x in range(m + 1):
+            mask = spec.partition.component(x)
+            for h in range(g):
+                for l in range(k):
+                    if mask[h, l]:
+                        out[((r - 1 + x) * g + h) * p + (b + f[h, l]) % p,
+                            ((r - 1) * k + l) * p + b] = 1
+    return out
+
+
 def protograph_cycles6(spec) -> int:
     return brute_cycles6(sc_protograph(spec))
 

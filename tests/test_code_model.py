@@ -3,11 +3,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from scldpc.code_model import (CirculantBlockCode, PartitionMatrix, SCCodeSpec,
-                               ab_code, ab_powers, component_protograph,
-                               lift_block, partition_from_cutting_vector,
-                               partition_from_cutting_vectors,
-                               sc_lift, sc_protograph, window)
+from scldpc.code_model import (CirculantBlockCode, ColumnLists,
+                               PartitionMatrix, SCCodeSpec, ab_code, ab_powers,
+                               component_protograph, lift_block,
+                               partition_from_cutting_vector,
+                               partition_from_cutting_vectors, sc_lift,
+                               sc_lift_columns, sc_protograph, window)
+
+from oracles import dense_sc_lift
 
 
 def test_ab_powers_values():
@@ -141,6 +144,54 @@ def test_sc_lift_shape_and_weights():
     h = sc_lift(spec)
     assert h.shape == ((4 + 1) * 3 * 5, 4 * 5 * 5)
     assert (h.sum(axis=0) == 3).all()
+
+
+def test_sc_lift_columns_match_dense_oracle():
+    rng = np.random.default_rng(23)
+    for _ in range(240):
+        g, k = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+        p, m = int(rng.integers(1, 8)), int(rng.integers(0, 3))
+        L = int(rng.integers(1, 5))
+        block = CirculantBlockCode(g, k, p, rng.integers(0, p, size=(g, k)))
+        part = PartitionMatrix(m, rng.integers(0, m + 1, size=(g, k)))
+        spec = SCCodeSpec(block, part, L)
+        want, h = dense_sc_lift(spec), sc_lift(spec)
+        assert h.dtype == np.uint8 and np.array_equal(h, want)
+        lists = sc_lift_columns(spec)
+        for seen in (ColumnLists.from_dense(want), ColumnLists.from_dense(h)):
+            assert lists.shape == seen.shape
+            assert np.array_equal(lists.rows, seen.rows)
+            assert np.array_equal(lists.cols, seen.cols)
+        assert np.array_equal(lists.dense(), want.astype(bool))
+        if m == 0 and L == 1:
+            assert np.array_equal(lift_block(block), want)
+
+
+@pytest.mark.parametrize("shape, rows, cols, message", [
+    ((2, 3, 1), [0], [0], "shape"),
+    ((2, -1), [], [], "shape"),
+    ((2, 2.5), [0], [0], "shape"),
+    ((2, 3), [0, 1], [0], "one length"),
+    ((2, 3), [[0]], [[0]], "1-d"),
+    ((2, 3), [0, 2], [0, 1], "row index outside"),
+    ((2, 3), [0, -1], [0, 1], "row index outside"),
+    ((2, 3), [0, 1], [0, 3], "column index outside"),
+    ((2, 3), [0, 0], [1, 0], "sorted by column"),
+    ((2, 3), [1, 0], [0, 0], "rows ascending"),
+    ((2, 3), [1, 1], [0, 0], "none repeated"),
+])
+def test_column_lists_reject_bad_input(shape, rows, cols, message):
+    with pytest.raises(ValueError, match=message):
+        ColumnLists(shape, np.array(rows), np.array(cols))
+
+
+def test_column_lists_round_trip_dense():
+    rng = np.random.default_rng(8)
+    for shape in ((1, 1), (4, 9), (7, 3), (0, 4)):
+        h = rng.random(shape) < 0.4
+        ones = ColumnLists.from_dense(h.astype(np.uint8))
+        assert np.array_equal(ones.dense(), h)
+        assert ones.rows.flags.writeable is False
 
 
 def test_p1_lift_equals_protograph():

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from scldpc import cycle_census
-from scldpc.code_model import (CirculantBlockCode, PartitionMatrix, SCCodeSpec,
-                               ab_code, partition_from_cutting_vector, sc_lift,
+from scldpc.code_model import (CirculantBlockCode, ColumnLists,
+                               PartitionMatrix, SCCodeSpec, ab_code,
+                               partition_from_cutting_vector, sc_lift,
                                sc_protograph)
 from scldpc.cycle_census import (active_cycles6, census_from_partition,
                                  census_protograph, count_cycles4,
@@ -77,8 +78,9 @@ def test_direct_counts_match_brute_force(monkeypatch):
         # the default chunk, then a few wedges per pass of the triangle sum
         for chunk in (cycle_census._WEDGE_CHUNK, 3):
             monkeypatch.setattr(cycle_census, "_WEDGE_CHUNK", chunk)
-            assert count_cycles6(h) == want6
-            assert count_cycles4(h) == want4
+            for form in (h, ColumnLists.from_dense(h)):
+                assert count_cycles6(form) == want6
+                assert count_cycles4(form) == want4
     assert with_cycles > 150
 
 

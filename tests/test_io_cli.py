@@ -1,16 +1,18 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from scldpc import io_formats
+from scldpc import code_model
 from scldpc.cli import main
-from scldpc.code_model import (SCCodeSpec, ab_code,
+from scldpc.code_model import (ColumnLists, SCCodeSpec, ab_code,
                                partition_from_cutting_vector, sc_lift)
 from scldpc.cycle_census import (active_cycles6, census_from_partition,
                                  count_cycles6)
 from scldpc.io_formats import (alist_string, census_csv, read_alist,
-                               read_int_grid, species_csv, trace_csv,
+                               read_alist_columns, read_int_grid, species_csv, trace_csv,
                                write_alist, write_int_grid)
 from scldpc.trapping_sets import common_denominator, enumerate_objects
 
@@ -48,6 +50,15 @@ def test_alist_rejects_garbage(tmp_path):
     path.write_text("3 3\n2 2\n1 1\n")
     with pytest.raises(ValueError, match="malformed"):
         read_alist(path)
+
+
+def test_alist_lists_in_any_order_read_as_sorted_columns(tmp_path):
+    path = tmp_path / "m.alist"
+    # [[1, 1, 0], [0, 1, 0]] with column 2 and row 1 listed in reverse
+    path.write_text("3 2\n2 2\n1 2 0\n2 1\n1 0\n2 1\n0 0\n2 1\n2 0\n")
+    ones = read_alist_columns(path)
+    assert ones.shape == (2, 3)
+    assert ones.rows.tolist() == [0, 0, 1] and ones.cols.tolist() == [0, 1, 1]
 
 
 def test_alist_round_trip_with_empty_rows_and_columns(tmp_path):
@@ -89,8 +100,10 @@ def test_alist_rejects_inconsistent_files(tmp_path, edit, message):
     for i, text in edit.items():
         lines[i] = text
     path.write_text("\n".join(t for t in lines if t is not None) + "\n")
-    with pytest.raises(ValueError, match="malformed alist file: .*" + message):
-        read_alist(path)
+    for read in (read_alist, read_alist_columns):
+        with pytest.raises(ValueError,
+                           match="malformed alist file: .*" + message):
+            read(path)
 
 
 def test_int_grid_round_trip(tmp_path):
@@ -366,7 +379,7 @@ def test_trace_csv_layout():
 @pytest.mark.parametrize("slab", [None, 7])
 def test_alist_string_matches_scan_oracle(monkeypatch, slab):
     if slab is not None:  # many slabs, some ending mid-row
-        monkeypatch.setattr(io_formats, "_SCAN_SLAB", slab)
+        monkeypatch.setattr(code_model, "_SCAN_SLAB", slab)
     rng = np.random.default_rng(12)
     for case in range(320):
         rows, cols = (int(v) for v in rng.integers(1, 16, size=2))
@@ -377,7 +390,9 @@ def test_alist_string_matches_scan_oracle(monkeypatch, slab):
         elif case % 4 == 2:
             h[:] = case % 8 == 2  # all zeros or all ones
         h = h.astype(np.uint8) if case % 2 else h
-        assert alist_string(h) == scan_alist_string(h), case
+        want = scan_alist_string(h)
+        assert alist_string(h) == want, case
+        assert alist_string(ColumnLists.from_dense(h)) == want, case
     for _ in range(20):
         g = int(rng.integers(2, 5))
         k = int(rng.integers(2, 7))
@@ -386,4 +401,70 @@ def test_alist_string_matches_scan_oracle(monkeypatch, slab):
         spec = SCCodeSpec(ab_code(g, k, p), random_partition(rng, g, k, m),
                           int(rng.integers(1, 5)))
         h = sc_lift(spec)
-        assert alist_string(h) == scan_alist_string(h)
+        want = scan_alist_string(h)
+        assert alist_string(h) == want
+        assert alist_string(ColumnLists.from_dense(h)) == want
+
+
+_CODE = ["--gamma", "3", "--kappa", "4", "--p", "5", "--L", "3"]
+
+
+@pytest.mark.parametrize("argv, flag, content", [
+    (["lift", *_CODE, "--zeta", "1,2,3", "--powers-file"], "--powers-file",
+     "0 1 2 3\n0 1 x 3\n0 2 4 1\n"),
+    (["lift", *_CODE, "--partition-file"], "--partition-file",
+     "0 1 1 1\n0 0 1 1.5\n0 0 0 1\n"),
+    (["export", "--matrix"], "--matrix", "1 0\n0 one\n"),
+    (["cpo", *_CODE, "--seed", "0", "--partition-file"], "--partition-file",
+     "\n\n"),
+    (["lift", *_CODE, "--partition-file"], "--partition-file",
+     "0 1 1 1\n0 0 1 2\n0 0 0 1\n"),
+    (["pipeline", *_CODE, "--seed", "0", "--zeta", "1,2,3", "--powers-file"],
+     "--powers-file", "0 1 2 3\n0 1 2 3\n0 1 2 z\n"),
+    (["census", "--matrix"], "--matrix", "3 2\n2 2\n1 2 0\n"),
+    (["census", "--matrix"], "--matrix", None),
+], ids=["powers-token", "partition-token", "export-token", "empty-grid",
+        "partition-above-m", "pipeline-powers", "alist-malformed",
+        "alist-missing"])
+def test_cli_bad_input_file_is_a_usage_error(tmp_path, capsys, argv, flag,
+                                             content):
+    path = tmp_path / "input.txt"
+    if content is not None:
+        path.write_text(content)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [str(path), "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"{flag} {path}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_overlaps_of_wrong_length_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "--gamma", "3", "--kappa", "5", "--L", "6",
+              "--overlaps", "1,2", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--overlaps: expected" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_lift_and_matrix_census_stay_below_one_dense_matrix(tmp_path):
+    # the paper's gamma=4 cutting-vector code, 2108 x 8670: neither command
+    # may hold as much as one byte per matrix entry
+    code = ["--gamma", "4", "--kappa", "17", "--p", "17", "--L", "30",
+            "--zeta", "3,7,11,15"]
+    dense_bytes = (30 + 1) * 4 * 17 * 30 * 17 * 17
+    peaks = {}
+    for name, argv in (
+            ("lift", ["lift", *code, "--out", str(tmp_path)]),
+            ("census --matrix", ["census", "--matrix",
+                                 str(tmp_path / "code.alist"),
+                                 "--out", str(tmp_path / "brute")])):
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert all(peak < dense_bytes for peak in peaks.values()), peaks
