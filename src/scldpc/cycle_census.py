@@ -31,7 +31,9 @@ f(h1,l1) - f(h1,l2) + f(h2,l2) - f(h2,l3) + f(h3,l3) - f(h3,l1) is 0 mod p
 and none otherwise; such a cycle is called active.  The power of any
 coupled-matrix cell depends only on its row residue mod gamma and column
 residue mod kappa, so activity can be decided inside one window.  The
-starter cycles of that window are listed one by one.
+starter cycles of that window are held as (span, rows, cols) arrays, so
+every alternating power sum is one gather and the per-span counts one
+bincount.
 """
 
 from __future__ import annotations
@@ -85,25 +87,27 @@ def count_cycles6(h) -> int:
     N6 = sum over triangles {i,j,k} of the overlap graph of A_ij A_ik A_jk
          - sum over columns of (d-2) * (sum of A over the column's row pairs)
          + 2 * sum over columns of C(d, 3),
-    with d a column's degree.  The triangle sum visits every wedge (two
-    overlap-graph edges at a centre row) and closes it by a lookup in the
-    sorted pair keys, _WEDGE_CHUNK wedges at a time; each triangle is seen
-    once per corner.
+    with d a column's degree.  Each overlap-graph edge is oriented from its
+    lower row to its higher one (Chiba and Nishizeki, SIAM J. Comput. 14(1),
+    1985): the triangle sum pairs the later neighbours of each row into
+    wedges and closes each by a lookup in the sorted pair keys,
+    _WEDGE_CHUNK wedges at a time, so each triangle i < j < k is seen once,
+    at i.
     """
     ones = as_column_lists(h)
     n_rows = ones.shape[0]
     keys, overlap, excess = _row_pair_overlaps(ones)
-    # symmetric edge list sorted by (centre, neighbour): each centre's
-    # neighbours form one ascending segment
-    lo, hi = np.divmod(keys, max(n_rows, 1))
-    centre, nbr = np.concatenate((lo, hi)), np.concatenate((hi, lo))
-    order = np.lexsort((nbr, centre))
-    centre, nbr, weight = centre[order], nbr[order], np.tile(overlap, 2)[order]
+    if np.any(keys[1:] <= keys[:-1]):
+        raise RuntimeError("row-pair keys are not strictly increasing")
+    # sorted keys i * rows + j with i < j list each row's later neighbours
+    # as one ascending segment
+    lo, nbr = np.divmod(keys, max(n_rows, 1))
     arm = np.arange(len(nbr))
-    # an arm (one edge at its centre) pairs with the later edges of its segment
-    arm_wedges = np.cumsum(np.bincount(centre, minlength=n_rows))[centre] - 1 - arm
+    # an arm (one edge at its lower row) pairs with the later edges of its
+    # segment
+    arm_wedges = np.cumsum(np.bincount(lo, minlength=n_rows))[lo] - 1 - arm
     cum = np.concatenate(([0], np.cumsum(arm_wedges)))
-    wedge_sum = 0
+    triangles = 0
     e0 = 0
     while e0 < len(nbr):
         stop = int(np.searchsorted(cum, cum[e0] + _WEDGE_CHUNK, side="right")) - 1
@@ -114,17 +118,16 @@ def count_cycles6(h) -> int:
         closing = nbr[first] * n_rows + nbr[second]
         pos = np.minimum(np.searchsorted(keys, closing), len(keys) - 1)
         hit = keys[pos] == closing
-        wedge_sum += int((weight[first] * weight[second] * overlap[pos])[hit].sum())
+        triangles += int((overlap[first] * overlap[second] * overlap[pos])[hit].sum())
         e0 = e1
-    if wedge_sum % 3:
-        raise RuntimeError(
-            f"triangle wedge sum {wedge_sum} is not a multiple of 3")
     # a degree-d column has C(d,2) pairs of excess d-2, so excess sums to
     # 3 * sum C(d,3)
-    n6 = ((wedge_sum + 2 * int(excess.sum())) // 3
-          - int((overlap * excess).sum()))
+    excess_sum = int(excess.sum())
+    n6 = triangles + 2 * (excess_sum // 3) - int((overlap * excess).sum())
     if n6 < 0:
         raise RuntimeError(f"negative 6-cycle count {n6}")
+    if excess_sum % 3:
+        raise RuntimeError(f"column excess sum {excess_sum} is not a multiple of 3")
     return n6
 
 
@@ -327,8 +330,16 @@ def census_from_partition(partition, L: int) -> CycleCensus:
 # starter cycles and activity in the lifted code
 
 
-def _col_block(c: int, kappa: int) -> int:
-    return c // kappa
+def _starters(spec: SCCodeSpec, find, width: int):
+    """(span, rows, cols) arrays of the cycles `find` lists in the maximal
+    window whose leftmost column lies in replica 1, in listing order; each
+    cycle has `width` rows and `width` columns."""
+    found = find(window(spec, 1, min(spec.m + 1, spec.L)))
+    cycles = np.array(found, dtype=np.int64).reshape(-1, 2, width)
+    rows, cols = cycles[:, 0], cycles[:, 1]
+    blocks = cols // spec.kappa
+    first = blocks.min(axis=1) == 0
+    return blocks.max(axis=1)[first] + 1, rows[first], cols[first]
 
 
 def starter_cycles6(spec: SCCodeSpec):
@@ -336,52 +347,38 @@ def starter_cycles6(spec: SCCodeSpec):
 
     Enumerated inside the maximal window (span limit min(m+1, L)); every
     other cycle of the coupled protograph is a replica shift of one of
-    these.  Returns (span, rows, cols) triples with window coordinates.
+    these.  Returns int64 arrays (span, rows, cols) of shapes (n,), (n, 3)
+    and (n, 3): window rows r1 < r2 < r3 and columns (c12, c13, c23).
     """
-    chi = min(spec.m + 1, spec.L)
-    win = window(spec, 1, chi)
-    out = []
-    for rows, cols in find_cycles6(win):
-        blocks = [_col_block(c, spec.kappa) for c in cols]
-        if min(blocks) != 0:
-            continue
-        out.append((max(blocks) + 1, rows, cols))
-    return out
+    return _starters(spec, find_cycles6, 3)
 
 
 def starter_cycles4(spec: SCCodeSpec):
-    """Protograph 4-cycles with leftmost column in replica 1, as (span, rows, cols)."""
-    chi = min(spec.m + 1, spec.L)
-    win = window(spec, 1, chi)
-    out = []
-    for rows, cols in find_cycles4(win):
-        blocks = [_col_block(c, spec.kappa) for c in cols]
-        if min(blocks) != 0:
-            continue
-        out.append((max(blocks) + 1, rows, cols))
-    return out
+    """Protograph 4-cycles with leftmost column in replica 1, as int64 arrays
+    (span, rows, cols) of shapes (n,), (n, 2) and (n, 2), both pairs
+    ascending."""
+    return _starters(spec, find_cycles4, 2)
 
 
-def cycle6_power_sum(spec: SCCodeSpec, rows, cols) -> int:
-    """Alternating power sum of a protograph 6-cycle, reduced mod p."""
-    f = spec.block.powers
-    g, kp = spec.gamma, spec.kappa
-    r1, r2, r3 = (r % g for r in rows)
-    c12, c13, c23 = (c % kp for c in cols)
-    s = (
-        f[r1, c13] - f[r1, c12]
-        + f[r2, c12] - f[r2, c23]
-        + f[r3, c23] - f[r3, c13]
-    )
-    return int(s % spec.p)
+def walk_cells(rows: np.ndarray, cols: np.ndarray):
+    """Window (row, column) indices of starter cycles' cells in alternating
+    walk order, each an (n, 6) array for 6-cycles or (n, 4) for 4-cycles.
+
+    A 6-cycle walks (r1,c13),(r1,c12),(r2,c12),(r2,c23),(r3,c23),(r3,c13)
+    and a 4-cycle (r1,c1),(r1,c2),(r2,c2),(r2,c1); the signed power sum
+    + - + - ... over these cells is 0 mod p exactly when the cycle is
+    active.
+    """
+    if rows.shape[1] == 3:
+        return rows[:, [0, 0, 1, 1, 2, 2]], cols[:, [1, 0, 0, 2, 2, 1]]
+    return rows[:, [0, 0, 1, 1]], cols[:, [0, 1, 1, 0]]
 
 
-def cycle4_power_sum(spec: SCCodeSpec, rows, cols) -> int:
-    f = spec.block.powers
-    g, kp = spec.gamma, spec.kappa
-    r1, r2 = (r % g for r in rows)
-    c1, c2 = (c % kp for c in cols)
-    return int((f[r1, c1] - f[r1, c2] + f[r2, c2] - f[r2, c1]) % spec.p)
+def _power_sums(spec: SCCodeSpec, rows: np.ndarray, cols: np.ndarray):
+    """Alternating power sums of starter cycles, reduced mod p."""
+    walk_rows, walk_cols = walk_cells(rows, cols)
+    f = spec.block.powers[walk_rows % spec.gamma, walk_cols % spec.kappa]
+    return (f[:, 0::2].sum(axis=1) - f[:, 1::2].sum(axis=1)) % spec.p
 
 
 @dataclass(frozen=True)
@@ -406,21 +403,17 @@ class ActiveCensus:
 def active_cycles6(spec: SCCodeSpec) -> ActiveCensus:
     """Classify starter 6-cycles by span and activity under the given powers."""
     chi = min(spec.m + 1, spec.L)
-    per_span = {k: 0 for k in range(1, chi + 1)}
-    active = {k: 0 for k in range(1, chi + 1)}
-    for k, rows, cols in starter_cycles6(spec):
-        per_span[k] += 1
-        if cycle6_power_sum(spec, rows, cols) == 0:
-            active[k] += 1
-    return ActiveCensus(spec.L, spec.p, per_span, active)
+    span, rows, cols = starter_cycles6(spec)
+    per_span = np.bincount(span, minlength=chi + 1)
+    active = np.bincount(span[_power_sums(spec, rows, cols) == 0],
+                         minlength=chi + 1)
+    return ActiveCensus(spec.L, spec.p,
+                        {k: int(per_span[k]) for k in range(1, chi + 1)},
+                        {k: int(active[k]) for k in range(1, chi + 1)})
 
 
 def count_lifted_cycles4(spec: SCCodeSpec) -> int:
     """Number of 4-cycles in the lifted coupled matrix, via starter activity."""
-    total = 0
-    for k, rows, cols in starter_cycles4(spec):
-        if k > spec.L:
-            continue
-        if cycle4_power_sum(spec, rows, cols) == 0:
-            total += (spec.L - k + 1) * spec.p
-    return total
+    span, rows, cols = starter_cycles4(spec)
+    span = span[_power_sums(spec, rows, cols) == 0]
+    return int(np.maximum(spec.L - span + 1, 0).sum()) * spec.p

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .code_model import PartitionMatrix, SCCodeSpec, ab_powers
-from .cycle_census import starter_cycles4, starter_cycles6
+from .cycle_census import starter_cycles4, starter_cycles6, walk_cells
 
 
 @dataclass(frozen=True)
@@ -123,29 +123,21 @@ class CycleSystem:
         self.gamma, self.kappa, self.m, self.L, self.p = g, kp, m, L, p
         self.window_cols = min(m + 1, L) * kp
 
-        six = starter_cycles6(spec)
-        res6 = np.zeros((len(six), 6), dtype=np.int64)
-        win6 = np.zeros((len(six), 6), dtype=np.int64)
-        span6 = np.zeros(len(six), dtype=np.int64)
-        for n, (k, (r1, r2, r3), (c12, c13, c23)) in enumerate(six):
-            walk = [(r1, c13), (r1, c12), (r2, c12), (r2, c23), (r3, c23), (r3, c13)]
-            res6[n] = [(r % g) * kp + (c % kp) for r, c in walk]
-            win6[n] = [r * self.window_cols + c for r, c in walk]
-            span6[n] = k
-        self.res6, self.win6, self.span6 = res6, win6, span6
+        span6, rows6, cols6 = starter_cycles6(spec)
+        walk_rows, walk_cols = walk_cells(rows6, cols6)
+        self.res6 = (walk_rows % g) * kp + walk_cols % kp
+        self.win6 = walk_rows * self.window_cols + walk_cols
+        self.span6 = span6
         self.weight6 = np.maximum(L - span6 + 1, 0) * p
         self.copies6 = m - span6 + 2
         self.wk6 = (m + 1) / np.maximum(self.copies6, 1)
 
-        four = starter_cycles4(spec)
-        res4 = np.zeros((len(four), 4), dtype=np.int64)
-        for n, (k, (r1, r2), (c1, c2)) in enumerate(four):
-            walk = [(r1, c1), (r1, c2), (r2, c2), (r2, c1)]
-            res4[n] = [(r % g) * kp + (c % kp) for r, c in walk]
-        self.res4 = res4
+        _, rows4, cols4 = starter_cycles4(spec)
+        walk_rows, walk_cols = walk_cells(rows4, cols4)
+        self.res4 = (walk_rows % g) * kp + walk_cols % kp
 
-        self.cell_to_6 = _cycles_by_cell(res6, g * kp)
-        self.cell_to_4 = _cycles_by_cell(res4, g * kp)
+        self.cell_to_6 = _cycles_by_cell(self.res6, g * kp)
+        self.cell_to_4 = _cycles_by_cell(self.res4, g * kp)
 
     def sums6(self, f_flat: np.ndarray) -> np.ndarray:
         return (f_flat[self.res6] * _SIGNS6).sum(axis=1)

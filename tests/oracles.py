@@ -60,6 +60,88 @@ def lifted_cycles4(spec) -> int:
     return brute_cycles4(sc_lift(spec))
 
 
+def starter_tuples(spec, find):
+    """Cycles listed by `find` (find_cycles6 or find_cycles4) in the maximal
+    window whose leftmost column lies in replica 1, one (span, rows, cols)
+    tuple each, in listing order."""
+    chi = min(spec.m + 1, spec.L)
+    out = []
+    for rows, cols in find(window(spec, 1, chi)):
+        blocks = [c // spec.kappa for c in cols]
+        if min(blocks) == 0:
+            out.append((max(blocks) + 1, rows, cols))
+    return out
+
+
+def cycle6_power_sum(spec, rows, cols) -> int:
+    """Alternating power sum of a protograph 6-cycle, reduced mod p."""
+    f = spec.block.powers
+    g, kp = spec.gamma, spec.kappa
+    r1, r2, r3 = (r % g for r in rows)
+    c12, c13, c23 = (c % kp for c in cols)
+    s = (
+        f[r1, c13] - f[r1, c12]
+        + f[r2, c12] - f[r2, c23]
+        + f[r3, c23] - f[r3, c13]
+    )
+    return int(s % spec.p)
+
+
+def cycle4_power_sum(spec, rows, cols) -> int:
+    f = spec.block.powers
+    g, kp = spec.gamma, spec.kappa
+    r1, r2 = (r % g for r in rows)
+    c1, c2 = (c % kp for c in cols)
+    return int((f[r1, c1] - f[r1, c2] + f[r2, c2] - f[r2, c1]) % spec.p)
+
+
+def tuple_active_cycles6(spec):
+    """(per_span, active_per_span) of the starter 6-cycles, one cycle at a
+    time."""
+    chi = min(spec.m + 1, spec.L)
+    per_span = {k: 0 for k in range(1, chi + 1)}
+    active = {k: 0 for k in range(1, chi + 1)}
+    for k, rows, cols in starter_tuples(spec, find_cycles6):
+        per_span[k] += 1
+        if cycle6_power_sum(spec, rows, cols) == 0:
+            active[k] += 1
+    return per_span, active
+
+
+def tuple_lifted_cycles4(spec) -> int:
+    """Lifted 4-cycles via starter activity, one cycle at a time."""
+    total = 0
+    for k, rows, cols in starter_tuples(spec, find_cycles4):
+        if k > spec.L:
+            continue
+        if cycle4_power_sum(spec, rows, cols) == 0:
+            total += (spec.L - k + 1) * spec.p
+    return total
+
+
+def tuple_cycle_arrays(spec):
+    """(res6, win6, span6, res4) of power_opt.CycleSystem, filled one
+    starter tuple at a time: residue cells and window cells in alternating
+    walk order, and each 6-cycle's span."""
+    g, kp = spec.gamma, spec.kappa
+    window_cols = min(spec.m + 1, spec.L) * kp
+    six = starter_tuples(spec, find_cycles6)
+    four = starter_tuples(spec, find_cycles4)
+    res6 = np.zeros((len(six), 6), dtype=np.int64)
+    win6 = np.zeros((len(six), 6), dtype=np.int64)
+    span6 = np.zeros(len(six), dtype=np.int64)
+    for n, (k, (r1, r2, r3), (c12, c13, c23)) in enumerate(six):
+        walk = [(r1, c13), (r1, c12), (r2, c12), (r2, c23), (r3, c23), (r3, c13)]
+        res6[n] = [(r % g) * kp + (c % kp) for r, c in walk]
+        win6[n] = [r * window_cols + c for r, c in walk]
+        span6[n] = k
+    res4 = np.zeros((len(four), 4), dtype=np.int64)
+    for n, (k, (r1, r2), (c1, c2)) in enumerate(four):
+        walk = [(r1, c1), (r1, c2), (r2, c2), (r2, c1)]
+        res4[n] = [(r % g) * kp + (c % kp) for r, c in walk]
+    return res6, win6, span6, res4
+
+
 def dense_candidate_scores(system, f_flat, subset, p) -> np.ndarray:
     """Lifted 6-cycle count after each joint power assignment of `subset`.
 

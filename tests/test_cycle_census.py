@@ -11,13 +11,16 @@ from scldpc.code_model import (CirculantBlockCode, ColumnLists,
 from scldpc.cycle_census import (active_cycles6, census_from_partition,
                                  census_protograph, count_cycles4,
                                  count_cycles6, count_lifted_cycles4,
-                                 count_span, cycle6_power_sum,
-                                 cycles6_one_replica, cycles6_three_replicas,
-                                 cycles6_two_replicas, find_cycles6,
-                                 span_terms, starter_cycles6)
+                                 count_span, cycles6_one_replica,
+                                 cycles6_three_replicas, cycles6_two_replicas,
+                                 find_cycles6, span_terms, starter_cycles4,
+                                 starter_cycles6)
 from scldpc.overlaps import overlaps_from_partition
-from oracles import (brute_cycles4, brute_cycles6, lifted_cycles4,
-                     lifted_cycles6, protograph_cycles6, random_partition)
+from scldpc.power_opt import CycleSystem
+from oracles import (brute_cycles4, brute_cycles6, cycle6_power_sum,
+                     lifted_cycles4, lifted_cycles6, protograph_cycles6,
+                     random_partition, starter_tuples, tuple_active_cycles6,
+                     tuple_cycle_arrays, tuple_lifted_cycles4)
 
 
 def test_direct_count_all_ones():
@@ -87,9 +90,12 @@ def test_direct_counts_match_brute_force(monkeypatch):
 @pytest.mark.parametrize("table, message", [
     # pair (0, 1) claims more shared columns than its columns can hold
     ((np.array([1]), np.array([5]), np.array([10])), "negative"),
-    # unsorted pair keys close only one corner of the triangle {0, 1, 2}
+    # unsorted pair keys would hide the triangle {0, 1, 2} from its lookup
     ((np.array([5, 1, 2]), np.ones(3, dtype=np.int64),
-      np.zeros(3, dtype=np.int64)), "multiple of 3"),
+      np.zeros(3, dtype=np.int64)), "strictly increasing"),
+    # the triangle {0, 1, 2} with an excess no set of columns can give
+    ((np.array([1, 2, 5]), np.ones(3, dtype=np.int64),
+      np.array([1, 0, 0])), "multiple of 3"),
 ])
 def test_count_cycles6_invariant_breaks_raise(monkeypatch, table, message):
     monkeypatch.setattr(cycle_census, "_row_pair_overlaps", lambda h: table)
@@ -149,11 +155,9 @@ def test_count_span_matches_bruteforce_starters():
         L = m + 3
         spec = SCCodeSpec(ab_code(g, k, 5), part, L)
         ov = overlaps_from_partition(part)
-        per_span = {}
-        for kk, rows, cols in starter_cycles6(spec):
-            per_span[kk] = per_span.get(kk, 0) + 1
+        per_span = np.bincount(starter_cycles6(spec)[0], minlength=m + 2)
         for kk in range(1, min(m + 1, L) + 1):
-            assert count_span(ov, kk) == per_span.get(kk, 0)
+            assert count_span(ov, kk) == per_span[kk]
 
 
 def test_protograph_census_equals_bruteforce():
@@ -210,20 +214,55 @@ def test_power_sum_walk_signs():
     part = partition_from_cutting_vector((1, 3, 4), 3, 5)
     spec = SCCodeSpec(ab_code(3, 5, 7), part, 4)
     f = spec.block.powers
-    for _, rows, cols in starter_cycles6(spec)[:20]:
-        r1, r2, r3 = (r % 3 for r in rows)
-        c12, c13, c23 = (c % 5 for c in cols)
+    _, rows, cols = starter_cycles6(spec)
+    rows, cols = rows[:20], cols[:20]
+    sums = cycle_census._power_sums(spec, rows, cols)
+    assert len(sums) == 20
+    for n in range(20):
+        r1, r2, r3 = (int(r) % 3 for r in rows[n])
+        c12, c13, c23 = (int(c) % 5 for c in cols[n])
         manual = (f[r1, c13] - f[r1, c12] + f[r2, c12] - f[r2, c23]
                   + f[r3, c23] - f[r3, c13]) % 7
-        assert cycle6_power_sum(spec, rows, cols) == manual
+        assert cycle6_power_sum(spec, rows[n], cols[n]) == manual
+        assert sums[n] == manual
 
 
 def test_starters_begin_in_first_replica():
     part = random_partition(np.random.default_rng(7), 3, 5, 2)
     spec = SCCodeSpec(ab_code(3, 5, 5), part, 6)
-    for kk, rows, cols in starter_cycles6(spec):
-        assert min(c // 5 for c in cols) == 0
-        assert kk == max(c // 5 for c in cols) + 1
+    span, rows, cols = starter_cycles6(spec)
+    assert len(span) > 0
+    assert span.shape + (3,) == rows.shape == cols.shape
+    assert (cols // 5).min(axis=1).tolist() == [0] * len(span)
+    assert (span == (cols // 5).max(axis=1) + 1).all()
+
+
+def test_starter_arrays_match_tuple_oracle():
+    rng = np.random.default_rng(9)
+    short = 0
+    for _ in range(220):
+        g, k = int(rng.integers(2, 5)), int(rng.integers(2, 8))
+        m, L = int(rng.integers(0, 3)), int(rng.integers(1, 6))
+        p = int(rng.choice((1, 4, 5, 7)))
+        short += L < m + 1
+        code = CirculantBlockCode(g, k, p, rng.integers(0, p, size=(g, k)))
+        spec = SCCodeSpec(code, random_partition(rng, g, k, m), L)
+        act = active_cycles6(spec)
+        assert (act.per_span, act.active_per_span) == tuple_active_cycles6(spec)
+        assert count_lifted_cycles4(spec) == tuple_lifted_cycles4(spec)
+        span, rows, cols = starter_cycles6(spec)
+        want = starter_tuples(spec, find_cycles6)
+        assert span.tolist() == [kk for kk, _, _ in want]
+        assert rows.tolist() == [list(r) for _, r, _ in want]
+        assert cols.tolist() == [list(c) for _, _, c in want]
+        assert starter_cycles4(spec)[1].shape[1:] == (2,)
+        system = CycleSystem(spec)
+        for got, expect in zip((system.res6, system.win6, system.span6,
+                                system.res4), tuple_cycle_arrays(spec)):
+            assert got.dtype == np.int64
+            assert got.shape == expect.shape
+            assert (got == expect).all()
+    assert short > 20
 
 
 def test_census_protograph_from_overlaps_matches_partition_route():
