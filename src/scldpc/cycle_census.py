@@ -20,9 +20,12 @@ Counts in the coupled protograph decompose by the replica where a cycle's
 leftmost column sits and by its span k (number of consecutive replicas its
 columns touch).  The count of span-k cycles starting in a replica does not
 depend on the replica, so the total is sum_k (L-k+1) * F1[k], and F1[k] is
-a polynomial in the column-overlap parameters of the partition, assembled
-here from three combinatorial kernels (one per way of distributing the
-cycle's columns over one, two, or three replicas).
+a polynomial in the column-overlap parameters of the partition.  Both come
+from one weight on 6-cycle shapes: a shape gives the components of a
+cycle's three columns at their two rows, which alone decide whether the
+cycle closes and its span.  Contracting the weight with the pair overlaps,
+less the same inclusion-exclusion over coinciding columns as above, gives
+the count for any gamma and memory m (`ShapeCount`).
 
 Lifting replaces each protograph 1 by a p x p circulant sigma**f.  A
 protograph cycle walks cells (h1,l1),(h1,l2),(h2,l2),(h2,l3),(h3,l3),
@@ -39,6 +42,7 @@ bincount.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,109 +201,99 @@ def find_cycles4(h: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# closed-form protograph census
-
-def _pos(x):
-    return x if x > 0 else 0
+# closed-form protograph census: one weight on 6-cycle shapes
 
 
-def cycles6_one_replica(n_abc, n_ab, n_ac, n_bc):
-    """6-cycles through three rows whose columns all lie in one column group.
+def shape_spans(m: int) -> np.ndarray:
+    """Span of every 6-cycle shape, 0 for a shape that does not close.
 
-    Arguments are the triple overlap and the three pairwise overlaps of the
-    rows over that group's columns.  Case split on how many of the chosen
-    columns are triple-overlap columns keeps every product nonnegative.
+    A 6-cycle of the coupled protograph has rows of distinct residues
+    j1 < j2 < j3 and columns c12 (rows j1, j2), c13 (j1, j3), c23 (j2, j3).
+    A column enters only through its components at its two rows, so a shape
+    is u = (x1, x2), v = (y1, y3), w = (z2, z3), each pair flattened to
+    a*(m+1) + b.  With c12 in replica 0, c13 sits in s13 = x1 - y1 and c23
+    in s23 = x2 - z2; the walk closes iff s13 + y3 - s23 == z3, and the span
+    is max(0, s13, s23) - min(0, s13, s23) + 1.  Returns a
+    ((m+1)**2, (m+1)**2, (m+1)**2) array indexed [u, v, w].
     """
-    return (
-        n_abc * _pos(n_abc - 1) * _pos(n_bc - 2)
-        + n_abc * (n_ac - n_abc) * _pos(n_bc - 1)
-        + (n_ab - n_abc) * n_abc * _pos(n_bc - 1)
-        + (n_ab - n_abc) * (n_ac - n_abc) * n_bc
-    )
+    q = np.arange(m + 1)
+    x1, x2, y1, y3, z2, z3 = np.meshgrid(q, q, q, q, q, q, indexing="ij",
+                                         sparse=True)
+    s13, s23 = x1 - y1, x2 - z2
+    span = (np.maximum(np.maximum(s13, s23), 0)
+            - np.minimum(np.minimum(s13, s23), 0) + 1)
+    side = (m + 1) ** 2
+    return np.where(s13 + y3 - s23 == z3, span, 0).reshape(side, side, side)
 
 
-def cycles6_two_replicas(n_abc, n_ab, n_ac, n_far):
-    """6-cycles with two columns in one group and the third in another.
+def shape_weight(m: int, L: int) -> np.ndarray:
+    """Placements of each shape among L replicas: max(L - span + 1, 0) for a
+    closed shape, else 0."""
+    span = shape_spans(m)
+    return np.where(span > 0, np.maximum(L - span + 1, 0), 0)
 
-    n_ab, n_ac, n_abc describe the shared group (through row a and the pair
-    b, c); n_far is the overlap of b and c over the second group, whose
-    column can never collide with the first two.
+
+def shape_row_sets(gamma: int, m: int):
+    """Row sets of the stacked component matrix whose overlaps a shape count
+    reads: per residue triple j1 < j2 < j3, the pair (j1, j2) over every u,
+    (j1, j3) over every v, (j2, j3) over every w, then the triple over
+    every (x1, x2, x3), components row-major."""
+    comps = range(m + 1)
+    sets = []
+    for js in itertools.combinations(range(gamma), 3):
+        for a, b in ((0, 1), (0, 2), (1, 2)):
+            sets += [(x * gamma + js[a], y * gamma + js[b])
+                     for x, y in itertools.product(comps, repeat=2)]
+        sets += [tuple(x * gamma + j for x, j in zip(xs, js))
+                 for xs in itertools.product(comps, repeat=3)]
+    return sets
+
+
+class ShapeCount:
+    """6-cycles under one weight on shapes, from the overlaps of one residue
+    triple laid out as a block of shape_row_sets.
+
+    Pair overlaps N12[u], N13[v], N23[w] count the base columns that can sit
+    at each position, so sum K[u,v,w] N12[u] N13[v] N23[w] counts column
+    triples with repeats.  Two columns coincide when they share a replica
+    and a base column, which then covers all three rows with components x;
+    inclusion-exclusion (as in count_cycles6) subtracts each coinciding
+    pair, the triple overlap N123[x] against the third pair count, and adds
+    back twice the triples where all three coincide.
     """
-    return n_abc * _pos(n_ac - 1) * n_far + (n_ab - n_abc) * n_ac * n_far
 
+    def __init__(self, weight: np.ndarray):
+        side = weight.shape[0]
+        comps = math.isqrt(side)
+        x1, x2, x3 = np.unravel_index(np.arange(comps ** 3), (comps,) * 3)
+        u, v, w = x1 * comps + x2, x1 * comps + x3, x2 * comps + x3
+        self.side, self.width = side, 3 * side + comps ** 3
+        self.pairs = weight.reshape(side * side, side)
+        # by triple components x: c12 = c13, c12 = c23, c13 = c23
+        self.coincide = np.concatenate(
+            [weight[u, v, :], weight[u, :, w], weight[:, v, w].T], axis=1)
+        self.diagonal = weight[u, v, w]
 
-def cycles6_three_replicas(n_ab, n_ac, n_bc):
-    """6-cycles whose three columns sit in three distinct column groups."""
-    return n_ab * n_ac * n_bc
-
-
-def span_terms(gamma: int, m: int, k: int):
-    """Symbolic summands of the span-k starter count F1[k].
-
-    Each term is a kernel tag plus row-set keys to look up in a completed
-    overlap table.  Row indices of the stacked component matrix are shifted
-    so that every key lands back in [0, (m+1)*gamma); sets with repeated
-    residues contribute 0 and are skipped at evaluation time.
-    """
-    g, rows = gamma, range((m + 1) * gamma)
-    terms = []
-    if k == 1:
-        for i1, i2, i3 in itertools.combinations(rows, 3):
-            terms.append(
-                ("A", (i1, i2, i3), (i1, i2), (i1, i3), (i2, i3))
-            )
-        return terms
-    if k == 2:
-        for i1 in rows:
-            for i2, i3 in itertools.combinations(range(g, (m + 1) * g), 2):
-                terms.append(
-                    ("B", (i1, i2, i3), (i1, i2), (i1, i3), (i2 - g, i3 - g))
-                )
-            for i2, i3 in itertools.combinations(range(m * g), 2):
-                terms.append(
-                    ("B", (i1, i2, i3), (i1, i2), (i1, i3), (i2 + g, i3 + g))
-                )
-        return terms
-    # k >= 3: far pair fully left, fully right, or split by a middle replica q
-    for i1 in rows:
-        for i2, i3 in itertools.combinations(range((k - 1) * g, (m + 1) * g), 2):
-            terms.append(
-                ("B", (i1, i2, i3), (i1, i2), (i1, i3),
-                 (i2 - (k - 1) * g, i3 - (k - 1) * g))
-            )
-        for i2, i3 in itertools.combinations(range((m - k + 2) * g), 2):
-            terms.append(
-                ("B", (i1, i2, i3), (i1, i2), (i1, i3),
-                 (i2 + (k - 1) * g, i3 + (k - 1) * g))
-            )
-    for q in range(2, k):
-        for i1 in range((q - 1) * g, (m + 1) * g):
-            for i2 in range((k - 1) * g, (m + 1) * g):
-                for i3 in range((k - 1) * g, (m + q) * g):
-                    terms.append(
-                        ("C", (i1, i2),
-                         (i1 - (q - 1) * g, i3 - (q - 1) * g),
-                         (i2 - (k - 1) * g, i3 - (k - 1) * g))
-                    )
-    return terms
-
-
-def _eval_term(term, ov: OverlapSet) -> int:
-    if term[0] == "A":
-        _, abc, ab, ac, bc = term
-        return cycles6_one_replica(ov.get(abc), ov.get(ab), ov.get(ac), ov.get(bc))
-    if term[0] == "B":
-        _, abc, ab, ac, far = term
-        return cycles6_two_replicas(ov.get(abc), ov.get(ab), ov.get(ac), ov.get(far))
-    _, ab, ac, bc = term
-    return cycles6_three_replicas(ov.get(ab), ov.get(ac), ov.get(bc))
+    def __call__(self, n: np.ndarray) -> np.ndarray:
+        """Count for each row of overlaps, shape (rows, width)."""
+        side = self.side
+        p12, p13, p23, t = np.split(n, [side, 2 * side, 3 * side], axis=1)
+        both = (p12[:, :, None] * p13[:, None, :]).reshape(len(n), side * side)
+        one = t @ self.coincide
+        return (np.einsum("ij,ij->i", both @ self.pairs - one[:, :side], p23)
+                - np.einsum("ij,ij->i", one[:, side:2 * side], p13)
+                - np.einsum("ij,ij->i", one[:, 2 * side:], p12)
+                + 2 * (t @ self.diagonal))
 
 
 def count_span(ov: OverlapSet, k: int) -> int:
     """Closed-form F1[k]: span-k 6-cycles starting in a fixed replica."""
     if k < 1 or k > ov.m + 1:
         raise ValueError(f"span {k} outside [1, {ov.m + 1}]")
-    return sum(_eval_term(t, ov) for t in span_terms(ov.gamma, ov.m, k))
+    count = ShapeCount((shape_spans(ov.m) == k).astype(np.int64))
+    n = np.array([ov.get(s) for s in shape_row_sets(ov.gamma, ov.m)],
+                 dtype=np.int64)
+    return int(count(n.reshape(-1, count.width)).sum())
 
 
 @dataclass(frozen=True)
@@ -318,6 +312,8 @@ class CycleCensus:
 
 def census_protograph(ov: OverlapSet, L: int) -> CycleCensus:
     """Closed-form 6-cycle census of the coupled protograph with L replicas."""
+    if L < 1:
+        raise ValueError(f"L must be >= 1, got {L}")
     spans = range(1, min(ov.m + 1, L) + 1)
     return CycleCensus(L, {k: count_span(ov, k) for k in spans})
 

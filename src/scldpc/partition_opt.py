@@ -7,10 +7,11 @@ pattern.  Pattern counts are the natural search space because feasibility
 is just nonnegativity plus the column budget, and the balance constraint
 (each component receives roughly kappa*gamma/(m+1) circulants) is linear.
 
-Three strategies share one vectorized evaluator.  Exhaustive search and
-branch-and-bound also share one block expander, `_balanced_blocks`, which
-emits the balanced compositions in lexicographic order, about `batch` rows
-at a time.  Exhaustive search scores every one (certifies optimality).
+Three strategies share one vectorized evaluator: the census's shape count
+(`cycle_census.ShapeCount`) over overlaps linear in the pattern counts.
+Exhaustive search and branch-and-bound also share one block expander,
+`_balanced_blocks`, which emits the balanced compositions in lexicographic
+order, about `batch` rows at a time.  Exhaustive search scores every one (certifies optimality).
 Branch-and-bound prunes each new frontier of partial count vectors whose
 census already exceeds the incumbent (adding a column never removes
 cycles); its `evaluated` counts the incumbent's local-search rows, the
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cycle_census import span_terms
+from .cycle_census import ShapeCount, shape_row_sets, shape_weight
 from .overlaps import (
     IndependentOverlaps,
     PatternCounts,
@@ -72,68 +73,26 @@ class Optimum:
 
 
 class _Evaluator:
-    """Batched census evaluation over pattern-count vectors."""
+    """Batched census evaluation over pattern-count vectors.
+
+    A batch's overlaps are linear in its pattern counts (`cover_matrix`), so
+    one product gives every residue triple's shape overlaps; the triples are
+    folded into the row axis and share one shape weight.
+    """
 
     def __init__(self, gamma: int, m: int, L: int):
-        self.gamma, self.m, self.L = gamma, m, L
-        ind = independent_overlap_sets(gamma, m)
-        needed = list(ind)
-        seen = set(needed)
-        compiled = []
-        for k in range(1, min(m + 1, L) + 1):
-            weight = L - k + 1
-            for term in span_terms(gamma, m, k):
-                keys = [tuple(sorted(s)) for s in term[1:]]
-                ok = all(
-                    len({r % gamma for r in s}) == len(s) for s in keys
-                )
-                if not ok:
-                    continue  # repeated residue: overlap is identically 0
-                for s in keys:
-                    if s not in seen:
-                        seen.add(s)
-                        needed.append(s)
-                compiled.append((term[0], weight, keys))
-        self.n_ind = len(ind)
-        self.index = {s: i for i, s in enumerate(needed)}
-        self.cover = cover_matrix(gamma, m, needed)
-        kinds = {"A": [], "B": [], "C": []}
-        for kind, weight, keys in compiled:
-            kinds[kind].append([weight] + [self.index[s] for s in keys])
-        self.terms_a = np.array(kinds["A"], dtype=np.int64).reshape(-1, 5)
-        self.terms_b = np.array(kinds["B"], dtype=np.int64).reshape(-1, 5)
-        self.terms_c = np.array(kinds["C"], dtype=np.int64).reshape(-1, 4)
-
-    def overlap_rows(self, batch: np.ndarray) -> np.ndarray:
-        return batch @ self.cover.T
+        self.triples = math.comb(gamma, 3)
+        self.independent = cover_matrix(gamma, m, independent_overlap_sets(gamma, m))
+        self.cover = cover_matrix(gamma, m, shape_row_sets(gamma, m))
+        self.count = ShapeCount(shape_weight(m, L))
 
     def objective(self, batch: np.ndarray) -> np.ndarray:
         """Weighted 6-cycle total for each pattern-count row of the batch."""
-        t = self.overlap_rows(batch)
-        out = np.zeros(len(batch), dtype=np.int64)
-        if len(self.terms_a):
-            w, abc, ab, ac, bc = self.terms_a.T
-            t123, t12, t13, t23 = t[:, abc], t[:, ab], t[:, ac], t[:, bc]
-            val = (
-                t123 * np.maximum(t123 - 1, 0) * np.maximum(t23 - 2, 0)
-                + t123 * (t13 - t123) * np.maximum(t23 - 1, 0)
-                + (t12 - t123) * t123 * np.maximum(t23 - 1, 0)
-                + (t12 - t123) * (t13 - t123) * t23
-            )
-            out += val @ w
-        if len(self.terms_b):
-            w, abc, ab, ac, far = self.terms_b.T
-            t123, t12, t13, tf = t[:, abc], t[:, ab], t[:, ac], t[:, far]
-            val = t123 * np.maximum(t13 - 1, 0) * tf + (t12 - t123) * t13 * tf
-            out += val @ w
-        if len(self.terms_c):
-            w, ab, ac, bc = self.terms_c.T
-            out += (t[:, ab] * t[:, ac] * t[:, bc]) @ w
-        return out
+        n = (batch @ self.cover.T).reshape(-1, self.count.width)
+        return self.count(n).reshape(len(batch), self.triples).sum(axis=1)
 
     def independent_values(self, n: np.ndarray) -> tuple:
-        row = self.overlap_rows(n.reshape(1, -1))[0]
-        return tuple(int(v) for v in row[: self.n_ind])
+        return tuple(int(v) for v in self.independent @ n)
 
 
 def balance_bounds(gamma: int, kappa: int, m: int, slack: int):
@@ -364,6 +323,9 @@ def optimize(gamma: int, kappa: int, m: int, L: int,
     global optimum over the balanced region; local search reports its best
     visited point.  Deterministic for a fixed (config, seed).
     """
+    if gamma < 1 or kappa < 1 or m < 0 or L < 1:
+        raise ValueError(f"need gamma, kappa, L >= 1 and m >= 0, got gamma={gamma}, "
+                         f"kappa={kappa}, m={m}, L={L}")
     ev = _Evaluator(gamma, m, L)
     loads = _component_loads(gamma, m)
     lo, hi = balance_bounds(gamma, kappa, m, config.balance_slack)

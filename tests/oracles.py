@@ -13,6 +13,7 @@ import numpy as np
 
 from scldpc.code_model import PartitionMatrix, sc_lift, sc_protograph, window
 from scldpc.cycle_census import CycleCensus, find_cycles4, find_cycles6
+from scldpc.overlaps import OverlapSet, cover_matrix, independent_overlap_sets
 from scldpc.partition_opt import OptimizerConfig, _random_balanced
 from scldpc.trapping_sets import (MAX_SUBSET_SIZE, MAX_WINDOW_COLUMNS,
                                   replica_span)
@@ -140,6 +141,167 @@ def tuple_cycle_arrays(spec):
         walk = [(r1, c1), (r1, c2), (r2, c2), (r2, c1)]
         res4[n] = [(r % g) * kp + (c % kp) for r, c in walk]
     return res6, win6, span6, res4
+
+
+# ---------------------------------------------------------------------------
+# the paper's closed form: three combinatorial kernels, one per way of
+# distributing a cycle's columns over one, two or three replicas
+
+
+def _pos(x):
+    return x if x > 0 else 0
+
+
+def cycles6_one_replica(n_abc, n_ab, n_ac, n_bc):
+    """6-cycles through three rows whose columns all lie in one column group.
+
+    Arguments are the triple overlap and the three pairwise overlaps of the
+    rows over that group's columns.  Case split on how many of the chosen
+    columns are triple-overlap columns keeps every product nonnegative.
+    """
+    return (
+        n_abc * _pos(n_abc - 1) * _pos(n_bc - 2)
+        + n_abc * (n_ac - n_abc) * _pos(n_bc - 1)
+        + (n_ab - n_abc) * n_abc * _pos(n_bc - 1)
+        + (n_ab - n_abc) * (n_ac - n_abc) * n_bc
+    )
+
+
+def cycles6_two_replicas(n_abc, n_ab, n_ac, n_far):
+    """6-cycles with two columns in one group and the third in another.
+
+    n_ab, n_ac, n_abc describe the shared group (through row a and the pair
+    b, c); n_far is the overlap of b and c over the second group, whose
+    column can never collide with the first two.
+    """
+    return n_abc * _pos(n_ac - 1) * n_far + (n_ab - n_abc) * n_ac * n_far
+
+
+def cycles6_three_replicas(n_ab, n_ac, n_bc):
+    """6-cycles whose three columns sit in three distinct column groups."""
+    return n_ab * n_ac * n_bc
+
+
+def span_terms(gamma: int, m: int, k: int):
+    """Symbolic summands of the span-k starter count F1[k].
+
+    Each term is a kernel tag plus row-set keys to look up in a completed
+    overlap table.  Row indices of the stacked component matrix are shifted
+    so that every key lands back in [0, (m+1)*gamma); sets with repeated
+    residues contribute 0 and are skipped at evaluation time.
+    """
+    g, rows = gamma, range((m + 1) * gamma)
+    terms = []
+    if k == 1:
+        for i1, i2, i3 in itertools.combinations(rows, 3):
+            terms.append(
+                ("A", (i1, i2, i3), (i1, i2), (i1, i3), (i2, i3))
+            )
+        return terms
+    if k == 2:
+        for i1 in rows:
+            for i2, i3 in itertools.combinations(range(g, (m + 1) * g), 2):
+                terms.append(
+                    ("B", (i1, i2, i3), (i1, i2), (i1, i3), (i2 - g, i3 - g))
+                )
+            for i2, i3 in itertools.combinations(range(m * g), 2):
+                terms.append(
+                    ("B", (i1, i2, i3), (i1, i2), (i1, i3), (i2 + g, i3 + g))
+                )
+        return terms
+    # k >= 3: far pair fully left, fully right, or split by a middle replica q
+    for i1 in rows:
+        for i2, i3 in itertools.combinations(range((k - 1) * g, (m + 1) * g), 2):
+            terms.append(
+                ("B", (i1, i2, i3), (i1, i2), (i1, i3),
+                 (i2 - (k - 1) * g, i3 - (k - 1) * g))
+            )
+        for i2, i3 in itertools.combinations(range((m - k + 2) * g), 2):
+            terms.append(
+                ("B", (i1, i2, i3), (i1, i2), (i1, i3),
+                 (i2 + (k - 1) * g, i3 + (k - 1) * g))
+            )
+    for q in range(2, k):
+        for i1 in range((q - 1) * g, (m + 1) * g):
+            for i2 in range((k - 1) * g, (m + 1) * g):
+                for i3 in range((k - 1) * g, (m + q) * g):
+                    terms.append(
+                        ("C", (i1, i2),
+                         (i1 - (q - 1) * g, i3 - (q - 1) * g),
+                         (i2 - (k - 1) * g, i3 - (k - 1) * g))
+                    )
+    return terms
+
+
+def _eval_term(term, ov: OverlapSet) -> int:
+    if term[0] == "A":
+        _, abc, ab, ac, bc = term
+        return cycles6_one_replica(ov.get(abc), ov.get(ab), ov.get(ac), ov.get(bc))
+    if term[0] == "B":
+        _, abc, ab, ac, far = term
+        return cycles6_two_replicas(ov.get(abc), ov.get(ab), ov.get(ac), ov.get(far))
+    _, ab, ac, bc = term
+    return cycles6_three_replicas(ov.get(ab), ov.get(ac), ov.get(bc))
+
+
+def kernel_count_span(ov: OverlapSet, k: int) -> int:
+    """Closed-form F1[k]: span-k 6-cycles starting in a fixed replica."""
+    if k < 1 or k > ov.m + 1:
+        raise ValueError(f"span {k} outside [1, {ov.m + 1}]")
+    return sum(_eval_term(t, ov) for t in span_terms(ov.gamma, ov.m, k))
+
+
+def kernel_objective(gamma: int, m: int, L: int, batch: np.ndarray) -> np.ndarray:
+    """Weighted 6-cycle total for each pattern-count row of the batch, by
+    the three kernels compiled over span_terms and vectorized over rows."""
+    ind = independent_overlap_sets(gamma, m)
+    needed = list(ind)
+    seen = set(needed)
+    compiled = []
+    for k in range(1, min(m + 1, L) + 1):
+        weight = L - k + 1
+        for term in span_terms(gamma, m, k):
+            keys = [tuple(sorted(s)) for s in term[1:]]
+            ok = all(
+                len({r % gamma for r in s}) == len(s) for s in keys
+            )
+            if not ok:
+                continue  # repeated residue: overlap is identically 0
+            for s in keys:
+                if s not in seen:
+                    seen.add(s)
+                    needed.append(s)
+            compiled.append((term[0], weight, keys))
+    index = {s: i for i, s in enumerate(needed)}
+    cover = cover_matrix(gamma, m, needed)
+    kinds = {"A": [], "B": [], "C": []}
+    for kind, weight, keys in compiled:
+        kinds[kind].append([weight] + [index[s] for s in keys])
+    terms_a = np.array(kinds["A"], dtype=np.int64).reshape(-1, 5)
+    terms_b = np.array(kinds["B"], dtype=np.int64).reshape(-1, 5)
+    terms_c = np.array(kinds["C"], dtype=np.int64).reshape(-1, 4)
+
+    t = batch @ cover.T
+    out = np.zeros(len(batch), dtype=np.int64)
+    if len(terms_a):
+        w, abc, ab, ac, bc = terms_a.T
+        t123, t12, t13, t23 = t[:, abc], t[:, ab], t[:, ac], t[:, bc]
+        val = (
+            t123 * np.maximum(t123 - 1, 0) * np.maximum(t23 - 2, 0)
+            + t123 * (t13 - t123) * np.maximum(t23 - 1, 0)
+            + (t12 - t123) * t123 * np.maximum(t23 - 1, 0)
+            + (t12 - t123) * (t13 - t123) * t23
+        )
+        out += val @ w
+    if len(terms_b):
+        w, abc, ab, ac, far = terms_b.T
+        t123, t12, t13, tf = t[:, abc], t[:, ab], t[:, ac], t[:, far]
+        val = t123 * np.maximum(t13 - 1, 0) * tf + (t12 - t123) * t13 * tf
+        out += val @ w
+    if len(terms_c):
+        w, ab, ac, bc = terms_c.T
+        out += (t[:, ab] * t[:, ac] * t[:, bc]) @ w
+    return out
 
 
 def dense_candidate_scores(system, f_flat, subset, p) -> np.ndarray:

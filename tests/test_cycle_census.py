@@ -11,16 +11,18 @@ from scldpc.code_model import (CirculantBlockCode, ColumnLists,
 from scldpc.cycle_census import (active_cycles6, census_from_partition,
                                  census_protograph, count_cycles4,
                                  count_cycles6, count_lifted_cycles4,
-                                 count_span, cycles6_one_replica,
-                                 cycles6_three_replicas, cycles6_two_replicas,
-                                 find_cycles6, span_terms, starter_cycles4,
+                                 count_span, find_cycles6, starter_cycles4,
                                  starter_cycles6)
 from scldpc.overlaps import overlaps_from_partition
+from scldpc.partition_opt import _Evaluator
 from scldpc.power_opt import CycleSystem
 from oracles import (brute_cycles4, brute_cycles6, cycle6_power_sum,
-                     lifted_cycles4, lifted_cycles6, protograph_cycles6,
-                     random_partition, starter_tuples, tuple_active_cycles6,
-                     tuple_cycle_arrays, tuple_lifted_cycles4)
+                     cycles6_one_replica, cycles6_three_replicas,
+                     cycles6_two_replicas, kernel_count_span,
+                     kernel_objective, lifted_cycles4, lifted_cycles6,
+                     protograph_cycles6, random_partition, span_terms,
+                     starter_tuples, tuple_active_cycles6, tuple_cycle_arrays,
+                     tuple_lifted_cycles4)
 
 
 def test_direct_count_all_ones():
@@ -158,6 +160,47 @@ def test_count_span_matches_bruteforce_starters():
         per_span = np.bincount(starter_cycles6(spec)[0], minlength=m + 2)
         for kk in range(1, min(m + 1, L) + 1):
             assert count_span(ov, kk) == per_span[kk]
+
+
+def test_shape_count_matches_kernel_oracle():
+    # count_span over random partitions, every span, against the paper's
+    # three kernels; then the optimizer's objective on pattern-count rows
+    # large enough that two or three columns of a shape can coincide
+    rng = np.random.default_rng(12)
+    spans = 0
+    for _ in range(320):
+        g, m = int(rng.integers(1, 6)), int(rng.integers(0, 4))
+        if (m + 1) ** g > 256:
+            m = int(rng.integers(0, 2))
+        part = random_partition(rng, g, int(rng.integers(1, 10)), m)
+        ov = overlaps_from_partition(part)
+        for k in range(1, m + 2):
+            assert count_span(ov, k) == kernel_count_span(ov, k), (g, m, k)
+            spans += 1
+    assert spans > 600
+    rows = 0
+    for g in range(1, 6):
+        for m in range(0, 4):
+            if (m + 1) ** g > 256:
+                continue
+            for L in sorted({1, 2, m + 1, 30}):
+                n = int(rng.integers(30, 60))
+                batch = rng.multinomial(int(rng.integers(1, 18)),
+                                        np.ones((m + 1) ** g) / (m + 1) ** g,
+                                        size=n)
+                got = _Evaluator(g, m, L).objective(batch)
+                assert np.array_equal(got, kernel_objective(g, m, L, batch)), \
+                    (g, m, L)
+                rows += n
+    assert rows >= 2000
+
+
+def test_census_rejects_nonpositive_length():
+    part = random_partition(np.random.default_rng(0), 3, 5, 1)
+    with pytest.raises(ValueError):
+        census_from_partition(part, 0)
+    with pytest.raises(ValueError):
+        census_protograph(overlaps_from_partition(part), -2)
 
 
 def test_protograph_census_equals_bruteforce():

@@ -259,3 +259,10 @@ def test_local_search_budgets_run_the_first_restart():
 def test_config_rejects_bad_values(bad):
     with pytest.raises(ValueError):
         OptimizerConfig(**bad)
+
+
+@pytest.mark.parametrize("gamma, kappa, m, L", [
+    (3, 5, 1, 0), (3, 5, 1, -3), (3, 0, 1, 4), (0, 5, 1, 4), (3, 5, -1, 4)])
+def test_optimize_rejects_bad_shapes(gamma, kappa, m, L):
+    with pytest.raises(ValueError):
+        optimize(gamma, kappa, m, L)
