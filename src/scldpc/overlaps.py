@@ -198,14 +198,14 @@ def cover_matrix(gamma: int, m: int, row_sets) -> np.ndarray:
 
     The full overlap vector of a pattern-count vector n is then M @ n.
     """
-    pats = column_patterns(gamma, m)
-    out = np.zeros((len(row_sets), len(pats)), dtype=np.int64)
+    pats = np.array(column_patterns(gamma, m), dtype=np.int64)
+    # need[s, j]: the component row set s requires at residue j, -1 for any
+    need = np.full((len(row_sets), gamma), -1, dtype=np.int64)
     for si, s in enumerate(row_sets):
-        need = {r % gamma: r // gamma for r in s}
-        for vi, v in enumerate(pats):
-            if all(v[j] == x for j, x in need.items()):
-                out[si, vi] = 1
-    return out
+        for r in s:
+            need[si, r % gamma] = r // gamma
+    need = need[:, None, :]
+    return ((need < 0) | (need == pats)).all(axis=2).astype(np.int64)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,8 @@ import numpy as np
 
 from scldpc.code_model import PartitionMatrix, sc_lift, sc_protograph, window
 from scldpc.cycle_census import CycleCensus, find_cycles4, find_cycles6
-from scldpc.overlaps import OverlapSet, cover_matrix, independent_overlap_sets
+from scldpc.overlaps import (OverlapSet, column_patterns,
+                             independent_overlap_sets)
 from scldpc.partition_opt import OptimizerConfig, _random_balanced
 from scldpc.trapping_sets import (MAX_SUBSET_SIZE, MAX_WINDOW_COLUMNS,
                                   replica_span)
@@ -251,6 +252,18 @@ def kernel_count_span(ov: OverlapSet, k: int) -> int:
     return sum(_eval_term(t, ov) for t in span_terms(ov.gamma, ov.m, k))
 
 
+def loop_cover_matrix(gamma: int, m: int, row_sets) -> np.ndarray:
+    """cover_matrix by testing every (row set, pattern) pair."""
+    pats = column_patterns(gamma, m)
+    out = np.zeros((len(row_sets), len(pats)), dtype=np.int64)
+    for si, s in enumerate(row_sets):
+        need = {r % gamma: r // gamma for r in s}
+        for vi, v in enumerate(pats):
+            if all(v[j] == x for j, x in need.items()):
+                out[si, vi] = 1
+    return out
+
+
 def kernel_objective(gamma: int, m: int, L: int, batch: np.ndarray) -> np.ndarray:
     """Weighted 6-cycle total for each pattern-count row of the batch, by
     the three kernels compiled over span_terms and vectorized over rows."""
@@ -273,7 +286,7 @@ def kernel_objective(gamma: int, m: int, L: int, batch: np.ndarray) -> np.ndarra
                     needed.append(s)
             compiled.append((term[0], weight, keys))
     index = {s: i for i, s in enumerate(needed)}
-    cover = cover_matrix(gamma, m, needed)
+    cover = loop_cover_matrix(gamma, m, needed)
     kinds = {"A": [], "B": [], "C": []}
     for kind, weight, keys in compiled:
         kinds[kind].append([weight] + [index[s] for s in keys])

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from scldpc import code_model
+from scldpc import cli, code_model
 from scldpc.cli import main
 from scldpc.code_model import (ColumnLists, SCCodeSpec, ab_code,
                                partition_from_cutting_vector, sc_lift)
@@ -290,7 +290,7 @@ def test_cli_census_rejects_out_of_range_flags(tmp_path, capsys, flags, flag):
 @pytest.mark.parametrize("flag, value", [
     ("--cpo-cap", "0"), ("--cpo-cap", "-5"), ("--cpo-stale", "-1"),
     ("--cpo-budget", "-1"), ("--cpo-schedule", "0,1"), ("--restarts", "0"),
-    ("--seed", "-1"),
+    ("--seed", "-1"), ("--cpo-budget", "nan"),
 ])
 def test_cli_cpo_rejects_out_of_range_flags(tmp_path, capsys, flag, value):
     with pytest.raises(SystemExit):
@@ -310,6 +310,13 @@ def test_cli_config_file_bad_value(tmp_path, line):
         main(["census", "--config", str(cfgfile)])
 
 
+def test_cli_unknown_strategy_flag_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "--strategy", "foo"])
+    assert exc.value.code == 2
+    assert "--strategy: unknown strategy: 'foo'" in capsys.readouterr().err
+
+
 def test_cli_config_file_booleans(tmp_path, capsys):
     cfgfile = tmp_path / "run.ini"
     cfgfile.write_text("[code]\ngamma = 3\nkappa = 5\nL = 6\nzeta = 1,3,4\n"
@@ -325,6 +332,91 @@ def test_cli_out_env_var(tmp_path, monkeypatch, capsys):
     assert rc == 0
     capsys.readouterr()
     assert (tmp_path / "envdir" / "census.csv").exists()
+
+
+@pytest.mark.parametrize("config", [False, True])
+def test_cli_explicit_out_dot_beats_env_var(tmp_path, monkeypatch, capsys,
+                                           config):
+    monkeypatch.setenv("SCLDPC_OUT", str(tmp_path / "envdir"))
+    monkeypatch.chdir(tmp_path)
+    argv = ["census", "--gamma", "3", "--kappa", "5", "--L", "6",
+            "--zeta", "1,3,4"]
+    if config:
+        (tmp_path / "run.ini").write_text("[run]\nout = .\n")
+        argv += ["--config", "run.ini"]
+    else:
+        argv += ["--out", "."]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert (tmp_path / "census.csv").exists()
+    assert not (tmp_path / "envdir").exists()
+
+
+@pytest.mark.parametrize("text", [
+    "gamma = 3\n",  # no section header
+    "[code]\ngamma = 3\ngamma = 4\n",  # a key repeated in one section
+    "[code]\ngamma = 3\n[code]\nkappa = 5\n",  # a section repeated
+], ids=["no-section", "repeated-key", "repeated-section"])
+def test_cli_malformed_config_file_is_a_clean_error(tmp_path, text):
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text(text)
+    with pytest.raises(SystemExit, match=f"config file {cfgfile}"):
+        main(["census", "--config", str(cfgfile)])
+
+
+def test_cli_config_default_section_applies(tmp_path, capsys):
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text("[DEFAULT]\ngamma = 3\nkappa = 5\nL = 6\n"
+                       f"zeta = 1,3,4\nout = {tmp_path}\n")
+    assert main(["census", "--config", str(cfgfile)]) == 0
+    assert "protograph cycles-6" in capsys.readouterr().out
+    assert (tmp_path / "census.csv").exists()
+
+
+# one value per setting, as typed, that differs from its default
+_SAMPLES = {
+    "gamma": "4", "kappa": "6", "p": "7", "m": "2", "L": "9",
+    "zeta": "1,2,3", "overlaps": "1,2", "partition_file": "part.txt",
+    "use_optimizer": "yes", "powers_file": "powers.txt",
+    "matrix": "code.alist", "seed": "5", "out": "somewhere",
+    "strategy": "local-search", "restarts": "3", "slack": "2",
+    "cpo_target": "10", "cpo_schedule": "2,1", "cpo_stale": "4",
+    "cpo_cap": "100", "cpo_budget": "2.5",
+}
+
+
+def _resolved(argv):
+    parser = cli._build_parser()
+    return cli._resolve(parser.parse_args(argv), parser)
+
+
+@pytest.mark.parametrize("setting", cli.SETTINGS, ids=lambda s: s.key)
+def test_cli_flag_and_config_key_resolve_alike(tmp_path, setting):
+    assert set(_SAMPLES) == {s.key for s in cli.SETTINGS}
+    key, text = setting.key, _SAMPLES[setting.key]
+    flag = cli._flag(key)
+    by_flag = [flag] if key == "use_optimizer" else [flag, text]  # a switch
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text(f"[run]\n{key} = {text}\n")
+    from_flag = getattr(_resolved(["census", *by_flag]), key)
+    from_file = getattr(_resolved(["census", "--config", str(cfgfile)]), key)
+    assert from_flag == from_file
+    assert from_flag != setting.default
+
+
+@pytest.mark.parametrize("setting",
+                         [s for s in cli.SETTINGS if s.least is not None],
+                         ids=lambda s: s.key)
+def test_cli_bounds_hold_for_flags_and_config_keys(tmp_path, capsys,
+                                                   setting):
+    flag, low = cli._flag(setting.key), str(setting.least - 1)
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text(f"[run]\n{setting.key} = {low}\n")
+    for argv in ([flag, low], ["--config", str(cfgfile)]):
+        with pytest.raises(SystemExit):
+            main(["census", *argv, "--out", str(tmp_path / "out")])
+        assert f"{flag} must be >= {setting.least}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_export_round_trip(tmp_path):

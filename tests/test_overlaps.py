@@ -12,7 +12,8 @@ from scldpc.overlaps import (IndependentOverlaps, column_patterns,
                              partition_from_patterns, pattern_counts,
                              pattern_rows, restrict_to_independent,
                              valid_overlap_sets, validate_realizable)
-from oracles import direct_overlap, random_partition
+from scldpc.cycle_census import shape_row_sets
+from oracles import direct_overlap, loop_cover_matrix, random_partition
 
 
 def test_valid_set_count_formula():
@@ -125,6 +126,24 @@ def test_cover_matrix_linear_map():
     mat = cover_matrix(g, m, independent_overlap_sets(g, m))
     t = mat @ np.array(pc.counts)
     assert tuple(int(v) for v in t) == ind.values
+
+
+def test_cover_matrix_matches_loop_oracle():
+    # seeded samples of each kind of row set the library builds a cover for;
+    # m=0 gives no independent sets and gamma < 3 no shape sets
+    rng = np.random.default_rng(19)
+    for gamma in range(1, 6):
+        for m in range(4):
+            for sets in (valid_overlap_sets(gamma, m),
+                         independent_overlap_sets(gamma, m),
+                         shape_row_sets(gamma, m)):
+                if len(sets) > 40:
+                    pick = np.sort(rng.choice(len(sets), 40, replace=False))
+                    sets = [sets[i] for i in pick]
+                got = cover_matrix(gamma, m, sets)
+                assert got.dtype == np.int64
+                assert got.shape == (len(sets), (m + 1) ** gamma)
+                assert np.array_equal(got, loop_cover_matrix(gamma, m, sets))
 
 
 def test_pattern_rows_definition():
