@@ -18,9 +18,7 @@ from .code_model import (
 )
 from .overlaps import (
     IndependentOverlaps,
-    OverlapSet,
     PatternCounts,
-    complete_overlaps,
     independent_overlap_sets,
     overlaps_from_partition,
     partition_from_overlaps,

@@ -6,7 +6,8 @@ A config file (INI style) can carry any flag value; explicit flags win.
 Artifacts land in --out, the SCLDPC_OUT directory, or the working
 directory, and identical runs produce byte-identical files.  Input files
 are read before any output is written: a missing or malformed one is a
-usage error (exit status 2) naming its flag and path.
+usage error (exit status 2) naming its flag and path, and so are powers
+that close lifted 4-cycles where the power search would start from them.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ import numpy as np
 
 from .code_model import (CirculantBlockCode, PartitionMatrix, SCCodeSpec,
                          ab_powers, partition_from_cutting_vectors)
-from .cycle_census import active_cycles6, census_from_partition, count_cycles6
+from .cycle_census import (active_cycles6, census_from_partition,
+                           count_cycles6, count_lifted_cycles4)
 from .io_formats import (census_csv, optimum_csv, read_int_grid, trace_csv,
                          write_alist, write_int_grid)
 # The CLI lifts and reads a code as column lists, never as a dense matrix.
@@ -32,11 +34,10 @@ from .code_model import sc_lift_columns as sc_lift
 from .io_formats import read_alist_columns as read_alist
 from .overlaps import (IndependentOverlaps, partition_from_overlaps,
                        partition_from_patterns)
-from .partition_opt import OptimizerConfig, optimize
+from .partition_opt import STRATEGIES, OptimizerConfig, optimize
 from .power_opt import CpoConfig, run_cpo
 
 ENV_OUT = "SCLDPC_OUT"
-_STRATEGIES = ("auto", "exhaustive", "branch-and-bound", "local-search")
 
 
 def _int_list(text: str):
@@ -44,7 +45,7 @@ def _int_list(text: str):
 
 
 def _strategy(text: str) -> str:
-    if text not in _STRATEGIES:  # argparse prints this message as it is
+    if text not in STRATEGIES:  # argparse prints this message as it is
         raise argparse.ArgumentTypeError(f"unknown strategy: {text!r}")
     return text
 
@@ -75,7 +76,7 @@ SETTINGS = tuple(Setting(*row) for row in (
     ("matrix", str, None, None, "alist (census) or 0/1 grid (export) file"),
     ("seed", int, None, 0, "seed for heuristic stages"),
     ("out", str, None, None, f"output directory (else ${ENV_OUT}, else .)"),
-    ("strategy", _strategy, "auto", None, ", ".join(_STRATEGIES)),
+    ("strategy", _strategy, "auto", None, ", ".join(STRATEGIES)),
     ("restarts", int, 60, 1, "local-search restarts"),
     ("slack", int, 0, 0, "balance slack per component"),
     ("cpo_target", int, 0, 0, "stop the power search at this F_SC"),
@@ -253,6 +254,15 @@ def _spec(parser, cfg, part: PartitionMatrix, powers=None) -> SCCodeSpec:
                       part, cfg.L)
 
 
+def _check_start(parser, cfg, spec: SCCodeSpec) -> None:
+    """Powers that close lifted 4-cycles cannot start the power search."""
+    if count_lifted_cycles4(spec):
+        source = (f"--powers-file {cfg.powers_file}" if cfg.powers_file
+                  is not None else f"the AB powers for p={cfg.p}")
+        parser.error(f"{source}: the powers close lifted 4-cycles on this "
+                     "partition; the power search starts 4-cycle-free")
+
+
 # Each stage writes its artifacts in one function, which its command and the
 # pipeline both call.  Each creates --out only once its results are ready.
 
@@ -322,6 +332,7 @@ def cmd_census(parser, cfg) -> int:
 def cmd_cpo(parser, cfg) -> int:
     spec = _spec(parser, cfg, _partition(parser, cfg))
     _require(parser, cfg, "seed")
+    _check_start(parser, cfg, spec)
     state = _cpo(cfg, spec)
     print(f"F_SC = {state.f_sc} after {state.rounds} rounds"
           + (" (target reached)" if state.reached_target else ""))
@@ -354,9 +365,11 @@ def cmd_pipeline(parser, cfg) -> int:
     else:
         opt, part = _run_optimizer(parser, cfg)
         print(f"F* = {opt.f_star}")
+    start = _spec(parser, cfg, part, powers)
+    _check_start(parser, cfg, start)  # before any output
     _write_partition(cfg, part, opt)
     _census(cfg, part)
-    state = _cpo(cfg, _spec(parser, cfg, part, powers))
+    state = _cpo(cfg, start)
     final = _spec(parser, cfg, part, state.powers)
     _active(cfg, final)
     _lift(cfg, final)

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .code_model import ColumnLists, SCCodeSpec, as_column_lists, window
-from .overlaps import OverlapSet, overlaps_from_partition
+from .overlaps import PatternCounts, cover_matrix, overlaps_from_partition
 
 # ---------------------------------------------------------------------------
 # direct counts of an arbitrary matrix from its row-pair overlaps
@@ -250,16 +250,17 @@ def shape_row_sets(gamma: int, m: int):
 
 
 class ShapeCount:
-    """6-cycles under one weight on shapes, from the overlaps of one residue
-    triple laid out as a block of shape_row_sets.
+    """6-cycles under one weight on shapes, from pattern counts.
 
-    Pair overlaps N12[u], N13[v], N23[w] count the base columns that can sit
-    at each position, so sum K[u,v,w] N12[u] N13[v] N23[w] counts column
-    triples with repeats.  Two columns coincide when they share a replica
-    and a base column, which then covers all three rows with components x;
-    inclusion-exclusion (as in count_cycles6) subtracts each coinciding
-    pair, the triple overlap N123[x] against the third pair count, and adds
-    back twice the triples where all three coincide.
+    Each residue triple's overlaps are one block of shape_row_sets, linear
+    in the pattern counts (`cover_matrix`).  Pair overlaps N12[u], N13[v],
+    N23[w] count the base columns that can sit at each position, so
+    sum K[u,v,w] N12[u] N13[v] N23[w] counts column triples with repeats.
+    Two columns coincide when they share a replica and a base column, which
+    then covers all three rows with components x; inclusion-exclusion (as
+    in count_cycles6) subtracts each coinciding pair, the triple overlap
+    N123[x] against the third pair count, and adds back twice the triples
+    where all three coincide.
     """
 
     def __init__(self, weight: np.ndarray):
@@ -274,26 +275,34 @@ class ShapeCount:
             [weight[u, v, :], weight[u, :, w], weight[:, v, w].T], axis=1)
         self.diagonal = weight[u, v, w]
 
-    def __call__(self, n: np.ndarray) -> np.ndarray:
-        """Count for each row of overlaps, shape (rows, width)."""
+    def __call__(self, cover: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """Count for each pattern-count row of `counts`, summed over the
+        residue triples; `cover` is the cover matrix of shape_row_sets."""
         side = self.side
+        n = (counts @ cover.T).reshape(-1, self.width)
         p12, p13, p23, t = np.split(n, [side, 2 * side, 3 * side], axis=1)
         both = (p12[:, :, None] * p13[:, None, :]).reshape(len(n), side * side)
         one = t @ self.coincide
-        return (np.einsum("ij,ij->i", both @ self.pairs - one[:, :side], p23)
-                - np.einsum("ij,ij->i", one[:, side:2 * side], p13)
-                - np.einsum("ij,ij->i", one[:, 2 * side:], p12)
-                + 2 * (t @ self.diagonal))
+        per_triple = (np.einsum("ij,ij->i", both @ self.pairs - one[:, :side], p23)
+                      - np.einsum("ij,ij->i", one[:, side:2 * side], p13)
+                      - np.einsum("ij,ij->i", one[:, 2 * side:], p12)
+                      + 2 * (t @ self.diagonal))
+        return per_triple.reshape(len(counts), len(cover) // self.width).sum(axis=1)
 
 
-def count_span(ov: OverlapSet, k: int) -> int:
+def _span_counts(pc: PatternCounts, spans) -> dict:
+    """F1[k] for each span k, all from one cover of the shape row sets."""
+    cover = cover_matrix(pc.gamma, pc.m, shape_row_sets(pc.gamma, pc.m))
+    span = shape_spans(pc.m)
+    return {k: int(ShapeCount((span == k).astype(np.int64))(
+        cover, pc.counts[None])[0]) for k in spans}
+
+
+def count_span(pc: PatternCounts, k: int) -> int:
     """Closed-form F1[k]: span-k 6-cycles starting in a fixed replica."""
-    if k < 1 or k > ov.m + 1:
-        raise ValueError(f"span {k} outside [1, {ov.m + 1}]")
-    count = ShapeCount((shape_spans(ov.m) == k).astype(np.int64))
-    n = np.array([ov.get(s) for s in shape_row_sets(ov.gamma, ov.m)],
-                 dtype=np.int64)
-    return int(count(n.reshape(-1, count.width)).sum())
+    if k < 1 or k > pc.m + 1:
+        raise ValueError(f"span {k} outside [1, {pc.m + 1}]")
+    return _span_counts(pc, [k])[k]
 
 
 @dataclass(frozen=True)
@@ -310,12 +319,11 @@ class CycleCensus:
         )
 
 
-def census_protograph(ov: OverlapSet, L: int) -> CycleCensus:
+def census_protograph(pc: PatternCounts, L: int) -> CycleCensus:
     """Closed-form 6-cycle census of the coupled protograph with L replicas."""
     if L < 1:
         raise ValueError(f"L must be >= 1, got {L}")
-    spans = range(1, min(ov.m + 1, L) + 1)
-    return CycleCensus(L, {k: count_span(ov, k) for k in spans})
+    return CycleCensus(L, _span_counts(pc, range(1, min(pc.m + 1, L) + 1)))
 
 
 def census_from_partition(partition, L: int) -> CycleCensus:

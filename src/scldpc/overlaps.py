@@ -7,23 +7,29 @@ come from the same block row of the base array, so any set containing two
 rows with equal residue mod gamma has overlap 0; the interesting sets pick
 pairwise distinct residues and have size at most gamma.
 
-Overlaps over rows of H_0 .. H_{m-1} (indices below m*gamma) are free
-parameters; every other overlap follows from them and kappa by inclusion-
-exclusion, because membership in component m is what remains after
-components 0..m-1 are excluded.  The degree-gamma overlaps, one per way of
-assigning a component to each block row, are the counts of column
-"patterns" and are nonnegative exactly when the overlap vector comes from a
-real partition.
+A column's "pattern" assigns it one component per block row, and a
+partition enters every count only through how many columns realize each
+pattern (`PatternCounts`).  Each overlap is linear in those counts: t_S
+sums the counts of the patterns covering S, so the overlap vector is
+`cover_matrix @ counts`.  Overlaps over rows of H_0 .. H_{m-1} (indices
+below m*gamma) are free parameters.  A pattern is fixed by the rows below
+m*gamma it covers, since a block row outside them sits in component m, so
+the counts follow from those overlaps and kappa by Moebius inversion over
+row sets ordered by inclusion (`mobius_matrix`; Rota, "On the foundations
+of combinatorial theory I", Z. Wahrscheinlichkeitstheorie 2, 1964).  They
+are nonnegative exactly when the overlap vector comes from a real
+partition.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .code_model import PartitionMatrix, component_protograph
+from .code_model import PartitionMatrix
 
 
 def valid_overlap_sets(gamma: int, m: int, max_degree: int | None = None):
@@ -34,16 +40,11 @@ def valid_overlap_sets(gamma: int, m: int, max_degree: int | None = None):
     """
     if max_degree is None:
         max_degree = gamma
-    by_residue = [[x * gamma + j for x in range(m + 1)] for j in range(gamma)]
-    out = []
-    for d in range(1, max_degree + 1):
-        sets_d = []
-        for residues in itertools.combinations(range(gamma), d):
-            for choice in itertools.product(*(by_residue[j] for j in residues)):
-                sets_d.append(tuple(sorted(choice)))
-        sets_d.sort()
-        out.extend(sets_d)
-    return out
+    sets = [tuple(sorted(x * gamma + j for j, x in zip(residues, comps)))
+            for d in range(1, max_degree + 1)
+            for residues in itertools.combinations(range(gamma), d)
+            for comps in itertools.product(range(m + 1), repeat=d)]
+    return sorted(sets, key=lambda s: (len(s), s))
 
 
 def independent_overlap_sets(gamma: int, m: int):
@@ -55,29 +56,6 @@ def independent_overlap_sets(gamma: int, m: int):
     """
     cut = m * gamma
     return [s for s in valid_overlap_sets(gamma, m) if all(r < cut for r in s)]
-
-
-@dataclass(frozen=True, eq=False)
-class OverlapSet:
-    """Overlap counts t_S for the row sets of a stacked component matrix."""
-
-    gamma: int
-    m: int
-    kappa: int
-    table: dict
-
-    def get(self, rows) -> int:
-        """Overlap of a row set; the empty set counts every column."""
-        key = tuple(sorted(rows))
-        if not key:
-            return self.kappa
-        n = (self.m + 1) * self.gamma
-        if key[0] < 0 or key[-1] >= n:
-            raise KeyError(f"row set {key} outside [0, {n})")
-        residues = {r % self.gamma for r in key}
-        if len(residues) < len(key):
-            return 0
-        return self.table[key]
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,70 +79,51 @@ class IndependentOverlaps:
         return dict(zip(independent_overlap_sets(self.gamma, self.m), self.values))
 
 
-def overlaps_from_partition(partition: PartitionMatrix) -> OverlapSet:
-    """Direct overlap counts of a partition's stacked component matrix."""
-    g, m = partition.gamma, partition.m
-    stacked = component_protograph(partition).astype(bool)
-    table = {}
-
-    def descend(j, rows, mask):
-        for jj in range(j, g):
-            for x in range(m + 1):
-                row = x * g + jj
-                sub = mask & stacked[row]
-                table[tuple(sorted(rows + [row]))] = int(sub.sum())
-                descend(jj + 1, rows + [row], sub)
-
-    descend(0, [], np.ones(partition.kappa, dtype=bool))
-    return OverlapSet(g, m, partition.kappa, table)
-
-
-def restrict_to_independent(ov: OverlapSet) -> IndependentOverlaps:
-    """Keep only the free parameters of a full overlap table."""
-    vals = [ov.get(s) for s in independent_overlap_sets(ov.gamma, ov.m)]
-    return IndependentOverlaps(ov.gamma, ov.m, ov.kappa, tuple(vals))
-
-
-def complete_overlaps(ind: IndependentOverlaps) -> OverlapSet:
-    """Extend the free parameters to every overlap by inclusion-exclusion.
-
-    For a set S split into I (rows below m*gamma) and J (rows of the last
-    component), columns counted by t_S are those covered by every row of I
-    but by no lower-component row in any residue of J:
-
-        t_S = t_I + sum_a (-1)^a * sum over a-subsets {j'} of J and
-              component choices x in [0, m)^a of t_{I + shifted rows},
-
-    where a J-row is shifted to x*gamma + (its residue).
-    """
-    g, m, kappa = ind.gamma, ind.m, ind.kappa
-    free = ind.as_dict()
-    cut = m * g
-    table = {}
-    for s in valid_overlap_sets(g, m):
-        inner = tuple(r for r in s if r < cut)
-        outer = [r for r in s if r >= cut]
-        total = free[inner] if inner else kappa
-        for a in range(1, len(outer) + 1):
-            sign = -1 if a % 2 else 1
-            for sub in itertools.combinations(outer, a):
-                for xs in itertools.product(range(m), repeat=a):
-                    shifted = inner + tuple(
-                        x * g + (r % g) for x, r in zip(xs, sub)
-                    )
-                    total += sign * free[tuple(sorted(shifted))]
-        table[s] = total
-    return OverlapSet(g, m, kappa, table)
-
-
 def column_patterns(gamma: int, m: int):
     """All component-per-block-row column patterns, lexicographic."""
     return list(itertools.product(range(m + 1), repeat=gamma))
 
 
-def pattern_rows(pattern, gamma: int):
-    """Rows of the stacked matrix that a column with this pattern covers."""
-    return tuple(sorted(x * gamma + j for j, x in enumerate(pattern)))
+def _required(gamma: int, row_sets) -> np.ndarray:
+    """(row sets, gamma) array of the component each set puts at each block
+    row, -1 where it has no row."""
+    need = np.full((len(row_sets), gamma), -1, dtype=np.int64)
+    for si, s in enumerate(row_sets):
+        for r in s:
+            need[si, r % gamma] = r // gamma
+    return need
+
+
+def _agree(need: np.ndarray, have: np.ndarray) -> np.ndarray:
+    """[a, b] is True iff row b of `have` equals row a of `need` wherever
+    that is >= 0."""
+    out = np.ones((len(need), len(have)), dtype=bool)
+    for j in range(need.shape[1]):  # block row by block row: 2-D, contiguous
+        out &= (need[:, j, None] < 0) | (need[:, j, None] == have[:, j])
+    return out
+
+
+def cover_matrix(gamma: int, m: int, row_sets) -> np.ndarray:
+    """0/1 matrix with entry [s, v] = 1 iff pattern v covers row set s.
+
+    The overlaps of a pattern-count vector n over row_sets are then M @ n.
+    """
+    pats = np.array(column_patterns(gamma, m), dtype=np.int64)
+    return _agree(_required(gamma, row_sets), pats).astype(np.int64)
+
+
+def mobius_matrix(gamma: int, m: int) -> np.ndarray:
+    """Inverse of the cover of [()] + independent_overlap_sets, by pattern.
+
+    Pattern v covers exactly the independent sets inside S_v, its rows below
+    m*gamma, so n_v = sum over S containing S_v of (-1)**(|S| - |S_v|) t_S
+    with t_() = kappa.  Entry [v, s] is that signed indicator.
+    """
+    pats = np.array(column_patterns(gamma, m), dtype=np.int64)
+    low = np.where(pats < m, pats, -1)  # S_v, laid out as _required's rows
+    sets = _required(gamma, [()] + independent_overlap_sets(gamma, m))
+    parity = ((sets >= 0).sum(axis=1) - (low >= 0).sum(axis=1)[:, None]) % 2
+    return np.where(_agree(low, sets), 1 - 2 * parity, 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,35 +136,50 @@ class PatternCounts:
     counts: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.counts, dtype=np.int64)
+        c = np.array(self.counts, dtype=np.int64)  # a copy: callers keep theirs
         if c.shape != ((self.m + 1) ** self.gamma,):
             raise ValueError("one count per pattern required")
-        c = np.ascontiguousarray(c)
         c.flags.writeable = False
         object.__setattr__(self, "counts", c)
+
+    @cached_property
+    def _overlaps(self) -> dict:
+        sets = valid_overlap_sets(self.gamma, self.m)
+        t = cover_matrix(self.gamma, self.m, sets) @ self.counts
+        return dict(zip(sets, t.tolist()))
+
+    def get(self, rows) -> int:
+        """Overlap of a row set; the empty set counts every column."""
+        key = tuple(sorted(rows))
+        if not key:
+            return self.kappa
+        n = (self.m + 1) * self.gamma
+        if key[0] < 0 or key[-1] >= n:
+            raise KeyError(f"row set {key} outside [0, {n})")
+        return self._overlaps.get(key, 0)  # a repeated residue covers nothing
+
+
+def overlaps_from_partition(partition: PartitionMatrix) -> PatternCounts:
+    """Pattern counts of a partition: each column's components, read as
+    base-(m+1) digits with block row 0 first, index its pattern."""
+    g, m = partition.gamma, partition.m
+    index = (m + 1) ** np.arange(g - 1, -1, -1) @ partition.assign
+    return PatternCounts(g, m, partition.kappa,
+                         np.bincount(index, minlength=(m + 1) ** g))
+
+
+def restrict_to_independent(pc: PatternCounts) -> IndependentOverlaps:
+    """Keep only the free overlap parameters of a pattern-count vector."""
+    cover = cover_matrix(pc.gamma, pc.m, independent_overlap_sets(pc.gamma, pc.m))
+    return IndependentOverlaps(pc.gamma, pc.m, pc.kappa,
+                               tuple((cover @ pc.counts).tolist()))
 
 
 def pattern_counts(ind: IndependentOverlaps) -> PatternCounts:
     """Pattern counts implied by an overlap vector (may be negative if unrealizable)."""
-    ov = complete_overlaps(ind)
-    g, m = ind.gamma, ind.m
-    counts = [ov.get(pattern_rows(v, g)) for v in column_patterns(g, m)]
-    return PatternCounts(g, m, ind.kappa, np.array(counts, dtype=np.int64))
-
-
-def cover_matrix(gamma: int, m: int, row_sets) -> np.ndarray:
-    """0/1 matrix with entry [s, v] = 1 iff pattern v covers row set s.
-
-    The full overlap vector of a pattern-count vector n is then M @ n.
-    """
-    pats = np.array(column_patterns(gamma, m), dtype=np.int64)
-    # need[s, j]: the component row set s requires at residue j, -1 for any
-    need = np.full((len(row_sets), gamma), -1, dtype=np.int64)
-    for si, s in enumerate(row_sets):
-        for r in s:
-            need[si, r % gamma] = r // gamma
-    need = need[:, None, :]
-    return ((need < 0) | (need == pats)).all(axis=2).astype(np.int64)
+    t = np.array((ind.kappa,) + ind.values, dtype=np.int64)
+    return PatternCounts(ind.gamma, ind.m, ind.kappa,
+                         mobius_matrix(ind.gamma, ind.m) @ t)
 
 
 @dataclass(frozen=True)
@@ -227,10 +201,8 @@ def validate_realizable(ind: IndependentOverlaps) -> RealizabilityReport:
     diagnostics.
     """
     pc = pattern_counts(ind)
-    pats = column_patterns(ind.gamma, ind.m)
-    neg = tuple(
-        (v, int(n)) for v, n in zip(pats, pc.counts) if n < 0
-    )
+    neg = tuple((v, int(n)) for v, n in
+                zip(column_patterns(ind.gamma, ind.m), pc.counts) if n < 0)
     total = int(pc.counts.sum())
     return RealizabilityReport(not neg and total == ind.kappa, total, ind.kappa, neg)
 
@@ -243,11 +215,8 @@ def partition_from_patterns(pc: PatternCounts) -> PartitionMatrix:
         raise ValueError(
             f"pattern counts sum to {int(pc.counts.sum())}, expected {pc.kappa}"
         )
-    cols = []
-    for v, n in zip(column_patterns(pc.gamma, pc.m), pc.counts):
-        cols.extend([v] * int(n))
-    assign = np.array(cols, dtype=np.int64).T.reshape(pc.gamma, pc.kappa)
-    return PartitionMatrix(pc.m, assign)
+    pats = np.array(column_patterns(pc.gamma, pc.m), dtype=np.int64)
+    return PartitionMatrix(pc.m, np.repeat(pats, pc.counts, axis=0).T)
 
 
 def partition_from_overlaps(ind: IndependentOverlaps) -> PartitionMatrix:

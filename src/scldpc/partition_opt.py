@@ -39,9 +39,12 @@ from .overlaps import (
 )
 
 
+STRATEGIES = ("auto", "exhaustive", "branch-and-bound", "local-search")
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
-    strategy: str = "auto"  # exhaustive | branch-and-bound | local-search | auto
+    strategy: str = "auto"  # one of STRATEGIES
     balance_slack: int = 0
     seed: int | None = None
     restarts: int = 60
@@ -50,7 +53,7 @@ class OptimizerConfig:
     time_budget_s: float | None = None
 
     def __post_init__(self):
-        if self.strategy not in ("auto", "exhaustive", "branch-and-bound", "local-search"):
+        if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.balance_slack < 0:
             raise ValueError("balance slack must be >= 0")
@@ -76,20 +79,18 @@ class _Evaluator:
     """Batched census evaluation over pattern-count vectors.
 
     A batch's overlaps are linear in its pattern counts (`cover_matrix`), so
-    one product gives every residue triple's shape overlaps; the triples are
-    folded into the row axis and share one shape weight.
+    one product gives every residue triple's shape overlaps, the contraction
+    the census uses (`ShapeCount`).
     """
 
     def __init__(self, gamma: int, m: int, L: int):
-        self.triples = math.comb(gamma, 3)
         self.independent = cover_matrix(gamma, m, independent_overlap_sets(gamma, m))
         self.cover = cover_matrix(gamma, m, shape_row_sets(gamma, m))
         self.count = ShapeCount(shape_weight(m, L))
 
     def objective(self, batch: np.ndarray) -> np.ndarray:
         """Weighted 6-cycle total for each pattern-count row of the batch."""
-        n = (batch @ self.cover.T).reshape(-1, self.count.width)
-        return self.count(n).reshape(len(batch), self.triples).sum(axis=1)
+        return self.count(self.cover, batch)
 
     def independent_values(self, n: np.ndarray) -> tuple:
         return tuple(int(v) for v in self.independent @ n)
@@ -104,12 +105,8 @@ def balance_bounds(gamma: int, kappa: int, m: int, slack: int):
 
 def _component_loads(gamma: int, m: int) -> np.ndarray:
     """(m+1) x n_patterns matrix of circulants each pattern gives each component."""
-    pats = column_patterns(gamma, m)
-    out = np.zeros((m + 1, len(pats)), dtype=np.int64)
-    for vi, v in enumerate(pats):
-        for x in v:
-            out[x, vi] += 1
-    return out
+    pats = np.array(column_patterns(gamma, m), dtype=np.int64)
+    return (pats == np.arange(m + 1)[:, None, None]).sum(axis=2)
 
 
 def _balanced_blocks(kappa: int, loads: np.ndarray, lo: int, hi: int,
@@ -185,57 +182,47 @@ def enumerate_feasible(gamma: int, kappa: int, m: int,
 def _best_of(ev: _Evaluator, batch_rows, best=None, evaluated=0):
     """Fold batches into (value, ind_vector, pattern_row), lex tie-break."""
     for rows in batch_rows:
-        if not len(rows):
-            continue
-        arr = np.asarray(rows, dtype=np.int64)
-        vals = ev.objective(arr)
-        evaluated += len(arr)
-        order = np.argsort(vals, kind="stable")
-        for i in order:
+        vals = ev.objective(rows)
+        evaluated += len(rows)
+        for i in np.argsort(vals, kind="stable"):
             if best is not None and vals[i] > best[0]:
                 break
-            cand = (int(vals[i]), ev.independent_values(arr[i]), arr[i].copy())
+            cand = (int(vals[i]), ev.independent_values(rows[i]), rows[i].copy())
             if best is None or cand[:2] < best[:2]:
                 best = cand
     return best, evaluated
 
 
+def _excess(totals, lo: int, hi: int):
+    """How far component totals (axis 0) lie outside [lo, hi], summed."""
+    return (np.maximum(totals - hi, 0) + np.maximum(lo - totals, 0)).sum(axis=0)
+
+
 def _random_balanced(rng, kappa, loads, lo, hi, attempts=2000):
-    """Random feasible pattern-count vector via sampling plus greedy repair."""
-    ncomp, nparts = loads.shape
+    """Random feasible pattern-count vector via sampling plus greedy repair:
+    each step moves one column, from the first used pattern (in random
+    order) that can cut the excess, to the pattern cutting it most."""
+    nparts = loads.shape[1]
     for _ in range(attempts):
-        cols = rng.integers(0, nparts, size=kappa)
-        n = np.bincount(cols, minlength=nparts)
-        totals = loads @ n
+        n = np.bincount(rng.integers(0, nparts, size=kappa), minlength=nparts)
         for _ in range(4 * kappa):
-            over = np.nonzero(totals > hi)[0]
-            under = np.nonzero(totals < lo)[0]
-            if not len(over) and not len(under):
+            totals = loads @ n
+            cur = _excess(totals, lo, hi)
+            if not cur:
                 return n
             src = np.nonzero(n > 0)[0]
             rng.shuffle(src)
-            moved = False
             for vi in src:
-                better = None
-                for wi in range(nparts):
-                    if wi == vi:
-                        continue
-                    t2 = totals - loads[:, vi] + loads[:, wi]
-                    score = np.maximum(t2 - hi, 0).sum() + np.maximum(lo - t2, 0).sum()
-                    cur = np.maximum(totals - hi, 0).sum() + np.maximum(lo - totals, 0).sum()
-                    if score < cur and (better is None or score < better[0]):
-                        better = (score, wi, t2)
-                if better is not None:
-                    _, wi, t2 = better
+                # a move to vi itself scores cur, so it never wins
+                score = _excess((totals - loads[:, vi])[:, None] + loads, lo, hi)
+                wi = int(np.argmin(score))
+                if score[wi] < cur:
                     n[vi] -= 1
                     n[wi] += 1
-                    totals = t2
-                    moved = True
                     break
-            if not moved:
+            else:
                 break
-        totals = loads @ n
-        if (totals >= lo).all() and (totals <= hi).all():
+        if not _excess(loads @ n, lo, hi):
             return n
     raise RuntimeError("could not sample a balanced start; relax the slack")
 
@@ -250,10 +237,9 @@ def _local_search(ev, kappa, loads, lo, hi, config, deadline):
     """
     rng = np.random.default_rng(config.seed)
     nparts = loads.shape[1]
-    vi, wi = np.nonzero(~np.eye(nparts, dtype=bool))
-    step = np.zeros((len(vi), nparts), dtype=np.int64)
-    step[np.arange(len(vi)), vi] = -1
-    step[np.arange(len(vi)), wi] = 1
+    eye = np.eye(nparts, dtype=np.int64)
+    vi, wi = np.nonzero(1 - eye)
+    step = eye[wi] - eye[vi]
     shift = step @ loads.T
     best = None
     evaluated = 0

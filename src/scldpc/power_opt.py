@@ -38,6 +38,7 @@ import numpy as np
 
 from .code_model import PartitionMatrix, SCCodeSpec, ab_powers
 from .cycle_census import starter_cycles4, starter_cycles6, walk_cells
+from .overlaps import overlaps_from_partition
 
 
 @dataclass(frozen=True)
@@ -479,16 +480,6 @@ def _multiset_permutations(items):
     return rec(items)
 
 
-def _arrangement_count(items) -> int:
-    total = math.factorial(len(items))
-    seen = {}
-    for v in items:
-        seen[v] = seen.get(v, 0) + 1
-    for c in seen.values():
-        total //= math.factorial(c)
-    return total
-
-
 def refine_layout(partition: PartitionMatrix, p: int, L: int,
                   exhaustive_cap: int = 20000):
     """Column arrangement of a partition minimizing the lifted count at AB powers.
@@ -524,7 +515,10 @@ def refine_layout(partition: PartitionMatrix, p: int, L: int,
             placed[next(iters[pat])] = j
         return placed
 
-    if _arrangement_count(base_pats) <= exhaustive_cap:
+    # distinct arrangements: the multinomial of the pattern counts
+    counts = overlaps_from_partition(partition).counts.tolist()
+    arrangements = math.factorial(kp) // math.prod(map(math.factorial, counts))
+    if arrangements <= exhaustive_cap:
         best = None
         for arrangement in _multiset_permutations(base_pats):
             val = eval_sources(sources_for(arrangement))

@@ -13,9 +13,10 @@ import numpy as np
 
 from scldpc.code_model import PartitionMatrix, sc_lift, sc_protograph, window
 from scldpc.cycle_census import CycleCensus, find_cycles4, find_cycles6
-from scldpc.overlaps import (OverlapSet, column_patterns,
-                             independent_overlap_sets)
-from scldpc.partition_opt import OptimizerConfig, _random_balanced
+from scldpc.overlaps import (IndependentOverlaps, PatternCounts,
+                             column_patterns, independent_overlap_sets,
+                             valid_overlap_sets)
+from scldpc.partition_opt import OptimizerConfig
 from scldpc.trapping_sets import (MAX_SUBSET_SIZE, MAX_WINDOW_COLUMNS,
                                   replica_span)
 
@@ -234,7 +235,7 @@ def span_terms(gamma: int, m: int, k: int):
     return terms
 
 
-def _eval_term(term, ov: OverlapSet) -> int:
+def _eval_term(term, ov: PatternCounts) -> int:
     if term[0] == "A":
         _, abc, ab, ac, bc = term
         return cycles6_one_replica(ov.get(abc), ov.get(ab), ov.get(ac), ov.get(bc))
@@ -245,11 +246,49 @@ def _eval_term(term, ov: OverlapSet) -> int:
     return cycles6_three_replicas(ov.get(ab), ov.get(ac), ov.get(bc))
 
 
-def kernel_count_span(ov: OverlapSet, k: int) -> int:
+def kernel_count_span(ov: PatternCounts, k: int) -> int:
     """Closed-form F1[k]: span-k 6-cycles starting in a fixed replica."""
     if k < 1 or k > ov.m + 1:
         raise ValueError(f"span {k} outside [1, {ov.m + 1}]")
     return sum(_eval_term(t, ov) for t in span_terms(ov.gamma, ov.m, k))
+
+
+def pattern_rows(pattern, gamma: int):
+    """Rows of the stacked matrix that a column with this pattern covers."""
+    return tuple(sorted(x * gamma + j for j, x in enumerate(pattern)))
+
+
+def inclusion_exclusion_overlaps(ind: IndependentOverlaps) -> dict:
+    """Every valid row set's overlap from the free parameters, by
+    inclusion-exclusion.
+
+    For a set S split into I (rows below m*gamma) and J (rows of the last
+    component), columns counted by t_S are those covered by every row of I
+    but by no lower-component row in any residue of J:
+
+        t_S = t_I + sum_a (-1)^a * sum over a-subsets {j'} of J and
+              component choices x in [0, m)^a of t_{I + shifted rows},
+
+    where a J-row is shifted to x*gamma + (its residue).
+    """
+    g, m, kappa = ind.gamma, ind.m, ind.kappa
+    free = ind.as_dict()
+    cut = m * g
+    table = {}
+    for s in valid_overlap_sets(g, m):
+        inner = tuple(r for r in s if r < cut)
+        outer = [r for r in s if r >= cut]
+        total = free[inner] if inner else kappa
+        for a in range(1, len(outer) + 1):
+            sign = -1 if a % 2 else 1
+            for sub in itertools.combinations(outer, a):
+                for xs in itertools.product(range(m), repeat=a):
+                    shifted = inner + tuple(
+                        x * g + (r % g) for x, r in zip(xs, sub)
+                    )
+                    total += sign * free[tuple(sorted(shifted))]
+        table[s] = total
+    return table
 
 
 def loop_cover_matrix(gamma: int, m: int, row_sets) -> np.ndarray:
@@ -663,6 +702,45 @@ def balanced_compositions(kappa: int, loads: np.ndarray, lo: int, hi: int):
     yield from rec(0, kappa)
 
 
+def loop_random_balanced(rng, kappa, loads, lo, hi, attempts=2000):
+    """_random_balanced with each repair move scored in a Python loop."""
+    ncomp, nparts = loads.shape
+    for _ in range(attempts):
+        cols = rng.integers(0, nparts, size=kappa)
+        n = np.bincount(cols, minlength=nparts)
+        totals = loads @ n
+        for _ in range(4 * kappa):
+            over = np.nonzero(totals > hi)[0]
+            under = np.nonzero(totals < lo)[0]
+            if not len(over) and not len(under):
+                return n
+            src = np.nonzero(n > 0)[0]
+            rng.shuffle(src)
+            moved = False
+            for vi in src:
+                better = None
+                for wi in range(nparts):
+                    if wi == vi:
+                        continue
+                    t2 = totals - loads[:, vi] + loads[:, wi]
+                    score = np.maximum(t2 - hi, 0).sum() + np.maximum(lo - t2, 0).sum()
+                    cur = np.maximum(totals - hi, 0).sum() + np.maximum(lo - totals, 0).sum()
+                    if score < cur and (better is None or score < better[0]):
+                        better = (score, wi, t2)
+                if better is not None:
+                    _, wi, t2 = better
+                    n[vi] -= 1
+                    n[wi] += 1
+                    totals = t2
+                    moved = True
+                    break
+            if not moved:
+                break
+        totals = loads @ n
+        if (totals >= lo).all() and (totals <= hi).all():
+            return n
+    raise RuntimeError("could not sample a balanced start; relax the slack")
+
 
 def local_search(ev, kappa, loads, lo, hi, config, deadline):
     rng = np.random.default_rng(config.seed)
@@ -673,7 +751,7 @@ def local_search(ev, kappa, loads, lo, hi, config, deadline):
     for _ in range(config.restarts):
         if deadline is not None and time.monotonic() > deadline:
             break
-        n = _random_balanced(rng, kappa, loads, lo, hi)
+        n = loop_random_balanced(rng, kappa, loads, lo, hi)
         val = int(ev.objective(n.reshape(1, -1))[0])
         evaluated += 1
         while True:

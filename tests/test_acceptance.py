@@ -19,9 +19,9 @@ from scldpc.code_model import (CirculantBlockCode, PartitionMatrix, SCCodeSpec,
 from scldpc.cycle_census import (active_cycles6, census_from_partition,
                                  count_cycles4, count_cycles6,
                                  count_lifted_cycles4)
-from scldpc.overlaps import (IndependentOverlaps, complete_overlaps,
-                             independent_overlap_sets, overlaps_from_partition,
-                             partition_from_overlaps, restrict_to_independent,
+from scldpc.overlaps import (IndependentOverlaps, independent_overlap_sets,
+                             overlaps_from_partition, partition_from_overlaps,
+                             pattern_counts, restrict_to_independent,
                              valid_overlap_sets)
 from scldpc.partition_opt import OptimizerConfig, optimize
 from scldpc.power_opt import CpoConfig, CycleSystem, refine_layout, run_cpo
@@ -160,7 +160,7 @@ def test_criterion_6_oracle_equivalence_suite():
 
         # (c) completion from the independent values == direct counting
         full = overlaps_from_partition(part)
-        completed = complete_overlaps(restrict_to_independent(full))
+        completed = pattern_counts(restrict_to_independent(full))
         for rows in valid_overlap_sets(gamma, m):
             assert completed.get(rows) == direct_overlap(part, rows)
 

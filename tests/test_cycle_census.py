@@ -195,6 +195,19 @@ def test_shape_count_matches_kernel_oracle():
     assert rows >= 2000
 
 
+def test_census_total_is_the_optimizer_objective():
+    # one contraction: the census of a partition and the objective of its
+    # pattern counts
+    rng = np.random.default_rng(24)
+    for _ in range(60):
+        g, m = int(rng.integers(1, 6)), int(rng.integers(0, 3))
+        L = int(rng.integers(1, 8))
+        part = random_partition(rng, g, int(rng.integers(1, 12)), m)
+        counts = overlaps_from_partition(part).counts
+        assert census_from_partition(part, L).total == \
+            _Evaluator(g, m, L).objective(counts[None])[0], (g, m, L)
+
+
 def test_census_rejects_nonpositive_length():
     part = random_partition(np.random.default_rng(0), 3, 5, 1)
     with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ from scldpc.cycle_census import (active_cycles6, census_from_partition,
 from scldpc.io_formats import (alist_string, census_csv, read_alist,
                                read_alist_columns, read_int_grid, species_csv, trace_csv,
                                write_alist, write_int_grid)
+from scldpc.partition_opt import STRATEGIES, OptimizerConfig
 from scldpc.trapping_sets import common_denominator, enumerate_objects
 
 from oracles import random_partition, scan_alist_string
@@ -317,6 +318,16 @@ def test_cli_unknown_strategy_flag_is_a_usage_error(capsys):
     assert "--strategy: unknown strategy: 'foo'" in capsys.readouterr().err
 
 
+def test_cli_strategies_are_the_optimizers():
+    # one list: each accepted name is an optimizer strategy, and -h lists
+    # every one of them
+    help_text = {s.key: s.help for s in cli.SETTINGS}["strategy"]
+    for name in STRATEGIES:
+        assert cli._strategy(name) == name
+        assert OptimizerConfig(strategy=name).strategy == name
+        assert name in help_text
+
+
 def test_cli_config_file_booleans(tmp_path, capsys):
     cfgfile = tmp_path / "run.ini"
     cfgfile.write_text("[code]\ngamma = 3\nkappa = 5\nL = 6\nzeta = 1,3,4\n"
@@ -528,6 +539,35 @@ def test_cli_bad_input_file_is_a_usage_error(tmp_path, capsys, argv, flag,
         main(argv + [str(path), "--out", str(out)])
     assert exc.value.code == 2
     assert f"{flag} {path}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["cpo", "pipeline"])
+def test_cli_powers_closing_4_cycles_are_a_usage_error(tmp_path, capsys,
+                                                       command):
+    # under all-zero powers every protograph 4-cycle survives the lift
+    path = tmp_path / "zeros.txt"
+    path.write_text("0 0 0 0 0 0 0\n" * 3)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--gamma", "3", "--kappa", "7", "--p", "7", "--L", "10",
+              "--seed", "3", "--zeta", "2,4,6", "--powers-file", str(path),
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"--powers-file {path}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["cpo", "pipeline"])
+def test_cli_ab_powers_closing_4_cycles_are_a_usage_error(tmp_path, capsys,
+                                                          command):
+    # AB powers i*j mod 5 repeat every five columns, so kappa=7 has 4-cycles
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--gamma", "3", "--kappa", "7", "--p", "5", "--L", "10",
+              "--seed", "3", "--zeta", "2,4,6", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "AB powers for p=5" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,19 +1,21 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from scldpc.overlaps import (IndependentOverlaps, column_patterns,
-                             complete_overlaps, cover_matrix,
-                             independent_overlap_sets, overlaps_from_partition,
-                             partition_from_overlaps,
+                             cover_matrix, independent_overlap_sets,
+                             mobius_matrix,
+                             overlaps_from_partition, partition_from_overlaps,
                              partition_from_patterns, pattern_counts,
-                             pattern_rows, restrict_to_independent,
+                             restrict_to_independent,
                              valid_overlap_sets, validate_realizable)
 from scldpc.cycle_census import shape_row_sets
-from oracles import direct_overlap, loop_cover_matrix, random_partition
+from oracles import (direct_overlap, inclusion_exclusion_overlaps,
+                     loop_cover_matrix, pattern_rows, random_partition)
 
 
 def test_valid_set_count_formula():
@@ -74,7 +76,7 @@ def test_completion_reproduces_all_overlaps():
         m = int(rng.integers(1, 3))
         part = random_partition(rng, g, k, m)
         ind = restrict_to_independent(overlaps_from_partition(part))
-        completed = complete_overlaps(ind)
+        completed = pattern_counts(ind)
         for rows in valid_overlap_sets(g, m):
             assert completed.get(rows) == direct_overlap(part, rows), rows
 
@@ -82,7 +84,7 @@ def test_completion_reproduces_all_overlaps():
 def test_completed_tables_are_monotone():
     rng = np.random.default_rng(3)
     part = random_partition(rng, 4, 9, 2)
-    ov = complete_overlaps(restrict_to_independent(overlaps_from_partition(part)))
+    ov = pattern_counts(restrict_to_independent(overlaps_from_partition(part)))
     sets = valid_overlap_sets(4, 2)
     for s in sets:
         for t in sets:
@@ -144,6 +146,52 @@ def test_cover_matrix_matches_loop_oracle():
                 assert got.dtype == np.int64
                 assert got.shape == (len(sets), (m + 1) ** gamma)
                 assert np.array_equal(got, loop_cover_matrix(gamma, m, sets))
+
+
+def test_pattern_counts_count_each_columns_pattern():
+    rng = np.random.default_rng(22)
+    for gamma in range(1, 6):
+        for m in range(4):
+            part = random_partition(rng, gamma, int(rng.integers(1, 12)), m)
+            seen = Counter(tuple(c) for c in part.assign.T.tolist())
+            assert overlaps_from_partition(part).counts.tolist() == \
+                [seen[v] for v in column_patterns(gamma, m)]
+
+
+def test_mobius_matrix_inverts_cover():
+    for gamma in range(1, 6):
+        for m in range(4):
+            sets = [()] + independent_overlap_sets(gamma, m)
+            mobius = mobius_matrix(gamma, m)
+            assert mobius.dtype == np.int64
+            # entries are 0 and +-1, so the float product is exact
+            got = mobius.astype(float) @ cover_matrix(gamma, m, sets)
+            assert np.array_equal(got, np.eye((m + 1) ** gamma))
+
+
+def test_pattern_counts_match_inclusion_exclusion_oracle():
+    # per (gamma, m): a partition's own overlaps, then two random vectors,
+    # most of them unrealizable (some pattern count negative)
+    rng = np.random.default_rng(23)
+    negative = 0
+    for gamma in range(1, 6):
+        for m in range(4):
+            kappa = int(rng.integers(1, 12))
+            part = random_partition(rng, gamma, kappa, m)
+            inds = [restrict_to_independent(overlaps_from_partition(part))]
+            n_free = len(independent_overlap_sets(gamma, m))
+            inds += [IndependentOverlaps(gamma, m, kappa,
+                                         rng.integers(0, kappa + 1, n_free))
+                     for _ in range(2)]
+            for ind in inds:
+                want = inclusion_exclusion_overlaps(ind)
+                pc = pattern_counts(ind)
+                assert pc.counts.tolist() == [
+                    want[pattern_rows(v, gamma)]
+                    for v in column_patterns(gamma, m)], (gamma, m)
+                assert all(pc.get(s) == t for s, t in want.items()), (gamma, m)
+                negative += bool((pc.counts < 0).any())
+    assert negative >= 20
 
 
 def test_pattern_rows_definition():

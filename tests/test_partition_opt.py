@@ -17,7 +17,7 @@ from scldpc.partition_opt import (OptimizerConfig, _balanced_blocks,
                                   _component_loads, _Evaluator, balance_bounds,
                                   composition_space, enumerate_feasible,
                                   optimize)
-from oracles import balanced_compositions, local_search
+from oracles import balanced_compositions, local_search, loop_random_balanced
 
 
 def brute_force_optimum(gamma, kappa, m, L, slack=0):
@@ -182,6 +182,33 @@ def test_block_expander_matches_recursive_oracle():
         empty += not len(expect)
         full += len(expect) > 100
     assert empty >= 5 and full >= 5
+
+
+def test_random_balanced_matches_loop_oracle():
+    # same vector and same generator state afterwards, over seeds and sizes
+    # where the repair needs several moves; a narrowed band can leave no
+    # balanced vector, and then both run out of attempts
+    rng = np.random.default_rng(25)
+    failed = 0
+    for _ in range(200):
+        g, m = int(rng.integers(1, 5)), int(rng.integers(0, 3))
+        k = int(rng.integers(1, 14))
+        lo, hi = balance_bounds(g, k, m, int(rng.integers(0, 2)))
+        hi -= int(rng.integers(0, 2))
+        seed, attempts = int(rng.integers(1 << 30)), int(rng.integers(1, 4))
+        got, want = [], []
+        for draw, out in ((partition_opt._random_balanced, got),
+                          (loop_random_balanced, want)):
+            r = np.random.default_rng(seed)
+            try:
+                out.append(draw(r, k, _component_loads(g, m), lo, hi,
+                                attempts).tolist())
+            except RuntimeError:
+                out.append(None)
+            out.append(r.integers(1 << 62))
+        assert got == want, (g, m, k, lo, hi, seed)
+        failed += got[0] is None
+    assert 5 <= failed <= 150
 
 
 def test_local_search_matches_loop_oracle():

@@ -164,6 +164,22 @@ def test_refine_layout_preserves_pattern_multiset():
     assert CycleSystem(spec).f_sc(f) == val
 
 
+def test_refine_layout_is_exhaustive_up_to_the_cap(monkeypatch):
+    # the cap compares with the number of distinct column arrangements
+    part = PartitionMatrix(1, [[0, 0, 1, 1, 1], [1, 1, 0, 0, 0], [0, 0, 1, 1, 0]])
+    columns = [tuple(c) for c in part.assign.T.tolist()]
+    count = len(list(power_opt._multiset_permutations(columns)))
+    assert count == 30  # 5! / (2! 2!): two patterns appear twice
+    calls = []
+    listing = power_opt._multiset_permutations
+    monkeypatch.setattr(power_opt, "_multiset_permutations",
+                        lambda items: calls.append(len(items)) or listing(items))
+    refine_layout(part, 5, 4, exhaustive_cap=count)
+    assert calls == [5]
+    refine_layout(part, 5, 4, exhaustive_cap=count - 1)
+    assert calls == [5]
+
+
 def test_refine_layout_never_worse_than_input():
     rng = np.random.default_rng(7)
     for _ in range(6):
