@@ -364,25 +364,34 @@ def starter_cycles4(spec: SCCodeSpec):
     return _starters(spec, find_cycles4, 2)
 
 
-def walk_cells(rows: np.ndarray, cols: np.ndarray):
-    """Window (row, column) indices of starter cycles' cells in alternating
-    walk order, each an (n, 6) array for 6-cycles or (n, 4) for 4-cycles.
+def walk_residues(spec: SCCodeSpec, rows: np.ndarray, cols: np.ndarray):
+    """Residue cells (row mod gamma) * kappa + (col mod kappa) of starter
+    cycles' cells in alternating walk order, an (n, 6) array for 6-cycles or
+    (n, 4) for 4-cycles.
 
     A 6-cycle walks (r1,c13),(r1,c12),(r2,c12),(r2,c23),(r3,c23),(r3,c13)
-    and a 4-cycle (r1,c1),(r1,c2),(r2,c2),(r2,c1); the signed power sum
-    + - + - ... over these cells is 0 mod p exactly when the cycle is
-    active.
+    and a 4-cycle (r1,c1),(r1,c2),(r2,c2),(r2,c1); the alternating power sum
+    over these cells is 0 mod p exactly when the cycle is active.
     """
     if rows.shape[1] == 3:
-        return rows[:, [0, 0, 1, 1, 2, 2]], cols[:, [1, 0, 0, 2, 2, 1]]
-    return rows[:, [0, 0, 1, 1]], cols[:, [0, 1, 1, 0]]
+        rows, cols = rows[:, [0, 0, 1, 1, 2, 2]], cols[:, [1, 0, 0, 2, 2, 1]]
+    else:
+        rows, cols = rows[:, [0, 0, 1, 1]], cols[:, [0, 1, 1, 0]]
+    return (rows % spec.gamma) * spec.kappa + cols % spec.kappa
+
+
+_WALK_SIGNS = np.array([1, -1, 1, -1, 1, -1], dtype=np.int64)
+
+
+def alternating_sum(walk_values: np.ndarray) -> np.ndarray:
+    """Sums + - + - ... over the last axis of values gathered in walk order."""
+    return walk_values @ _WALK_SIGNS[:walk_values.shape[-1]]
 
 
 def _power_sums(spec: SCCodeSpec, rows: np.ndarray, cols: np.ndarray):
     """Alternating power sums of starter cycles, reduced mod p."""
-    walk_rows, walk_cols = walk_cells(rows, cols)
-    f = spec.block.powers[walk_rows % spec.gamma, walk_cols % spec.kappa]
-    return (f[:, 0::2].sum(axis=1) - f[:, 1::2].sum(axis=1)) % spec.p
+    f = spec.block.powers.ravel()[walk_residues(spec, rows, cols)]
+    return alternating_sum(f) % spec.p
 
 
 @dataclass(frozen=True)

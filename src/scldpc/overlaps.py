@@ -68,10 +68,11 @@ class IndependentOverlaps:
     values: tuple
 
     def __post_init__(self):
-        sets = independent_overlap_sets(self.gamma, self.m)
-        if len(self.values) != len(sets):
+        # len(independent_overlap_sets): sum_d m**d * C(gamma, d), d >= 1
+        expected = (self.m + 1) ** self.gamma - 1
+        if len(self.values) != expected:
             raise ValueError(
-                f"expected {len(sets)} independent values, got {len(self.values)}"
+                f"expected {expected} independent values, got {len(self.values)}"
             )
         object.__setattr__(self, "values", tuple(int(v) for v in self.values))
 

@@ -5,15 +5,20 @@ circulant powers only decide which protograph cycles survive lifting.  Both
 the survival condition and the 4-cycle condition depend on a cell's row
 residue mod gamma and column residue mod kappa only, so the whole search
 state is the gamma x kappa power matrix and a precomputed list of starter
-cycles in the first window.
+cycles in the first window, each a walk of residue cells.
 
-Each round scores residue cells by theta, a weighted count of active cycles
-through them, picks the highest-scoring subset of the current schedule
-size, and tries candidate power assignments for it; the best candidate is
-accepted only if it strictly lowers the lifted 6-cycle count while keeping
-the lifted graph free of 4-cycles.  Failure escalates the subset size;
-exhausting the schedule re-samples candidates (when sampling) until the
-stale-round limit.  Everything is deterministic given the seed.
+Each round scores residue cells by theta, m+1 times the number of visits
+the active starter 6-cycles pay each cell.  This is the paper's window
+count folded by residues: a span-k starter reappears m-k+2 times down the
+maximal window and each copy weighs (m+1)/(m-k+2), so the copies of one
+active cycle add up to m+1 per cell of its walk, and theta is an exact
+integer.  The round picks the highest-scoring subset of the current
+schedule size (ties go to the first cell in row-major order) and tries
+candidate power assignments for it; the best candidate is accepted only if
+it strictly lowers the lifted 6-cycle count while keeping the lifted graph
+free of 4-cycles.  Failure escalates the subset size; exhausting the
+schedule re-samples candidates (when sampling) until the stale-round limit.
+Everything is deterministic given the seed.
 
 A touched cycle's signed power sum is linear in the subset's new powers
 and depends only on its support S, the subset cells whose coefficient is
@@ -36,8 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .code_model import PartitionMatrix, SCCodeSpec, ab_powers
-from .cycle_census import starter_cycles4, starter_cycles6, walk_cells
+from .code_model import PartitionMatrix, SCCodeSpec, ab_code
+from .cycle_census import (alternating_sum, starter_cycles4, starter_cycles6,
+                           walk_residues)
 from .overlaps import overlaps_from_partition
 
 
@@ -86,65 +92,56 @@ class TraceRow:
 
 @dataclass
 class CpoState:
-    """Final powers plus the bookkeeping the optimizer maintained."""
+    """Final powers plus the bookkeeping the optimizer maintained.
+
+    theta is the final (gamma, kappa) int64 cell score of weighted_theta.
+    """
 
     powers: np.ndarray
     f_sc: int
     theta: np.ndarray
-    theta_prime: np.ndarray
     trace: list
     rounds: int
     reached_target: bool
 
 
-_SIGNS6 = np.array([1, -1, 1, -1, 1, -1], dtype=np.int64)
-_SIGNS4 = np.array([1, -1, 1, -1], dtype=np.int64)
-
-
-def _cycles_by_cell(res: np.ndarray, ncells: int) -> list:
-    """Per residue cell, the ascending indices of the cycles through it."""
-    n = max(len(res), 1)
-    cycle = np.repeat(np.arange(len(res), dtype=np.int64), res.shape[1])
-    cell, cycle = np.divmod(np.unique(res.ravel() * n + cycle), n)
-    return np.split(cycle, np.searchsorted(cell, np.arange(1, ncells)))
+def _visit_table(res: np.ndarray, ncells: int) -> np.ndarray:
+    """Boolean (cell, cycle) table: does the cycle's walk visit the cell."""
+    visits = np.zeros((ncells, len(res)), dtype=bool)
+    visits[res, np.arange(len(res))[:, None]] = True
+    return visits
 
 
 class CycleSystem:
     """Starter cycles of a coupled spec in residue-cell coordinates.
 
-    Cycles are stored cell-by-cell in alternating walk order, so a signed
-    sum of powers over the cells is 0 mod p exactly for the cycles that
-    survive lifting.  Powers enter only through the residue cell index
-    (row mod gamma) * kappa + (col mod kappa).
+    res6 and res4 hold each cycle's cells in alternating walk order, so the
+    alternating sum of powers over them is 0 mod p exactly for the cycles
+    that survive lifting.  Powers enter only through the residue cell index
+    (row mod gamma) * kappa + (col mod kappa).  visits6 and visits4 mark,
+    per cell, the cycles whose walk passes through it.
     """
 
     def __init__(self, spec: SCCodeSpec):
-        g, kp, m, L, p = spec.gamma, spec.kappa, spec.m, spec.L, spec.p
-        self.spec = spec
-        self.gamma, self.kappa, self.m, self.L, self.p = g, kp, m, L, p
-        self.window_cols = min(m + 1, L) * kp
+        g, kp = spec.gamma, spec.kappa
+        self.gamma, self.kappa, self.m, self.p = g, kp, spec.m, spec.p
 
         span6, rows6, cols6 = starter_cycles6(spec)
-        walk_rows, walk_cols = walk_cells(rows6, cols6)
-        self.res6 = (walk_rows % g) * kp + walk_cols % kp
-        self.win6 = walk_rows * self.window_cols + walk_cols
+        self.res6 = walk_residues(spec, rows6, cols6)
         self.span6 = span6
-        self.weight6 = np.maximum(L - span6 + 1, 0) * p
-        self.copies6 = m - span6 + 2
-        self.wk6 = (m + 1) / np.maximum(self.copies6, 1)
+        self.weight6 = np.maximum(spec.L - span6 + 1, 0) * spec.p
 
         _, rows4, cols4 = starter_cycles4(spec)
-        walk_rows, walk_cols = walk_cells(rows4, cols4)
-        self.res4 = (walk_rows % g) * kp + walk_cols % kp
+        self.res4 = walk_residues(spec, rows4, cols4)
 
-        self.cell_to_6 = _cycles_by_cell(self.res6, g * kp)
-        self.cell_to_4 = _cycles_by_cell(self.res4, g * kp)
+        self.visits6 = _visit_table(self.res6, g * kp)
+        self.visits4 = _visit_table(self.res4, g * kp)
 
     def sums6(self, f_flat: np.ndarray) -> np.ndarray:
-        return (f_flat[self.res6] * _SIGNS6).sum(axis=1)
+        return alternating_sum(f_flat[self.res6])
 
     def sums4(self, f_flat: np.ndarray) -> np.ndarray:
-        return (f_flat[self.res4] * _SIGNS4).sum(axis=1)
+        return alternating_sum(f_flat[self.res4])
 
     def active6(self, f_flat: np.ndarray) -> np.ndarray:
         return self.sums6(f_flat) % self.p == 0
@@ -160,32 +157,16 @@ class CycleSystem:
         return int((self.sums4(f_flat) % self.p == 0).sum())
 
 
-def weighted_theta(system: CycleSystem, f_flat: np.ndarray):
-    """Window-cell and residue-cell weighted active-cycle counts.
+def weighted_theta(system: CycleSystem, f_flat: np.ndarray) -> np.ndarray:
+    """(gamma, kappa) int64 cell scores: m+1 per visit of an active 6-cycle.
 
-    Every span-k starter cycle reappears m-k+2 times down the maximal
-    window; each copy deposits (m+1)/(m-k+2) on its six cells, so after
-    folding the window by residues each active cycle contributes m+1 per
-    cell it touches.
+    Equals the paper's count over the maximal window folded by residues,
+    where each of a span-k cycle's m-k+2 copies deposits (m+1)/(m-k+2) on
+    its six cells.
     """
-    g, kp, m = system.gamma, system.kappa, system.m
-    width = (m + 1) * kp
-    theta_prime = np.zeros((2 * m + 1) * g * width)
-    if len(system.res6):
-        act = system.active6(f_flat)
-        shift = g * width + kp
-        for t in range(m + 1):
-            live = act & (system.copies6 > t)
-            if not live.any():
-                continue
-            np.add.at(
-                theta_prime,
-                (system.win6[live] + t * shift).ravel(),
-                np.repeat(system.wk6[live], 6),
-            )
-    theta_prime = theta_prime.reshape((2 * m + 1) * g, width)
-    theta = theta_prime.reshape(2 * m + 1, g, m + 1, kp).sum(axis=(0, 2))
-    return theta_prime, theta
+    g, kp = system.gamma, system.kappa
+    cells = system.res6[system.active6(f_flat)].ravel()
+    return (system.m + 1) * np.bincount(cells, minlength=g * kp).reshape(g, kp)
 
 
 _CAND_CHUNK = 32768
@@ -200,20 +181,18 @@ def _candidate_chunks(rng, p: int, size: int, n: int):
         n -= take
 
 
-def _linear_forms(res, signs, cell_to, subset, f_flat):
+def _linear_forms(res, visits, subset, f_flat):
     """Signed power sums of the cycles through `subset` as base + coef @ x.
 
     x holds the subset cells' powers and coef[:, j] is the signed
-    multiplicity of subset cell j in each touched cycle's walk.  Returns
-    the touched cycle indices, base and coef.
+    multiplicity of subset cell j in each touched cycle's walk.  A cycle is
+    touched when it visits a subset cell, even with a net coefficient of
+    zero.  Returns the touched cycle indices, base and coef.
     """
-    mark = np.zeros(len(res), dtype=bool)
-    for c in subset:
-        mark[cell_to[c]] = True
-    touched = np.flatnonzero(mark)
+    touched = np.flatnonzero(visits[subset].any(axis=0))
     cells = res[touched]
-    coef = signs @ (cells[:, :, None] == subset)
-    base = (f_flat[cells] * signs).sum(axis=1) - coef @ f_flat[subset]
+    coef = alternating_sum(cells[:, None, :] == subset[:, None])
+    base = alternating_sum(f_flat[cells]) - coef @ f_flat[subset]
     return touched, base, coef
 
 
@@ -290,9 +269,9 @@ class _SubsetScorer:
     def __init__(self, system: CycleSystem, f_flat: np.ndarray, subset, f_sc: int):
         self.p, self.size, self.f_sc = system.p, len(subset), f_sc
         touched6, self.base6, self.coef6 = _linear_forms(
-            system.res6, _SIGNS6, system.cell_to_6, subset, f_flat)
+            system.res6, system.visits6, subset, f_flat)
         _, self.base4, self.coef4 = _linear_forms(
-            system.res4, _SIGNS4, system.cell_to_4, subset, f_flat)
+            system.res4, system.visits4, subset, f_flat)
         self.w6 = system.weight6[touched6]
         now = (self.base6 + self.coef6 @ f_flat[subset]) % self.p == 0
         self.f_rest = f_sc - int(self.w6[now].sum())
@@ -355,19 +334,12 @@ def run_cpo(spec: SCCodeSpec, config: CpoConfig) -> CpoState:
         raise ValueError("a seed is required when candidates are sampled")
 
     f_sc = system.f_sc(f_flat)
-    theta_prime, theta = weighted_theta(system, f_flat)
+    theta = weighted_theta(system, f_flat)
     trace: list[TraceRow] = []
     rounds = 0
     stale = 0
     level = 0
     start = time.monotonic()
-
-    def cell_order():
-        flat = theta.ravel()
-        order = np.lexsort(
-            (np.arange(flat.size) % kp, np.arange(flat.size) // kp, -flat)
-        )
-        return order
 
     while f_sc > config.target_f_sc:
         if config.max_rounds is not None and rounds >= config.max_rounds:
@@ -378,7 +350,8 @@ def run_cpo(spec: SCCodeSpec, config: CpoConfig) -> CpoState:
         ):
             break
         size = min(config.subset_size_schedule[level], g * kp)
-        order = cell_order()
+        # highest theta first, ties in row-major cell order
+        order = np.argsort(-theta.ravel(), kind="stable")
         if stale == 0:
             subset = order[:size]
         else:
@@ -432,7 +405,7 @@ def run_cpo(spec: SCCodeSpec, config: CpoConfig) -> CpoState:
             if n4:
                 raise RuntimeError(
                     f"accepted powers activate {n4} lifted 4-cycles, expected 0")
-            theta_prime, theta = weighted_theta(system, f_flat)
+            theta = weighted_theta(system, f_flat)
             level = 0
             stale = 0
             continue
@@ -449,7 +422,6 @@ def run_cpo(spec: SCCodeSpec, config: CpoConfig) -> CpoState:
         powers=f_flat.reshape(g, kp),
         f_sc=f_sc,
         theta=theta,
-        theta_prime=theta_prime,
         trace=trace,
         rounds=rounds,
         reached_target=f_sc <= config.target_f_sc,
@@ -491,12 +463,8 @@ def refine_layout(partition: PartitionMatrix, p: int, L: int,
     first minimum); larger ones fall back to deterministic pairwise-swap
     descent from the current arrangement.  Returns (partition, count).
     """
-    from .code_model import CirculantBlockCode
-
     g, kp = partition.gamma, partition.kappa
-    block = CirculantBlockCode(g, kp, p, ab_powers(g, kp, p))
-    spec = SCCodeSpec(block, partition, L)
-    system = CycleSystem(spec)
+    system = CycleSystem(SCCodeSpec(ab_code(g, kp, p), partition, L))
     base_pats = [tuple(int(v) for v in partition.assign[:, j]) for j in range(kp)]
 
     def eval_sources(source: np.ndarray) -> int:

@@ -123,9 +123,10 @@ def tuple_lifted_cycles4(spec) -> int:
 
 
 def tuple_cycle_arrays(spec):
-    """(res6, win6, span6, res4) of power_opt.CycleSystem, filled one
-    starter tuple at a time: residue cells and window cells in alternating
-    walk order, and each 6-cycle's span."""
+    """(res6, win6, span6, res4), filled one starter tuple at a time:
+    residue cells and window cells in alternating walk order, and each
+    6-cycle's span.  res6, span6 and res4 are power_opt.CycleSystem's
+    arrays; win6 places window_theta's deposits."""
     g, kp = spec.gamma, spec.kappa
     window_cols = min(spec.m + 1, spec.L) * kp
     six = starter_tuples(spec, find_cycles6)
@@ -143,6 +144,37 @@ def tuple_cycle_arrays(spec):
         walk = [(r1, c1), (r1, c2), (r2, c2), (r2, c1)]
         res4[n] = [(r % g) * kp + (c % kp) for r, c in walk]
     return res6, win6, span6, res4
+
+
+def window_theta(spec, f_flat) -> np.ndarray:
+    """Float (gamma, kappa) theta of power_opt.weighted_theta, the long way.
+
+    Every span-k starter 6-cycle reappears m-k+2 times down the maximal
+    window; each copy of an active one deposits (m+1)/(m-k+2) on its six
+    window cells, and the (2m+1)*gamma x (m+1)*kappa window is folded by
+    residues.  Assumes L >= m + 1, as power_opt.run_cpo does.
+    """
+    g, kp, m = spec.gamma, spec.kappa, spec.m
+    res6, win6, span6, _ = tuple_cycle_arrays(spec)
+    signs6 = np.array([1, -1, 1, -1, 1, -1], dtype=np.int64)
+    copies6 = m - span6 + 2
+    wk6 = (m + 1) / np.maximum(copies6, 1)
+    width = (m + 1) * kp
+    theta_prime = np.zeros((2 * m + 1) * g * width)
+    if len(res6):
+        act = (f_flat[res6] * signs6).sum(axis=1) % spec.p == 0
+        shift = g * width + kp
+        for t in range(m + 1):
+            live = act & (copies6 > t)
+            if not live.any():
+                continue
+            np.add.at(
+                theta_prime,
+                (win6[live] + t * shift).ravel(),
+                np.repeat(wk6[live], 6),
+            )
+    theta_prime = theta_prime.reshape((2 * m + 1) * g, width)
+    return theta_prime.reshape(2 * m + 1, g, m + 1, kp).sum(axis=(0, 2))
 
 
 # ---------------------------------------------------------------------------

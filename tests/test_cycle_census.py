@@ -313,8 +313,9 @@ def test_starter_arrays_match_tuple_oracle():
         assert cols.tolist() == [list(c) for _, _, c in want]
         assert starter_cycles4(spec)[1].shape[1:] == (2,)
         system = CycleSystem(spec)
-        for got, expect in zip((system.res6, system.win6, system.span6,
-                                system.res4), tuple_cycle_arrays(spec)):
+        res6, _, span6, res4 = tuple_cycle_arrays(spec)
+        for got, expect in zip((system.res6, system.span6, system.res4),
+                               (res6, span6, res4)):
             assert got.dtype == np.int64
             assert got.shape == expect.shape
             assert (got == expect).all()

@@ -231,6 +231,16 @@ def test_partition_from_overlaps_roundtrip():
         assert ind2.values == ind.values
 
 
+def test_independent_overlaps_take_one_value_per_independent_set():
+    for g in range(1, 6):
+        for m in range(4):
+            n = len(independent_overlap_sets(g, m))
+            assert len(IndependentOverlaps(g, m, 5, (0,) * n).values) == n
+            for wrong in (n - 1, n + 1) if n else (1,):
+                with pytest.raises(ValueError, match=f"expected {n} "):
+                    IndependentOverlaps(g, m, 5, (0,) * wrong)
+
+
 def test_partition_from_patterns_rejects_bad_totals():
     bad = IndependentOverlaps(3, 1, 6, (1, 1, 1, 5, 0, 0, 0))
     with pytest.raises(ValueError):

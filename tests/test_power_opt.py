@@ -10,12 +10,13 @@ from scldpc.code_model import (CirculantBlockCode, PartitionMatrix, SCCodeSpec,
                                ab_code, ab_powers, partition_from_cutting_vector)
 from scldpc import power_opt
 from scldpc.io_formats import trace_csv
-from scldpc.power_opt import (CpoConfig, CycleSystem, _cycles_by_cell,
-                              _SubsetScorer, refine_layout, run_cpo,
+from scldpc.power_opt import (CpoConfig, CycleSystem, _SubsetScorer,
+                              _visit_table, refine_layout, run_cpo,
                               weighted_theta)
 
 from oracles import (dense_candidate_scores, lifted_cycles4,
-                     prefix_table_scores, random_partition)
+                     prefix_table_scores, random_partition,
+                     tuple_cycle_arrays, window_theta)
 
 
 def uncut(gamma, kappa, m=1):
@@ -54,11 +55,68 @@ def test_theta_accounting():
                           part, 8)
         system = CycleSystem(spec)
         f = spec.block.powers.ravel().astype(np.int64)
-        theta_prime, theta = weighted_theta(system, f)
+        theta = weighted_theta(system, f)
         n_active = int(system.active6(f).sum())
         assert theta.shape == (g, kp)
-        assert np.isclose(theta.sum(), 6 * (m + 1) * n_active)
-        assert np.isclose(theta_prime.sum(), theta.sum())
+        assert theta.sum() == 6 * (m + 1) * n_active
+
+
+def random_power_spec(rng, m):
+    g, kp = int(rng.integers(2, 5)), int(rng.integers(2, 7))
+    p = int(rng.choice([5, 7, 11]))
+    block = CirculantBlockCode(g, kp, p, rng.integers(0, p, (g, kp)))
+    L = m + 1 + int(rng.integers(0, 3))
+    return SCCodeSpec(block, random_partition(rng, g, kp, m), L)
+
+
+def test_weighted_theta_matches_window_oracle():
+    rng = np.random.default_rng(21)
+    for m in range(4):
+        for _ in range(8):
+            spec = random_power_spec(rng, m)
+            system = CycleSystem(spec)
+            f = spec.block.powers.ravel()
+            theta = weighted_theta(system, f)
+            assert np.allclose(theta, window_theta(spec, f), rtol=0, atol=1e-9)
+
+
+def test_theta_is_exact_visit_count_at_m3():
+    # the window weights (m+1)/(m-k+2) are 4/5, 4/3, ... at m=3, so the
+    # float fold is only close to the integer m+1 per visit
+    rng = np.random.default_rng(3)
+    m, inexact = 3, 0
+    for _ in range(7):
+        spec = random_power_spec(rng, m)
+        f = spec.block.powers.ravel()
+        res6, _, _, _ = tuple_cycle_arrays(spec)
+        visits = Counter()
+        for walk in res6.tolist():
+            sums = sum(f[c] * (-1) ** i for i, c in enumerate(walk))
+            if sums % spec.p == 0:
+                visits.update(walk)
+        want = np.array([(m + 1) * visits[c] for c in range(spec.gamma * spec.kappa)])
+        theta = weighted_theta(CycleSystem(spec), f)
+        assert theta.dtype == np.int64
+        assert np.array_equal(theta.ravel(), want)
+        inexact += not np.array_equal(window_theta(spec, f).ravel(), want)
+    assert inexact > 0
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_window_theta_replays_whole_runs(monkeypatch, m):
+    # for m <= 2 every window weight is dyadic, so the float theta is exact
+    # and the power search takes the same path with either form
+    rng = np.random.default_rng(m)
+    configs = (CpoConfig(seed=4, subset_size_schedule=(1, 2), max_stale_rounds=3),
+               CpoConfig(seed=6, subset_size_schedule=(1, 2, 3),
+                         exhaustive_cap=100, max_stale_rounds=3))
+    for config in configs:
+        spec = spec_for(3, 7, 7, random_partition(rng, 3, 7, m), m + 4)
+        want = trace_csv(run_cpo(spec, config).trace)
+        with monkeypatch.context() as patch:
+            patch.setattr(power_opt, "weighted_theta",
+                          lambda system, f: window_theta(spec, f))
+            assert trace_csv(run_cpo(spec, config).trace) == want
 
 
 def test_f_sc_matches_weight_definition():
@@ -216,8 +274,8 @@ def scramble_walks(rng, system):
     ncells = system.gamma * system.kappa
     system.res6 = rng.integers(0, ncells, system.res6.shape)
     system.res4 = rng.integers(0, ncells, system.res4.shape)
-    system.cell_to_6 = _cycles_by_cell(system.res6, ncells)
-    system.cell_to_4 = _cycles_by_cell(system.res4, ncells)
+    system.visits6 = _visit_table(system.res6, ncells)
+    system.visits4 = _visit_table(system.res4, ncells)
 
 
 def test_cycles_by_cell_match_per_cell_scan():
@@ -227,12 +285,11 @@ def test_cycles_by_cell_match_per_cell_scan():
         if n % 2:
             scramble_walks(rng, system)
         ncells = system.gamma * system.kappa
-        for res, cell_to in ((system.res6, system.cell_to_6),
-                             (system.res4, system.cell_to_4)):
-            assert len(cell_to) == ncells
+        for res, visits in ((system.res6, system.visits6),
+                            (system.res4, system.visits4)):
+            assert visits.shape == (ncells, len(res))
             for c in range(ncells):
-                assert np.array_equal(cell_to[c],
-                                      np.nonzero((res == c).any(axis=1))[0])
+                assert np.array_equal(visits[c], (res == c).any(axis=1))
 
 
 @pytest.mark.parametrize("chunk", [None, 40])
