@@ -101,23 +101,13 @@ class PartitionMatrix:
 
 
 def partition_from_cutting_vector(zeta, gamma: int, kappa: int) -> PartitionMatrix:
-    """Memory-1 partition from an ascending cutting vector.
+    """Memory-1 partition from a non-decreasing cutting vector.
 
     Row i assigns columns j < zeta[i] to component 0 and the rest to
     component 1, producing the staircase split used by cutting-vector
     constructions.
     """
-    z = list(zeta)
-    if len(z) != gamma:
-        raise ValueError(f"cutting vector needs {gamma} entries, got {len(z)}")
-    if any(not 0 <= v <= kappa for v in z):
-        raise ValueError("cutting vector entries must lie in [0, kappa]")
-    if any(z[i] > z[i + 1] for i in range(len(z) - 1)):
-        raise ValueError("cutting vector must be ascending")
-    assign = np.zeros((gamma, kappa), dtype=np.int64)
-    for i, cut in enumerate(z):
-        assign[i, cut:] = 1
-    return PartitionMatrix(1, assign)
+    return partition_from_cutting_vectors([zeta], gamma, kappa)
 
 
 def partition_from_cutting_vectors(zetas, gamma: int, kappa: int) -> PartitionMatrix:
@@ -126,9 +116,7 @@ def partition_from_cutting_vectors(zetas, gamma: int, kappa: int) -> PartitionMa
     Row i assigns columns j < zetas[0][i] to component 0, columns in
     [zetas[x-1][i], zetas[x][i]) to component x, and the rest to component
     m.  Each vector must be non-decreasing (repeats give empty segments)
-    and dominate the previous one entrywise.  With a single vector this
-    reduces to partition_from_cutting_vector except that strictly equal
-    neighbors are tolerated.
+    and dominate the previous one entrywise.
     """
     vs = [list(z) for z in zetas]
     if not vs:

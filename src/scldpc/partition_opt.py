@@ -40,6 +40,7 @@ from .overlaps import (
 
 
 STRATEGIES = ("auto", "exhaustive", "branch-and-bound", "local-search")
+EXHAUSTIVE_LIMIT = 2_000_000  # auto strategy cutoff, compositions
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,6 @@ class OptimizerConfig:
     seed: int | None = None
     restarts: int = 60
     batch: int = 1 << 15
-    exhaustive_limit: int = 2_000_000  # auto strategy cutoff, compositions
     time_budget_s: float | None = None
 
     def __post_init__(self):
@@ -322,7 +322,7 @@ def optimize(gamma: int, kappa: int, m: int, L: int,
 
     strategy = config.strategy
     if strategy == "auto":
-        small = composition_space(kappa, gamma, m) <= config.exhaustive_limit
+        small = composition_space(kappa, gamma, m) <= EXHAUSTIVE_LIMIT
         strategy = "exhaustive" if small else "local-search"
 
     if strategy == "exhaustive":

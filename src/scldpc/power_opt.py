@@ -20,21 +20,20 @@ free of 4-cycles.  Failure escalates the subset size; exhausting the
 schedule re-samples candidates (when sampling) until the stale-round limit.
 Everything is deterministic given the seed.
 
-A touched cycle's signed power sum is linear in the subset's new powers
-and depends only on its support S, the subset cells whose coefficient is
-nonzero mod p.  Once the powers of all but the last cell of S are fixed,
-the cycle is active for exactly the last powers that solve one congruence
-mod p (Fossorier, IEEE T-IT 50(8), 2004).  An exhaustive round over all
-p**s assignments therefore tabulates p**(|S|-1) prefix sums per touched
-cycle and broadcast-adds one p**|S| table per distinct support into the
-p**s scores, instead of evaluating every cycle at every candidate; most
-touched cycles have |S| = 1.  Sampled rounds score their random candidates
-directly.
+A touched cycle's signed power sum is base + v @ x, linear in the subset's
+new powers x, and the cycle survives lifting exactly when it is 0 mod p
+(Fossorier, IEEE T-IT 50(8), 2004).  The touched cycles are pooled by
+their coefficient row v mod p and base residue, and a row is active at x
+through the one residue (-v @ x) mod p, so scoring a candidate costs one
+gather per distinct row, not one evaluation per touched cycle.  An
+exhaustive round over all p**s assignments sums each row over the p**|S|
+powers of its support S, the cells where v is nonzero, and broadcast-adds
+one table per distinct support into the p**s scores.  Sampled rounds
+gather their random candidates directly.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -55,12 +54,11 @@ class CpoConfig:
     subset_size_schedule: tuple = (1, 2, 3)
     power_candidates: int | None = None  # None: exhaustive joint assignments
     # joint assignments above this are sampled; an exhaustive round of size
-    # s costs p**(|S|-1) per touched cycle of support S plus p**s per
-    # distinct support, and holds a p**s score vector
+    # s costs p**|S| per distinct coefficient row of support S plus p**s
+    # per distinct support, and holds a p**s score vector
     exhaustive_cap: int = 8192
     target_f_sc: int = 0
     max_stale_rounds: int = 60
-    max_rounds: int | None = None
     time_budget_s: float | None = None
 
     def __post_init__(self):
@@ -73,8 +71,6 @@ class CpoConfig:
         if self.max_stale_rounds < 0:
             raise ValueError(
                 f"max_stale_rounds must be >= 0, got {self.max_stale_rounds}")
-        if self.max_rounds is not None and self.max_rounds < 0:
-            raise ValueError(f"max_rounds must be >= 0, got {self.max_rounds}")
         if self.time_budget_s is not None and self.time_budget_s < 0:
             raise ValueError(
                 f"time_budget_s must be >= 0, got {self.time_budget_s}")
@@ -196,118 +192,73 @@ def _linear_forms(res, visits, subset, f_flat):
     return touched, base, coef
 
 
-def _support_table(p: int, base, coef, weight) -> np.ndarray:
-    """Weight of the cycles active at every joint power assignment x of a
-    subset, as an array of shape (p,) * s indexed by x.
-
-    A cycle's sum is base + coef @ x and depends only on its support, the
-    columns j with coef[:, j] % p != 0, so a cycle with support S is
-    tabulated over the p**|S| assignments of S alone and broadcast along
-    the other axes; a cycle with an empty support is a constant.  Within a
-    support the residue r over the prefix x[S[:-1]] is built up one power
-    at a time; with the prefix fixed the cycle is active exactly where
-    r + v*x[S[-1]] = 0 mod p for its last coefficient v, so each last power
-    needs the one residue (-v*x[S[-1]]) % p.  All supports of one size
-    share one bincount over (support, v, weight) classes, prefixes and
-    residues, and every last power reads its residue from each class.
-    This covers v sharing a factor with a composite p.
-    """
-    n, s = coef.shape
-    x = np.arange(p)
-    live = coef % p != 0
-    size = live.sum(axis=1)
-    order = np.argsort(size, kind="stable")
-    base, coef, live = base[order] % p, coef[order], live[order]
-    weight = weight[order]
-    wvals, wcls = np.unique(weight, return_inverse=True)
-    nw = len(wvals)
-    sup = live @ (1 << np.arange(s))
-    flat = coef[live] % p  # each cycle's support coefficients, in order
-    ends = np.cumsum(np.bincount(size, minlength=s + 1)).tolist()
-    const = weight[:ends[0]][base[:ends[0]] == 0].sum()
-    table = np.full((p,) * s, const, dtype=np.int64)
-    at = 0  # start of this size's coefficients in flat
-    for k in range(1, s + 1):
-        a, b = ends[k - 1], ends[k]
-        if a == b:
-            continue
-        c = flat[at:at + (b - a) * k].reshape(b - a, k)
-        at += (b - a) * k
-        r = base[a:b, None]
-        for j in range(k - 1):
-            r = (r[:, :, None] + c[:, j, None, None] * x) % p
-            r = r.reshape(b - a, r.shape[1] * p)
-        n_pre = r.shape[1]
-        # classes present among this size's (support, v, weight) keys
-        key = (sup[a:b] * p + c[:, -1]) * nw + wcls[a:b]
-        hit = np.bincount(key, minlength=(2 ** s) * p * nw) > 0
-        classes = np.flatnonzero(hit)
-        cls = (np.cumsum(hit) - 1)[key]
-        r += ((cls * n_pre)[:, None] + np.arange(n_pre)) * p
-        cube = np.bincount(r.ravel(), minlength=len(classes) * n_pre * p)
-        cls_sup, v = np.divmod(classes // nw, p)
-        rows = (np.arange(len(classes) * n_pre) * p).reshape(-1, n_pre, 1)
-        need = (-v[:, None] * x) % p
-        active = cube[rows + need[:, None, :]].reshape(len(classes), n_pre * p)
-        active *= wvals[classes % nw, None]
-        # classes are sorted by support: sum each support's run of them
-        masks = np.flatnonzero(hit.reshape(2 ** s, p * nw).any(axis=1))
-        sums = np.add.reduceat(active, np.searchsorted(cls_sup, masks))
-        for mask, t in zip(masks.tolist(), sums):
-            table += t.reshape([p if mask >> j & 1 else 1 for j in range(s)])
-    return table
-
-
 class _SubsetScorer:
     """Lifted 6-cycle count after re-powering one cell subset.
 
-    Only the cycles through the subset change; their sums are kept as
-    linear forms in the subset's powers.  A candidate that activates a
-    touched 4-cycle scores the current count, so it is never accepted.
+    Only the cycles through the subset change.  A touched cycle's sum is
+    base + v @ x, so it is active exactly where base = -v @ x mod p.  The
+    touched cycles are pooled by their coefficient row v mod p: entry
+    i * p + b of pool weighs the cycles of row rows[i] with base residue b,
+    and at powers x row i adds pool[i * p + (-rows[i] @ x) % p].  A touched
+    4-cycle weighs `kill`, more than all touched 6-cycles together, so a
+    candidate whose pooled weight reaches kill activates a 4-cycle; it
+    scores the current count and is never accepted.
     """
 
     def __init__(self, system: CycleSystem, f_flat: np.ndarray, subset, f_sc: int):
-        self.p, self.size, self.f_sc = system.p, len(subset), f_sc
-        touched6, self.base6, self.coef6 = _linear_forms(
+        p = system.p
+        self.p, self.size, self.f_sc = p, len(subset), f_sc
+        touched6, base6, coef6 = _linear_forms(
             system.res6, system.visits6, subset, f_flat)
-        _, self.base4, self.coef4 = _linear_forms(
-            system.res4, system.visits4, subset, f_flat)
-        self.w6 = system.weight6[touched6]
-        now = (self.base6 + self.coef6 @ f_flat[subset]) % self.p == 0
-        self.f_rest = f_sc - int(self.w6[now].sum())
+        _, base4, coef4 = _linear_forms(system.res4, system.visits4, subset, f_flat)
+        w6 = system.weight6[touched6]
+        self.kill = int(w6.sum()) + 1
+        coef = np.concatenate([coef6, coef4]) % p
+        order = np.lexsort(coef.T)
+        coef = coef[order]
+        new = np.ones(len(coef), dtype=bool)
+        new[1:] = (coef[1:] != coef[:-1]).any(axis=1)
+        self.rows = coef[new]
+        self.at = p * np.arange(len(self.rows))
+        self.pool = np.zeros(len(self.rows) * p, dtype=np.int64)
+        np.add.at(self.pool,
+                  self.at[np.cumsum(new) - 1]
+                  + np.concatenate([base6, base4])[order] % p,
+                  np.concatenate([w6, np.full(len(base4), self.kill)])[order])
+        # the subset's current powers may close a touched 4-cycle
+        now = self._pooled(self.rows, self.at, f_flat[subset, None])
+        self.f_rest = f_sc - int(now[0]) % self.kill
+
+    def _pooled(self, rows, at, x):
+        """Pooled weight active at each column of the (size, n) powers x,
+        summed over the given rows, whose pool entries start at `at`."""
+        return self.pool[(-rows @ x) % self.p + at[:, None]].sum(axis=0)
+
+    def _scores(self, total):
+        return np.where(total >= self.kill, self.f_sc, self.f_rest + total)
 
     def dense_scores(self, cands: np.ndarray) -> np.ndarray:
         """Scores of the given (n, size) candidate rows."""
-        p = self.p
-        act6 = (self.base6[:, None] + self.coef6 @ cands.T) % p == 0
-        f_cand = self.f_rest + (self.w6[:, None] * act6).sum(axis=0)
-        act4 = (self.base4[:, None] + self.coef4 @ cands.T) % p == 0
-        f_cand[act4.any(axis=0)] = self.f_sc
-        return f_cand
+        return self._scores(self._pooled(self.rows, self.at, cands.T))
 
     def table_scores(self) -> np.ndarray:
-        """Scores of all p**size candidates, in lexicographic order."""
-        p, k = self.p, self.size - 1
-        # a touched 4-cycle outweighs all touched 6-cycles together, so one
-        # table scores both: an entry of at least `kill` activates a 4-cycle
-        kill = int(self.w6.sum()) + 1
-        base = np.concatenate([self.base6, self.base4])
-        coef = np.concatenate([self.coef6, self.coef4])
-        weight = np.concatenate([self.w6, np.full(len(self.base4), kill)])
-        # loop over leading powers so no table has more than _CAND_CHUNK
-        # prefix rows
-        lead = 0
-        while p ** (k - lead) > _CAND_CHUNK:
-            lead += 1
-        out = []
-        for head in itertools.product(range(p), repeat=lead):
-            head = np.array(head, dtype=np.int64)
-            table = _support_table(p, base + coef[:, :lead] @ head,
-                                   coef[:, lead:], weight)
-            f_cand = self.f_rest + table
-            f_cand[table >= kill] = self.f_sc
-            out.append(f_cand.ravel())
-        return np.concatenate(out)
+        """Scores of all p**size candidates, in lexicographic order.
+
+        Each row's pooled weight depends only on the powers of its support,
+        the columns where it is nonzero, so the rows of one support are
+        summed over the p**|S| powers of S and broadcast along the rest.
+        """
+        p, s = self.p, self.size
+        table = np.zeros((p,) * s, dtype=np.int64)
+        supports = (self.rows != 0) @ (1 << np.arange(s))
+        for mask in set(supports.tolist()):
+            mine = supports == mask
+            bits = [mask >> j & 1 for j in range(s)]
+            cols = np.flatnonzero(bits)
+            grid = np.indices((p,) * len(cols)).reshape(len(cols), p ** len(cols))
+            total = self._pooled(self.rows[mine][:, cols], self.at[mine], grid)
+            table += total.reshape([p if bit else 1 for bit in bits])
+        return self._scores(table.ravel())
 
 
 def run_cpo(spec: SCCodeSpec, config: CpoConfig) -> CpoState:
@@ -342,8 +293,6 @@ def run_cpo(spec: SCCodeSpec, config: CpoConfig) -> CpoState:
     start = time.monotonic()
 
     while f_sc > config.target_f_sc:
-        if config.max_rounds is not None and rounds >= config.max_rounds:
-            break
         if (
             config.time_budget_s is not None
             and time.monotonic() - start > config.time_budget_s

@@ -17,6 +17,7 @@ from scldpc.overlaps import (IndependentOverlaps, PatternCounts,
                              column_patterns, independent_overlap_sets,
                              valid_overlap_sets)
 from scldpc.partition_opt import OptimizerConfig
+from scldpc.power_opt import _linear_forms
 from scldpc.trapping_sets import (MAX_SUBSET_SIZE, MAX_WINDOW_COLUMNS,
                                   replica_span)
 
@@ -451,24 +452,123 @@ def _active_table(p: int, base, coef, weight=None) -> np.ndarray:
     return np.tensordot(classes[:, 1], active, axes=1)
 
 
-def prefix_table_scores(scorer, chunk: int = 32768) -> np.ndarray:
-    """Scores of all p**size candidates of a power_opt._SubsetScorer, in
-    lexicographic order, by tabulating every touched cycle over all
-    p**(size-1) power prefixes."""
-    p, k = scorer.p, scorer.size - 1
-    # loop over leading powers so no table has more than `chunk` rows
+def _scorer_forms(system, f_flat, subset):
+    """Linear forms of the touched 6- and 4-cycles, as the library builds
+    them: (base6, coef6, w6, base4, coef4, f_rest)."""
+    touched6, base6, coef6 = _linear_forms(system.res6, system.visits6,
+                                           subset, f_flat)
+    _, base4, coef4 = _linear_forms(system.res4, system.visits4, subset, f_flat)
+    w6 = system.weight6[touched6]
+    now = (base6 + coef6 @ f_flat[subset]) % system.p == 0
+    return base6, coef6, w6, base4, coef4, system.f_sc(f_flat) - int(w6[now].sum())
+
+
+def _lead_heads(p: int, size: int, chunk: int):
+    """Leading powers to loop over so no table has more than `chunk`
+    prefix rows, as (lead, heads)."""
     lead = 0
-    while p ** (k - lead) > chunk:
+    while p ** (size - 1 - lead) > chunk:
         lead += 1
+    return lead, [np.array(h, dtype=np.int64)
+                  for h in itertools.product(range(p), repeat=lead)]
+
+
+def prefix_table_scores(system, f_flat, subset, chunk: int = 32768) -> np.ndarray:
+    """Scores of all p**len(subset) candidates, in lexicographic order, by
+    tabulating every touched cycle over all p**(size-1) power prefixes."""
+    p, f_sc = system.p, system.f_sc(f_flat)
+    base6, coef6, w6, base4, coef4, f_rest = _scorer_forms(system, f_flat, subset)
+    lead, heads = _lead_heads(p, len(subset), chunk)
     out = []
-    for head in itertools.product(range(p), repeat=lead):
-        head = np.array(head, dtype=np.int64)
-        f_cand = scorer.f_rest + _active_table(
-            p, scorer.base6 + scorer.coef6[:, :lead] @ head,
-            scorer.coef6[:, lead:], scorer.w6)
-        kills = _active_table(p, scorer.base4 + scorer.coef4[:, :lead] @ head,
-                              scorer.coef4[:, lead:])
-        f_cand[kills > 0] = scorer.f_sc
+    for head in heads:
+        f_cand = f_rest + _active_table(
+            p, base6 + coef6[:, :lead] @ head, coef6[:, lead:], w6)
+        kills = _active_table(p, base4 + coef4[:, :lead] @ head, coef4[:, lead:])
+        f_cand[kills > 0] = f_sc
+        out.append(f_cand.ravel())
+    return np.concatenate(out)
+
+
+def _support_table(p: int, base, coef, weight) -> np.ndarray:
+    """Weight of the cycles active at every joint power assignment x of a
+    subset, as an array of shape (p,) * s indexed by x.
+
+    A cycle's sum is base + coef @ x and depends only on its support, the
+    columns j with coef[:, j] % p != 0, so a cycle with support S is
+    tabulated over the p**|S| assignments of S alone and broadcast along
+    the other axes; a cycle with an empty support is a constant.  Within a
+    support the residue r over the prefix x[S[:-1]] is built up one power
+    at a time; with the prefix fixed the cycle is active exactly where
+    r + v*x[S[-1]] = 0 mod p for its last coefficient v, so each last power
+    needs the one residue (-v*x[S[-1]]) % p.  All supports of one size
+    share one bincount over (support, v, weight) classes, prefixes and
+    residues, and every last power reads its residue from each class.
+    This covers v sharing a factor with a composite p.
+    """
+    n, s = coef.shape
+    x = np.arange(p)
+    live = coef % p != 0
+    size = live.sum(axis=1)
+    order = np.argsort(size, kind="stable")
+    base, coef, live = base[order] % p, coef[order], live[order]
+    weight = weight[order]
+    wvals, wcls = np.unique(weight, return_inverse=True)
+    nw = len(wvals)
+    sup = live @ (1 << np.arange(s))
+    flat = coef[live] % p  # each cycle's support coefficients, in order
+    ends = np.cumsum(np.bincount(size, minlength=s + 1)).tolist()
+    const = weight[:ends[0]][base[:ends[0]] == 0].sum()
+    table = np.full((p,) * s, const, dtype=np.int64)
+    at = 0  # start of this size's coefficients in flat
+    for k in range(1, s + 1):
+        a, b = ends[k - 1], ends[k]
+        if a == b:
+            continue
+        c = flat[at:at + (b - a) * k].reshape(b - a, k)
+        at += (b - a) * k
+        r = base[a:b, None]
+        for j in range(k - 1):
+            r = (r[:, :, None] + c[:, j, None, None] * x) % p
+            r = r.reshape(b - a, r.shape[1] * p)
+        n_pre = r.shape[1]
+        # classes present among this size's (support, v, weight) keys
+        key = (sup[a:b] * p + c[:, -1]) * nw + wcls[a:b]
+        hit = np.bincount(key, minlength=(2 ** s) * p * nw) > 0
+        classes = np.flatnonzero(hit)
+        cls = (np.cumsum(hit) - 1)[key]
+        r += ((cls * n_pre)[:, None] + np.arange(n_pre)) * p
+        cube = np.bincount(r.ravel(), minlength=len(classes) * n_pre * p)
+        cls_sup, v = np.divmod(classes // nw, p)
+        rows = (np.arange(len(classes) * n_pre) * p).reshape(-1, n_pre, 1)
+        need = (-v[:, None] * x) % p
+        active = cube[rows + need[:, None, :]].reshape(len(classes), n_pre * p)
+        active *= wvals[classes % nw, None]
+        # classes are sorted by support: sum each support's run of them
+        masks = np.flatnonzero(hit.reshape(2 ** s, p * nw).any(axis=1))
+        sums = np.add.reduceat(active, np.searchsorted(cls_sup, masks))
+        for mask, t in zip(masks.tolist(), sums):
+            table += t.reshape([p if mask >> j & 1 else 1 for j in range(s)])
+    return table
+
+
+def support_table_scores(system, f_flat, subset, chunk: int = 32768) -> np.ndarray:
+    """Scores of all p**len(subset) candidates, in lexicographic order, from
+    one _support_table per run of leading powers: each touched cycle is
+    tabulated over its support's prefix residues, and a touched 4-cycle
+    weighs more than all touched 6-cycles together."""
+    p, f_sc = system.p, system.f_sc(f_flat)
+    base6, coef6, w6, base4, coef4, f_rest = _scorer_forms(system, f_flat, subset)
+    kill = int(w6.sum()) + 1
+    base = np.concatenate([base6, base4])
+    coef = np.concatenate([coef6, coef4])
+    weight = np.concatenate([w6, np.full(len(base4), kill)])
+    lead, heads = _lead_heads(p, len(subset), chunk)
+    out = []
+    for head in heads:
+        table = _support_table(p, base + coef[:, :lead] @ head, coef[:, lead:],
+                               weight)
+        f_cand = f_rest + table
+        f_cand[table >= kill] = f_sc
         out.append(f_cand.ravel())
     return np.concatenate(out)
 

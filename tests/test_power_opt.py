@@ -16,7 +16,7 @@ from scldpc.power_opt import (CpoConfig, CycleSystem, _SubsetScorer,
 
 from oracles import (dense_candidate_scores, lifted_cycles4,
                      prefix_table_scores, random_partition,
-                     tuple_cycle_arrays, window_theta)
+                     support_table_scores, tuple_cycle_arrays, window_theta)
 
 
 def uncut(gamma, kappa, m=1):
@@ -204,8 +204,6 @@ def test_config_validation():
         CpoConfig(exhaustive_cap=0)
     with pytest.raises(ValueError, match="max_stale_rounds"):
         CpoConfig(max_stale_rounds=-1)
-    with pytest.raises(ValueError, match="max_rounds"):
-        CpoConfig(max_rounds=-1)
     with pytest.raises(ValueError, match="time_budget_s"):
         CpoConfig(time_budget_s=-0.5)
 
@@ -293,10 +291,9 @@ def test_cycles_by_cell_match_per_cell_scan():
 
 
 @pytest.mark.parametrize("chunk", [None, 40])
-def test_table_scores_match_dense_oracle(monkeypatch, chunk):
-    # a small chunk makes the table scorer loop over leading powers
-    if chunk is not None:
-        monkeypatch.setattr(power_opt, "_CAND_CHUNK", chunk)
+def test_table_scores_match_dense_oracle(chunk):
+    # a small chunk makes the table oracles loop over leading powers
+    chunk = {} if chunk is None else {"chunk": chunk}
     rng = np.random.default_rng(11)
     seen = Counter()
     signs = np.array([1, -1, 1, -1, 1, -1])
@@ -310,14 +307,23 @@ def test_table_scores_match_dense_oracle(monkeypatch, chunk):
         subset = np.sort(rng.choice(system.gamma * system.kappa, size, replace=False))
         scorer = _SubsetScorer(system, f, subset, system.f_sc(f))
         got = scorer.table_scores()
-        assert np.array_equal(got, dense_candidate_scores(system, f, subset, p))
-        assert np.array_equal(got, prefix_table_scores(scorer))
+        want = dense_candidate_scores(system, f, subset, p)
+        assert np.array_equal(got, want)
+        assert np.array_equal(got, prefix_table_scores(system, f, subset, **chunk))
+        assert np.array_equal(got, support_table_scores(system, f, subset, **chunk))
+        grid = np.indices((p,) * size).reshape(size, -1).T
+        assert np.array_equal(scorer.dense_scores(grid), want)
+        rows = rng.integers(0, len(grid), 50)
+        assert np.array_equal(scorer.dense_scores(grid[rows]), want[rows])
 
         seen[f"size{size}"] += 1
         seen["composite"] += p in (6, 8, 9, 10)
         for res, name in ((system.res6, "6"), (system.res4, "4")):
             hit = res[np.isin(res, subset).any(axis=1)]
             seen["no" + name] += not len(hit)
+            # touched cycles already closed at the current powers
+            now = (f[hit] * signs[: res.shape[1]]).sum(axis=1) % p == 0
+            seen["closed" + name] += int(now.sum())
             # the last cell's coefficient picks the table's congruence:
             # 0 (cycle misses the cell), +-2, or sharing a factor with p
             last = ((hit == subset[-1]) * signs[: res.shape[1]]).sum(axis=1)
@@ -329,7 +335,7 @@ def test_table_scores_match_dense_oracle(monkeypatch, chunk):
             for k in ((coef.sum(axis=1) % p) != 0).sum(axis=1):
                 seen[f"support{k}-{name}"] += 1
     for key in ("size1", "size2", "size3", "size4", "composite", "no6", "no4",
-                "coef0", "coef2", "shared",
+                "coef0", "coef2", "shared", "closed6", "closed4",
                 *(f"support{k}-{n}" for k in range(5) for n in "64")):
         assert seen[key] > 0, key
 

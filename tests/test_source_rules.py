@@ -50,3 +50,28 @@ def test_private_helpers_are_used_by_the_library():
               and not any(helper in used
                           for k, used in enumerate(uses) if k != n)]
     assert not unused, unused
+
+
+def _imported_names(tree):
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+
+
+def test_library_imports_are_used():
+    # a module-level import that its module never reads is left over from
+    # a mechanism that moved or went away
+    sources = [path for path in sorted(Path(scldpc.__file__).parent.glob("*.py"))
+               if path.name != "__init__.py"]
+    assert len(sources) >= 8
+    unused = []
+    for path in sources:
+        tree = ast.parse(path.read_text(), str(path))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unused += [f"{path.name}:{name}" for name in _imported_names(tree)
+                   if name not in read]
+    assert not unused, unused
