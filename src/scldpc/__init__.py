@@ -37,8 +37,6 @@ from .cycle_census import (
     count_cycles6,
     count_lifted_cycles4,
     count_span,
-    find_cycles4,
-    find_cycles6,
 )
 from .partition_opt import Optimum, OptimizerConfig, enumerate_feasible, optimize
 from .power_opt import CpoConfig, CpoState, refine_layout, run_cpo, \

@@ -34,9 +34,11 @@ f(h1,l1) - f(h1,l2) + f(h2,l2) - f(h2,l3) + f(h3,l3) - f(h3,l1) is 0 mod p
 and none otherwise; such a cycle is called active.  The power of any
 coupled-matrix cell depends only on its row residue mod gamma and column
 residue mod kappa, so activity can be decided inside one window.  The
-starter cycles of that window are held as (span, rows, cols) arrays, so
-every alternating power sum is one gather and the per-span counts one
-bincount.
+starter cycles of that window come from one join per residue triple (or
+pair, for 4-cycles) of the columns sharing their row at each residue, and
+are held as (span, rows, cols) arrays, so every alternating power sum is
+one gather and the per-span counts one bincount.  Brute-force cycle
+listings, which check these, live with the test oracles.
 """
 
 from __future__ import annotations
@@ -140,64 +142,6 @@ def count_cycles4(h) -> int:
     summed over the row-pair overlaps."""
     _, overlap, _ = _row_pair_overlaps(as_column_lists(h))
     return int((overlap * (overlap - 1)).sum()) // 2
-
-
-# ---------------------------------------------------------------------------
-# cycle enumeration (starter cycles of a window; each cycle listed once)
-
-
-def _supports(h: np.ndarray):
-    h = np.asarray(h)
-    row_cols = [set(np.flatnonzero(h[r]).tolist()) for r in range(h.shape[0])]
-    col_rows = [set(np.flatnonzero(h[:, c]).tolist()) for c in range(h.shape[1])]
-    return row_cols, col_rows
-
-
-def find_cycles6(h: np.ndarray):
-    """All 6-cycles of a 0/1 matrix as ((r1, r2, r3), (c12, c13, c23)).
-
-    Rows are sorted ascending; each cycle appears exactly once.
-    """
-    row_cols, col_rows = _supports(h)
-    n_rows = len(row_cols)
-    neighbors = [set() for _ in range(n_rows)]
-    for rows in col_rows:
-        for r, s in itertools.combinations(sorted(rows), 2):
-            neighbors[r].add(s)
-    out = []
-    for r1 in range(n_rows):
-        later = sorted(neighbors[r1])
-        for r2, r3 in itertools.combinations(later, 2):
-            if r3 not in neighbors[r2]:
-                continue
-            o12 = row_cols[r1] & row_cols[r2]
-            o13 = row_cols[r1] & row_cols[r3]
-            o23 = row_cols[r2] & row_cols[r3]
-            for c12 in sorted(o12):
-                for c13 in sorted(o13):
-                    if c13 == c12:
-                        continue
-                    for c23 in sorted(o23):
-                        if c23 != c12 and c23 != c13:
-                            out.append(((r1, r2, r3), (c12, c13, c23)))
-    return out
-
-
-def find_cycles4(h: np.ndarray):
-    """All 4-cycles as ((r1, r2), (c1, c2)), both pairs sorted ascending."""
-    row_cols, col_rows = _supports(h)
-    n_rows = len(row_cols)
-    neighbors = [set() for _ in range(n_rows)]
-    for rows in col_rows:
-        for r, s in itertools.combinations(sorted(rows), 2):
-            neighbors[r].add(s)
-    out = []
-    for r1 in range(n_rows):
-        for r2 in sorted(neighbors[r1]):
-            shared = sorted(row_cols[r1] & row_cols[r2])
-            for c1, c2 in itertools.combinations(shared, 2):
-                out.append(((r1, r2), (c1, c2)))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -331,37 +275,66 @@ def census_from_partition(partition, L: int) -> CycleCensus:
 
 
 # ---------------------------------------------------------------------------
-# starter cycles and activity in the lifted code
+# starter cycles (one residue join over the first window) and their
+# activity in the lifted code
 
 
-def _starters(spec: SCCodeSpec, find, width: int):
-    """(span, rows, cols) arrays of the cycles `find` lists in the maximal
-    window whose leftmost column lies in replica 1, in listing order; each
-    cycle has `width` rows and `width` columns."""
-    found = find(window(spec, 1, min(spec.m + 1, spec.L)))
-    cycles = np.array(found, dtype=np.int64).reshape(-1, 2, width)
-    rows, cols = cycles[:, 0], cycles[:, 1]
-    blocks = cols // spec.kappa
-    first = blocks.min(axis=1) == 0
-    return blocks.max(axis=1)[first] + 1, rows[first], cols[first]
+def _starters(spec: SCCodeSpec, width: int):
+    """(span, rows, cols) arrays of the `width`-row cycles of the maximal
+    window whose leftmost column lies in replica 1, sorted by (rows, cols).
+
+    Every window column has exactly one row of each residue mod gamma, so
+    the rows of a cycle have distinct residues and a cycle is a join of
+    columns that share their row at each residue of a residue combination.
+    """
+    w = window(spec, 1, min(spec.m + 1, spec.L))
+    n = w.shape[1]
+    col, row = np.nonzero(w.T)
+    at = np.zeros((n, spec.gamma), dtype=np.int64)
+    at[col, row % spec.gamma] = row  # each column's row per residue
+    # meet[h, a, b]: columns a != b share their row of residue h
+    meet = at.T[:, :, None] == at.T[:, None, :]
+    meet[:, np.arange(n), np.arange(n)] = False
+    found = [np.zeros((0, 2 * width), dtype=np.int64)]
+    for hs in itertools.combinations(range(spec.gamma), width):
+        if width == 3:
+            h1, h2, h3 = hs
+            c12, c13, c23 = np.nonzero(meet[h1][:, :, None] & meet[h2][:, None, :]
+                                       & meet[h3][None, :, :])
+            rows = np.stack([at[c12, h1], at[c12, h2], at[c13, h3]], axis=1)
+            # each column faces the row it misses: with the rows sorted,
+            # (c12, c13, c23) face the third, second and first of them
+            facing = np.stack([c23, c13, c12], axis=1)
+            cols = np.take_along_axis(
+                facing, np.argsort(rows, axis=1)[:, ::-1], axis=1)
+        else:
+            c1, c2 = np.nonzero(np.triu(meet[hs[0]] & meet[hs[1]]))
+            rows, cols = at[c1][:, list(hs)], np.stack([c1, c2], axis=1)
+        found.append(np.concatenate([np.sort(rows, axis=1), cols], axis=1))
+    cycles = np.concatenate(found)
+    cycles = cycles[(cycles[:, width:] // spec.kappa).min(axis=1) == 0]
+    cycles = cycles[np.lexsort(cycles.T[::-1])]
+    rows, cols = cycles[:, :width], cycles[:, width:]
+    return (cols // spec.kappa).max(axis=1) + 1, rows, cols
 
 
 def starter_cycles6(spec: SCCodeSpec):
     """Protograph 6-cycles whose leftmost column lies in replica 1.
 
-    Enumerated inside the maximal window (span limit min(m+1, L)); every
-    other cycle of the coupled protograph is a replica shift of one of
-    these.  Returns int64 arrays (span, rows, cols) of shapes (n,), (n, 3)
-    and (n, 3): window rows r1 < r2 < r3 and columns (c12, c13, c23).
+    Joined inside the maximal window (span limit min(m+1, L)) over each
+    residue triple; every other cycle of the coupled protograph is a
+    replica shift of one of these.  Returns int64 arrays (span, rows, cols)
+    of shapes (n,), (n, 3) and (n, 3): window rows r1 < r2 < r3 and columns
+    (c12, c13, c23), sorted by (rows, cols).
     """
-    return _starters(spec, find_cycles6, 3)
+    return _starters(spec, 3)
 
 
 def starter_cycles4(spec: SCCodeSpec):
-    """Protograph 4-cycles with leftmost column in replica 1, as int64 arrays
-    (span, rows, cols) of shapes (n,), (n, 2) and (n, 2), both pairs
-    ascending."""
-    return _starters(spec, find_cycles4, 2)
+    """Protograph 4-cycles with leftmost column in replica 1, joined over
+    each residue pair, as int64 arrays (span, rows, cols) of shapes (n,),
+    (n, 2) and (n, 2), both pairs ascending, sorted by (rows, cols)."""
+    return _starters(spec, 2)
 
 
 def walk_residues(spec: SCCodeSpec, rows: np.ndarray, cols: np.ndarray):

@@ -145,8 +145,8 @@ def write_int_grid(grid: np.ndarray, path) -> None:
 def read_int_grid(path) -> np.ndarray:
     """Small integer matrix from space-separated rows; blank lines are skipped.
 
-    A non-integer token, a file without rows, or rows of unequal length
-    raise ValueError.
+    A non-integer token, a token outside int64, a file without rows, or
+    rows of unequal length raise ValueError.
     """
     rows = []
     with open(path) as fh:
@@ -162,7 +162,11 @@ def read_int_grid(path) -> np.ndarray:
         raise ValueError("malformed integer grid file: no rows")
     if any(len(r) != len(rows[0]) for r in rows):
         raise ValueError("malformed integer grid file: rows of unequal length")
-    return np.array(rows, dtype=np.int64)
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("malformed integer grid file: token outside "
+                         "int64") from None
 
 
 def _csv_text(header, rows) -> str:

@@ -124,31 +124,22 @@ def max_shortest_path_vns(template: np.ndarray) -> int:
     two variables of the template, endpoints included.
 
     `template` is the induced incidence (checks x variables).  Two
-    variables are adjacent when they share a check.  Raises on a
+    variables are adjacent when they share a check.  Raises on an empty or
     disconnected template.
     """
     t = np.asarray(template, dtype=bool)
-    n = t.shape[1]
+    if t.shape[1] == 0:
+        raise ValueError("template has no variables")
     adj = (t.astype(np.int32).T @ t.astype(np.int32)) > 0
-    np.fill_diagonal(adj, False)
-    # BFS from every variable; dist counted in hops
-    dist = np.full((n, n), -1, dtype=np.int64)
-    for s in range(n):
-        dist[s, s] = 0
-        frontier = [s]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for u in frontier:
-                for v in np.nonzero(adj[u])[0]:
-                    if dist[s, v] < 0:
-                        dist[s, v] = d
-                        nxt.append(int(v))
-            frontier = nxt
-    if np.any(dist < 0):
-        raise ValueError("template is disconnected")
-    return int(dist.max()) + 1
+    # reach[s, v]: v lies within `hops` hops of s, for every source at once
+    reach = np.eye(t.shape[1], dtype=bool)
+    hops = 0
+    while not reach.all():
+        grown = reach | (reach @ adj)
+        if (grown == reach).all():
+            raise ValueError("template is disconnected")
+        reach, hops = grown, hops + 1
+    return hops + 1
 
 
 def replica_span(path_vns: int, m: int) -> int:

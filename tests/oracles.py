@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from scldpc.code_model import PartitionMatrix, sc_lift, sc_protograph, window
-from scldpc.cycle_census import CycleCensus, find_cycles4, find_cycles6
+from scldpc.cycle_census import CycleCensus
 from scldpc.overlaps import (IndependentOverlaps, PatternCounts,
                              column_patterns, independent_overlap_sets,
                              valid_overlap_sets)
@@ -24,6 +24,60 @@ from scldpc.trapping_sets import (MAX_SUBSET_SIZE, MAX_WINDOW_COLUMNS,
 
 def random_partition(rng, gamma: int, kappa: int, m: int) -> PartitionMatrix:
     return PartitionMatrix(m, rng.integers(0, m + 1, size=(gamma, kappa)))
+
+
+def _supports(h: np.ndarray):
+    h = np.asarray(h)
+    row_cols = [set(np.flatnonzero(h[r]).tolist()) for r in range(h.shape[0])]
+    col_rows = [set(np.flatnonzero(h[:, c]).tolist()) for c in range(h.shape[1])]
+    return row_cols, col_rows
+
+
+def find_cycles6(h: np.ndarray):
+    """All 6-cycles of a 0/1 matrix as ((r1, r2, r3), (c12, c13, c23)).
+
+    Rows are sorted ascending; each cycle appears exactly once.
+    """
+    row_cols, col_rows = _supports(h)
+    n_rows = len(row_cols)
+    neighbors = [set() for _ in range(n_rows)]
+    for rows in col_rows:
+        for r, s in itertools.combinations(sorted(rows), 2):
+            neighbors[r].add(s)
+    out = []
+    for r1 in range(n_rows):
+        later = sorted(neighbors[r1])
+        for r2, r3 in itertools.combinations(later, 2):
+            if r3 not in neighbors[r2]:
+                continue
+            o12 = row_cols[r1] & row_cols[r2]
+            o13 = row_cols[r1] & row_cols[r3]
+            o23 = row_cols[r2] & row_cols[r3]
+            for c12 in sorted(o12):
+                for c13 in sorted(o13):
+                    if c13 == c12:
+                        continue
+                    for c23 in sorted(o23):
+                        if c23 != c12 and c23 != c13:
+                            out.append(((r1, r2, r3), (c12, c13, c23)))
+    return out
+
+
+def find_cycles4(h: np.ndarray):
+    """All 4-cycles as ((r1, r2), (c1, c2)), both pairs sorted ascending."""
+    row_cols, col_rows = _supports(h)
+    n_rows = len(row_cols)
+    neighbors = [set() for _ in range(n_rows)]
+    for rows in col_rows:
+        for r, s in itertools.combinations(sorted(rows), 2):
+            neighbors[r].add(s)
+    out = []
+    for r1 in range(n_rows):
+        for r2 in sorted(neighbors[r1]):
+            shared = sorted(row_cols[r1] & row_cols[r2])
+            for c1, c2 in itertools.combinations(shared, 2):
+                out.append(((r1, r2), (c1, c2)))
+    return out
 
 
 def brute_cycles6(h) -> int:

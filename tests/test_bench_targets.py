@@ -1,8 +1,9 @@
 """The benchmark traces named package attributes; a rename must fail here.
 
 perfbench/spans.py wraps each (module, attribute) of its TARGETS at run
-time, so deleting or renaming one of them would otherwise only surface in a
-traced benchmark run.
+time, so deleting or renaming one of them, or a library path no longer
+calling a traced name, would otherwise only surface in a traced benchmark
+run.  The benchmark's files are loaded read-only, never edited.
 """
 
 from __future__ import annotations
@@ -12,16 +13,41 @@ import importlib.util
 import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+import scldpc.cli
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(monkeypatch, name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up while being built
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_benchmark_span_targets_exist(monkeypatch):
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    # its dataclasses look their module up while being built
-    monkeypatch.setitem(sys.modules, spec.name, spans)
-    spec.loader.exec_module(spans)
+    spans = _load(monkeypatch, "spans")
     assert spans.TARGETS
     missing = [(module, attr) for module, attr, *_ in spans.TARGETS
                if not hasattr(importlib.import_module(module), attr)]
     assert not missing
+
+
+def test_small_pipeline_fires_every_required_pipeline_span(monkeypatch,
+                                                           tmp_path):
+    spans = _load(monkeypatch, "spans")
+    workloads = _load(monkeypatch, "workloads")
+    tracer = spans.Tracer(0)
+    restore = spans.install(tracer)
+    try:
+        code = scldpc.cli.main(["pipeline", "--gamma", "3", "--kappa", "5",
+                                "--p", "5", "--L", "4", "--seed", "0",
+                                "--out", str(tmp_path)])
+    finally:
+        restore()
+    assert code == 0
+    required = set(workloads.PARTS["pipeline-g3"].required_spans)
+    assert sorted(required - spans.fired(tracer.spans)) == []

@@ -11,18 +11,17 @@ from scldpc.code_model import (CirculantBlockCode, ColumnLists,
 from scldpc.cycle_census import (active_cycles6, census_from_partition,
                                  census_protograph, count_cycles4,
                                  count_cycles6, count_lifted_cycles4,
-                                 count_span, find_cycles6, starter_cycles4,
-                                 starter_cycles6)
+                                 count_span, starter_cycles4, starter_cycles6)
 from scldpc.overlaps import overlaps_from_partition
 from scldpc.partition_opt import _Evaluator
 from scldpc.power_opt import CycleSystem
 from oracles import (brute_cycles4, brute_cycles6, cycle6_power_sum,
                      cycles6_one_replica, cycles6_three_replicas,
-                     cycles6_two_replicas, kernel_count_span,
-                     kernel_objective, lifted_cycles4, lifted_cycles6,
-                     protograph_cycles6, random_partition, span_terms,
-                     starter_tuples, tuple_active_cycles6, tuple_cycle_arrays,
-                     tuple_lifted_cycles4)
+                     cycles6_two_replicas, find_cycles4, find_cycles6,
+                     kernel_count_span, kernel_objective, lifted_cycles4,
+                     lifted_cycles6, protograph_cycles6, random_partition,
+                     span_terms, starter_tuples, tuple_active_cycles6,
+                     tuple_cycle_arrays, tuple_lifted_cycles4)
 
 
 def test_direct_count_all_ones():
@@ -297,8 +296,8 @@ def test_starter_arrays_match_tuple_oracle():
     rng = np.random.default_rng(9)
     short = 0
     for _ in range(220):
-        g, k = int(rng.integers(2, 5)), int(rng.integers(2, 8))
-        m, L = int(rng.integers(0, 3)), int(rng.integers(1, 6))
+        g, k = int(rng.integers(2, 6)), int(rng.integers(2, 8))
+        m, L = int(rng.integers(0, 4)), int(rng.integers(1, 6))
         p = int(rng.choice((1, 4, 5, 7)))
         short += L < m + 1
         code = CirculantBlockCode(g, k, p, rng.integers(0, p, size=(g, k)))
@@ -306,12 +305,14 @@ def test_starter_arrays_match_tuple_oracle():
         act = active_cycles6(spec)
         assert (act.per_span, act.active_per_span) == tuple_active_cycles6(spec)
         assert count_lifted_cycles4(spec) == tuple_lifted_cycles4(spec)
-        span, rows, cols = starter_cycles6(spec)
-        want = starter_tuples(spec, find_cycles6)
-        assert span.tolist() == [kk for kk, _, _ in want]
-        assert rows.tolist() == [list(r) for _, r, _ in want]
-        assert cols.tolist() == [list(c) for _, _, c in want]
-        assert starter_cycles4(spec)[1].shape[1:] == (2,)
+        for starters, find in ((starter_cycles6, find_cycles6),
+                               (starter_cycles4, find_cycles4)):
+            span, rows, cols = starters(spec)
+            want = starter_tuples(spec, find)
+            assert span.tolist() == [kk for kk, _, _ in want]
+            assert rows.tolist() == [list(r) for _, r, _ in want]
+            assert cols.tolist() == [list(c) for _, _, c in want]
+            assert span.dtype == rows.dtype == cols.dtype == np.int64
         system = CycleSystem(spec)
         res6, _, span6, res4 = tuple_cycle_arrays(spec)
         for got, expect in zip((system.res6, system.span6, system.res4),

@@ -526,9 +526,11 @@ _CODE = ["--gamma", "3", "--kappa", "4", "--p", "5", "--L", "3"]
      "--powers-file", "0 1 2 3\n0 1 2 3\n0 1 2 z\n"),
     (["census", "--matrix"], "--matrix", "3 2\n2 2\n1 2 0\n"),
     (["census", "--matrix"], "--matrix", None),
+    (["lift", *_CODE, "--zeta", "1,2,3", "--powers-file"], "--powers-file",
+     f"0 1 2 3\n0 1 {2**63} 3\n0 2 4 1\n"),
 ], ids=["powers-token", "partition-token", "export-token", "empty-grid",
         "partition-above-m", "pipeline-powers", "alist-malformed",
-        "alist-missing"])
+        "alist-missing", "powers-overflow"])
 def test_cli_bad_input_file_is_a_usage_error(tmp_path, capsys, argv, flag,
                                              content):
     path = tmp_path / "input.txt"

@@ -85,6 +85,8 @@ def test_path_width_requires_connected():
     t[1, 2] = t[1, 3] = True
     with pytest.raises(ValueError):
         max_shortest_path_vns(t)
+    with pytest.raises(ValueError):
+        max_shortest_path_vns(np.zeros((3, 0), dtype=bool))
 
 
 def test_replica_span_values():
