@@ -6,8 +6,8 @@ A config file (INI style) can carry any flag value; explicit flags win.
 Artifacts land in --out, the SCLDPC_OUT directory, or the working
 directory, and identical runs produce byte-identical files.  Input files
 are read before any output is written: a missing or malformed one is a
-usage error (exit status 2) naming its flag and path, and so are powers
-that close lifted 4-cycles where the power search would start from them.
+usage error (exit status 2) naming its flag and path, and so is a setting
+the partition or power search would reject once started.
 """
 
 from __future__ import annotations
@@ -228,9 +228,12 @@ def _partition(parser, cfg) -> PartitionMatrix:
 def _run_optimizer(parser, cfg):
     """The partition search's optimum and the partition it describes."""
     _require(parser, cfg, "gamma", "kappa", "L")
-    opt = optimize(cfg.gamma, cfg.kappa, cfg.m, cfg.L, OptimizerConfig(
-        strategy=cfg.strategy, balance_slack=cfg.slack, seed=cfg.seed,
-        restarts=cfg.restarts))
+    try:
+        opt = optimize(cfg.gamma, cfg.kappa, cfg.m, cfg.L, OptimizerConfig(
+            strategy=cfg.strategy, balance_slack=cfg.slack, seed=cfg.seed,
+            restarts=cfg.restarts))
+    except ValueError as exc:  # a local search without --seed, say
+        parser.error(f"partition search: {exc}")
     return opt, partition_from_patterns(opt.patterns)
 
 
@@ -255,7 +258,9 @@ def _spec(parser, cfg, part: PartitionMatrix, powers=None) -> SCCodeSpec:
 
 
 def _check_start(parser, cfg, spec: SCCodeSpec) -> None:
-    """Powers that close lifted 4-cycles cannot start the power search."""
+    """The power search needs L >= m + 1 and a start free of 4-cycles."""
+    if cfg.L < cfg.m + 1:
+        parser.error(f"--L must be >= m + 1 = {cfg.m + 1} for the power search")
     if count_lifted_cycles4(spec):
         source = (f"--powers-file {cfg.powers_file}" if cfg.powers_file
                   is not None else f"the AB powers for p={cfg.p}")

@@ -32,16 +32,14 @@ import numpy as np
 from .code_model import PartitionMatrix
 
 
-def valid_overlap_sets(gamma: int, m: int, max_degree: int | None = None):
+def valid_overlap_sets(gamma: int, m: int):
     """All row sets with pairwise distinct residues, in canonical order.
 
     Canonical order is degree-major, then lexicographic on the sorted tuple.
     Rows range over [0, (m+1)*gamma).
     """
-    if max_degree is None:
-        max_degree = gamma
     sets = [tuple(sorted(x * gamma + j for j, x in zip(residues, comps)))
-            for d in range(1, max_degree + 1)
+            for d in range(1, gamma + 1)
             for residues in itertools.combinations(range(gamma), d)
             for comps in itertools.product(range(m + 1), repeat=d)]
     return sorted(sets, key=lambda s: (len(s), s))

@@ -11,7 +11,7 @@ Three strategies share one vectorized evaluator: the census's shape count
 (`cycle_census.ShapeCount`) over overlaps linear in the pattern counts.
 Exhaustive search and branch-and-bound also share one block expander,
 `_balanced_blocks`, which emits the balanced compositions in lexicographic
-order, about `batch` rows at a time.  Exhaustive search scores every one (certifies optimality).
+order, about `BATCH` rows at a time.  Exhaustive search scores every one (certifies optimality).
 Branch-and-bound prunes each new frontier of partial count vectors whose
 census already exceeds the incumbent (adding a column never removes
 cycles); its `evaluated` counts the incumbent's local-search rows, the
@@ -41,6 +41,7 @@ from .overlaps import (
 
 STRATEGIES = ("auto", "exhaustive", "branch-and-bound", "local-search")
 EXHAUSTIVE_LIMIT = 2_000_000  # auto strategy cutoff, compositions
+BATCH = 1 << 15  # rows per block of the composition expander
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,6 @@ class OptimizerConfig:
     balance_slack: int = 0
     seed: int | None = None
     restarts: int = 60
-    batch: int = 1 << 15
     time_budget_s: float | None = None
 
     def __post_init__(self):
@@ -59,8 +59,6 @@ class OptimizerConfig:
             raise ValueError("balance slack must be >= 0")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if self.batch < 1:
-            raise ValueError("batch must be >= 1")
         if self.time_budget_s is not None and self.time_budget_s < 0:
             raise ValueError("time budget must be >= 0")
 
@@ -174,7 +172,7 @@ def enumerate_feasible(gamma: int, kappa: int, m: int,
     loads = _component_loads(gamma, m)
     lo, hi = balance_bounds(gamma, kappa, m, config.balance_slack)
     cover = cover_matrix(gamma, m, independent_overlap_sets(gamma, m))
-    for rows in _balanced_blocks(kappa, loads, lo, hi, config.batch):
+    for rows in _balanced_blocks(kappa, loads, lo, hi, BATCH):
         for values in (rows @ cover.T).tolist():
             yield IndependentOverlaps(gamma, m, kappa, tuple(values))
 
@@ -294,7 +292,7 @@ def _branch_and_bound(ev, kappa, loads, lo, hi, config, deadline):
         bounded += len(rows)
         return ev.objective(rows) <= best[0]
 
-    for rows in _balanced_blocks(kappa, loads, lo, hi, config.batch, keep):
+    for rows in _balanced_blocks(kappa, loads, lo, hi, BATCH, keep):
         best, evaluated = _best_of(ev, [rows], best, evaluated)
         if cut:
             break
@@ -327,7 +325,7 @@ def optimize(gamma: int, kappa: int, m: int, L: int,
 
     if strategy == "exhaustive":
         best, evaluated = _best_of(
-            ev, _balanced_blocks(kappa, loads, lo, hi, config.batch))
+            ev, _balanced_blocks(kappa, loads, lo, hi, BATCH))
         certified = True
     elif strategy == "branch-and-bound":
         best, evaluated, certified = _branch_and_bound(

@@ -166,6 +166,7 @@ def weighted_theta(system: CycleSystem, f_flat: np.ndarray) -> np.ndarray:
 
 
 _CAND_CHUNK = 32768
+LAYOUT_EXHAUSTIVE_CAP = 20000  # refine_layout scores every arrangement up to this
 
 
 def _candidate_chunks(rng, p: int, size: int, n: int):
@@ -401,8 +402,7 @@ def _multiset_permutations(items):
     return rec(items)
 
 
-def refine_layout(partition: PartitionMatrix, p: int, L: int,
-                  exhaustive_cap: int = 20000):
+def refine_layout(partition: PartitionMatrix, p: int, L: int):
     """Column arrangement of a partition minimizing the lifted count at AB powers.
 
     Reordering partition columns while keeping AB powers is equivalent to
@@ -435,7 +435,7 @@ def refine_layout(partition: PartitionMatrix, p: int, L: int,
     # distinct arrangements: the multinomial of the pattern counts
     counts = overlaps_from_partition(partition).counts.tolist()
     arrangements = math.factorial(kp) // math.prod(map(math.factorial, counts))
-    if arrangements <= exhaustive_cap:
+    if arrangements <= LAYOUT_EXHAUSTIVE_CAP:
         best = None
         for arrangement in _multiset_permutations(base_pats):
             val = eval_sources(sources_for(arrangement))

@@ -15,7 +15,8 @@ object whose variable pairs are linked by shortest paths through at
 most `path_vns` variables fits inside (path_vns - 1) * m + 1
 consecutive replicas, so counting window-resident instances that start
 in the first replica and weighting by position yields the full-matrix
-count.
+count.  The search only lists subsets; `_induced`, the classifier that
+`classify` also calls, classifies them a buffer at a time.
 
 Within the window, shifting every circulant offset by the same s is an
 automorphism that keeps each column in its replica, so the search only
@@ -34,6 +35,7 @@ in `dominant_species`.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +58,7 @@ __all__ = [
 
 MAX_SUBSET_SIZE = 6
 MAX_WINDOW_COLUMNS = 4000
+CLASSIFY_BUFFER = 1 << 11  # subsets per _induced call of the search
 
 
 @dataclass(frozen=True)
@@ -91,6 +94,19 @@ class ObjectSpecies:
             raise ValueError("invalid species sizes")
 
 
+def _induced(h: np.ndarray, subsets: np.ndarray):
+    """In-set check degrees (rows x n), odd-check counts b and absorbing
+    flags of n equal-size column subsets, given as an (n, a) array."""
+    # each sum is at most a or len(h)
+    acc = np.int16 if max(len(h), subsets.shape[1]) < 1 << 15 else np.int64
+    sub = h[:, subsets]  # (rows, n, a), in h's dtype
+    deg = sub.sum(axis=2, dtype=acc)
+    odd = deg & 1
+    n_odd = (sub * odd[:, :, None]).sum(axis=0, dtype=acc)
+    absorbing = (n_odd < sub.sum(axis=0, dtype=acc) - n_odd).all(axis=1)
+    return deg, odd.sum(axis=0), absorbing
+
+
 def classify(h: np.ndarray, vn_cols) -> InducedConfig:
     """Classify the subgraph induced by the given columns of h.
 
@@ -100,22 +116,15 @@ def classify(h: np.ndarray, vn_cols) -> InducedConfig:
     cols = tuple(sorted(int(c) for c in vn_cols))
     if not cols:
         raise ValueError("empty variable-node set")
-    sub = np.asarray(h, dtype=bool)[:, list(cols)]
-    deg = sub.sum(axis=1)
-    touched = np.nonzero(deg)[0]
-    odd = (deg[touched] % 2).astype(bool)
-    b = int(odd.sum())
-    # per VN: count even-degree vs odd-degree neighbors among touched checks
-    even_rows = touched[~odd]
-    n_even = sub[even_rows].sum(axis=0)
-    n_odd = sub[touched[odd]].sum(axis=0)
+    deg, b, absorbing = _induced(np.asarray(h, dtype=bool), np.array([cols]))
+    touched = np.nonzero(deg[:, 0])[0]
     return InducedConfig(
         vn_set=cols,
         a=len(cols),
-        b=b,
-        check_rows=tuple(int(r) for r in touched),
-        check_degrees=tuple(int(d) for d in deg[touched]),
-        is_absorbing_set=bool(np.all(n_even > n_odd)),
+        b=int(b[0]),
+        check_rows=tuple(touched.tolist()),
+        check_degrees=tuple(deg[touched, 0].tolist()),
+        is_absorbing_set=bool(absorbing[0]),
     )
 
 
@@ -236,13 +245,13 @@ def _fold_orbit_tallies(tally: dict, p: int) -> dict:
 def enumerate_objects(spec: SCCodeSpec, species: ObjectSpecies) -> CycleCensus:
     """Count lifted instances of a species via windowed search.
 
-    Enumerates connected variable subsets of size species.a inside the
+    Lists the connected variable subsets of size species.a inside the
     first window of (path_vns - 1) * m + 1 replicas whose lowest column
-    is one of the kappa offset-0 columns of replica 1, classifies each,
-    and tags it with its exact replica span k and the number c of its
-    columns in its lowest column block.  Weighting each find by p / c
-    (see the module docstring) and each span by (L - k + 1) gives the
-    full-matrix total.
+    is one of the kappa offset-0 columns of replica 1, classifies them
+    with `_induced` a buffer at a time, and tags each find with its exact
+    replica span k and the number c of its columns in its lowest column
+    block.  Weighting each find by p / c (see the module docstring) and
+    each span by (L - k + 1) gives the full-matrix total.
     """
     if species.a > MAX_SUBSET_SIZE:
         raise ValueError(
@@ -257,48 +266,37 @@ def enumerate_objects(spec: SCCodeSpec, species: ObjectSpecies) -> CycleCensus:
             "census for protograph-scale audits" % (ncols, MAX_WINDOW_COLUMNS))
     p = spec.p
     cols_per_replica = spec.kappa * p
-    rows = [np.nonzero(col)[0].tolist() for col in w.T]
     shared = w.T.astype(np.float32) @ w.astype(np.float32)
     np.fill_diagonal(shared, 0.0)
     nbr = [np.nonzero(col)[0].tolist() for col in shared]
-    a = species.a
-    want_as = species.kind == "AS"
-    counts = [0] * w.shape[0]
-    odd = 0
-    tally: dict = {}
+    found: list = []
+    tally: Counter = Counter()
 
-    def add(c, step):
-        # in-set degree of each check of c; odd tracks how many are odd
-        nonlocal odd
-        for r in rows[c]:
-            counts[r] += step
-            odd += 1 if counts[r] & 1 else -1
-
-    def absorbing(sub) -> bool:
-        return all(2 * sum(counts[r] & 1 for r in rows[c]) < len(rows[c])
-                   for c in sub)
+    def classify_found():
+        subs = np.array(found, dtype=np.intp).reshape(-1, species.a)
+        found.clear()
+        _, b, absorbing = _induced(w, subs)
+        hit = subs[(b == species.b) & (absorbing | (species.kind == "TS"))]
+        # the root is each subset's first and lowest column
+        tally.update(zip((hit.max(axis=1) // cols_per_replica + 1).tolist(),
+                         (hit < hit[:, :1] + p).sum(axis=1).tolist()))
 
     def extend(sub, ext, blocked, root):
         # ext holds unprocessed extension candidates; blocked is the
         # subset plus every neighbor seen so far, which keeps each
         # connected subset from being produced twice.
-        if len(sub) == a:
-            if odd == species.b and (not want_as or absorbing(sub)):
-                key = (max(sub) // cols_per_replica + 1,
-                       sum(c < root + p for c in sub))
-                tally[key] = tally.get(key, 0) + 1
+        if len(sub) == species.a - 1:
+            found.extend(sub + [c] for c in ext)
+            if len(found) >= CLASSIFY_BUFFER:
+                classify_found()
             return
         ext = list(ext)
         while ext:
             cand = ext.pop()
             grow = [u for u in nbr[cand] if u > root and u not in blocked]
-            add(cand, 1)
             extend(sub + [cand], ext + grow, blocked | set(grow), root)
-            add(cand, -1)
 
     for root in range(0, cols_per_replica, p):
-        seeds = [u for u in nbr[root] if u > root]
-        add(root, 1)
-        extend([root], seeds, {root} | set(seeds), root)
-        add(root, -1)
+        extend([], [root], {root}, root)
+    classify_found()
     return CycleCensus(spec.L, _fold_orbit_tallies(tally, p))

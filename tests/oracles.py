@@ -19,6 +19,7 @@ from scldpc.overlaps import (IndependentOverlaps, PatternCounts,
 from scldpc.partition_opt import OptimizerConfig
 from scldpc.power_opt import _linear_forms
 from scldpc.trapping_sets import (MAX_SUBSET_SIZE, MAX_WINDOW_COLUMNS,
+                                  InducedConfig, _fold_orbit_tallies,
                                   replica_span)
 
 
@@ -825,6 +826,108 @@ def windowed_species_census(spec, species) -> CycleCensus:
         seeds = [u for u in nbr[root] if u > root]
         extend([root], seeds, {root} | set(seeds), root)
     return CycleCensus(spec.L, per_span)
+
+
+def incremental_orbit_census(spec, species) -> CycleCensus:
+    """Per-span species counts by orbit-reduced windowed search whose check
+    degrees and odd-check count are Python ints updated as a column enters
+    or leaves the subset; the reference for trapping_sets.enumerate_objects.
+
+    Enumerates connected variable subsets of size species.a inside the
+    first window of (path_vns - 1) * m + 1 replicas whose lowest column
+    is one of the kappa offset-0 columns of replica 1, classifies each,
+    and tags it with its exact replica span k and the number c of its
+    columns in its lowest column block.  Weighting each find by p / c
+    (see the module docstring) and each span by (L - k + 1) gives the
+    full-matrix total.
+    """
+    if species.a > MAX_SUBSET_SIZE:
+        raise ValueError(
+            "subset search capped at a <= %d; use the closed-form cycle "
+            "census for protograph-scale audits" % MAX_SUBSET_SIZE)
+    chi = min(replica_span(species.path_vns, spec.m), spec.L)
+    w = window(spec, 1, chi, lifted=True)
+    ncols = w.shape[1]
+    if ncols > MAX_WINDOW_COLUMNS:
+        raise ValueError(
+            "window has %d columns (cap %d); use the closed-form cycle "
+            "census for protograph-scale audits" % (ncols, MAX_WINDOW_COLUMNS))
+    p = spec.p
+    cols_per_replica = spec.kappa * p
+    rows = [np.nonzero(col)[0].tolist() for col in w.T]
+    shared = w.T.astype(np.float32) @ w.astype(np.float32)
+    np.fill_diagonal(shared, 0.0)
+    nbr = [np.nonzero(col)[0].tolist() for col in shared]
+    a = species.a
+    want_as = species.kind == "AS"
+    counts = [0] * w.shape[0]
+    odd = 0
+    tally: dict = {}
+
+    def add(c, step):
+        # in-set degree of each check of c; odd tracks how many are odd
+        nonlocal odd
+        for r in rows[c]:
+            counts[r] += step
+            odd += 1 if counts[r] & 1 else -1
+
+    def absorbing(sub) -> bool:
+        return all(2 * sum(counts[r] & 1 for r in rows[c]) < len(rows[c])
+                   for c in sub)
+
+    def extend(sub, ext, blocked, root):
+        # ext holds unprocessed extension candidates; blocked is the
+        # subset plus every neighbor seen so far, which keeps each
+        # connected subset from being produced twice.
+        if len(sub) == a:
+            if odd == species.b and (not want_as or absorbing(sub)):
+                key = (max(sub) // cols_per_replica + 1,
+                       sum(c < root + p for c in sub))
+                tally[key] = tally.get(key, 0) + 1
+            return
+        ext = list(ext)
+        while ext:
+            cand = ext.pop()
+            grow = [u for u in nbr[cand] if u > root and u not in blocked]
+            add(cand, 1)
+            extend(sub + [cand], ext + grow, blocked | set(grow), root)
+            add(cand, -1)
+
+    for root in range(0, cols_per_replica, p):
+        seeds = [u for u in nbr[root] if u > root]
+        add(root, 1)
+        extend([root], seeds, {root} | set(seeds), root)
+        add(root, -1)
+    return CycleCensus(spec.L, _fold_orbit_tallies(tally, p))
+
+
+def dense_classify(h: np.ndarray, vn_cols) -> InducedConfig:
+    """Classify the subgraph induced by the given columns of h, from the
+    dense column slice; the reference for trapping_sets.classify.
+
+    Returns an InducedConfig carrying (a, b), the touched check rows
+    with their in-set degrees, and the trapping/absorbing flags.
+    """
+    cols = tuple(sorted(int(c) for c in vn_cols))
+    if not cols:
+        raise ValueError("empty variable-node set")
+    sub = np.asarray(h, dtype=bool)[:, list(cols)]
+    deg = sub.sum(axis=1)
+    touched = np.nonzero(deg)[0]
+    odd = (deg[touched] % 2).astype(bool)
+    b = int(odd.sum())
+    # per VN: count even-degree vs odd-degree neighbors among touched checks
+    even_rows = touched[~odd]
+    n_even = sub[even_rows].sum(axis=0)
+    n_odd = sub[touched[odd]].sum(axis=0)
+    return InducedConfig(
+        vn_set=cols,
+        a=len(cols),
+        b=b,
+        check_rows=tuple(int(r) for r in touched),
+        check_degrees=tuple(int(d) for d in deg[touched]),
+        is_absorbing_set=bool(np.all(n_even > n_odd)),
+    )
 
 
 def all_subsets_species_count(h: np.ndarray, species) -> int:

@@ -573,6 +573,32 @@ def test_cli_ab_powers_closing_4_cycles_are_a_usage_error(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["cpo", "--gamma", "3", "--kappa", "5", "--p", "5", "--L", "1",
+      "--zeta", "1,3,4", "--seed", "0"], "--L must be >= m + 1 = 2"),
+    (["pipeline", "--gamma", "3", "--kappa", "5", "--p", "5", "--L", "1",
+      "--seed", "0"], "--L must be >= m + 1 = 2"),
+    (["pipeline", "--gamma", "3", "--kappa", "5", "--p", "5", "--L", "2",
+      "--m", "2", "--seed", "0"], "--L must be >= m + 1 = 3"),
+    (["optimize", "--gamma", "4", "--kappa", "17", "--L", "30"],
+     "local search requires a seed"),
+    (["census", "--gamma", "4", "--kappa", "17", "--L", "30", "--optimize"],
+     "local search requires a seed"),
+    (["optimize", "--gamma", "3", "--kappa", "5", "--L", "6",
+      "--strategy", "local-search"], "local search requires a seed"),
+], ids=["cpo-short-chain", "pipeline-short-chain", "pipeline-m2-short-chain",
+        "optimize-auto-no-seed", "census-auto-no-seed",
+        "optimize-local-no-seed"])
+def test_cli_settings_a_stage_rejects_are_usage_errors(tmp_path, capsys, argv,
+                                                       message):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_overlaps_of_wrong_length_is_a_usage_error(tmp_path, capsys):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:

@@ -229,7 +229,7 @@ def test_local_search_matches_loop_oracle():
         assert np.array_equal(opt.patterns.counts, row)
 
 
-def test_branch_and_bound_matches_exhaustive_random():
+def test_branch_and_bound_matches_exhaustive_random(monkeypatch):
     rng = np.random.default_rng(9)
     cases = 0
     while cases < 24:
@@ -244,8 +244,10 @@ def test_branch_and_bound_matches_exhaustive_random():
         batch = int(rng.choice([3, 64, 1 << 15]))
         ex = optimize(g, k, m, L, OptimizerConfig(strategy="exhaustive",
                                                   balance_slack=slack))
+        monkeypatch.setattr(partition_opt, "BATCH", batch)
         bb = optimize(g, k, m, L, OptimizerConfig(strategy="branch-and-bound",
-                                                  balance_slack=slack, batch=batch))
+                                                  balance_slack=slack))
+        monkeypatch.undo()
         assert (bb.f_star, bb.overlaps.values) == (ex.f_star, ex.overlaps.values)
         assert bb.certified
 
@@ -281,8 +283,7 @@ def test_local_search_budgets_run_the_first_restart():
         assert (opt.f_star, opt.evaluated) == (one.f_star, one.evaluated)
 
 
-@pytest.mark.parametrize("bad", [dict(batch=0), dict(restarts=0),
-                                 dict(time_budget_s=-1.0)])
+@pytest.mark.parametrize("bad", [dict(restarts=0), dict(time_budget_s=-1.0)])
 def test_config_rejects_bad_values(bad):
     with pytest.raises(ValueError):
         OptimizerConfig(**bad)

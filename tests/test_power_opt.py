@@ -230,9 +230,11 @@ def test_refine_layout_is_exhaustive_up_to_the_cap(monkeypatch):
     listing = power_opt._multiset_permutations
     monkeypatch.setattr(power_opt, "_multiset_permutations",
                         lambda items: calls.append(len(items)) or listing(items))
-    refine_layout(part, 5, 4, exhaustive_cap=count)
+    monkeypatch.setattr(power_opt, "LAYOUT_EXHAUSTIVE_CAP", count)
+    refine_layout(part, 5, 4)
     assert calls == [5]
-    refine_layout(part, 5, 4, exhaustive_cap=count - 1)
+    monkeypatch.setattr(power_opt, "LAYOUT_EXHAUSTIVE_CAP", count - 1)
+    refine_layout(part, 5, 4)
     assert calls == [5]
 
 

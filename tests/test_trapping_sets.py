@@ -14,6 +14,7 @@ from scldpc.trapping_sets import (MAX_SUBSET_SIZE, ObjectSpecies, classify,
                                   six_four_template)
 
 from oracles import (all_subsets_species_count, connected_species_count,
+                     dense_classify, incremental_orbit_census,
                      random_partition, unique_species_count,
                      windowed_species_census)
 
@@ -68,6 +69,22 @@ def test_classify_subset_of_matrix():
 def test_classify_rejects_empty():
     with pytest.raises(ValueError):
         classify(np.eye(3), [])
+
+
+def test_classify_matches_dense_oracle_on_irregular_matrices():
+    rng = np.random.default_rng(17)
+    absorbing = 0
+    for _ in range(300):
+        rows, cols = int(rng.integers(1, 13)), int(rng.integers(6, 15))
+        # a density per column gives irregular degrees, zero included
+        h = rng.random((rows, cols)) < rng.random(cols) * (rng.random(cols) > 0.15)
+        h = h.astype(rng.choice([bool, np.uint8, np.int64]))
+        sub = rng.choice(cols, size=int(rng.integers(1, 7)), replace=False)
+        got, want = classify(h, sub), dense_classify(h, sub)
+        assert got == want
+        assert all(type(v) is int for v in got.check_rows + got.check_degrees)
+        absorbing += got.is_absorbing_set
+    assert 10 <= absorbing <= 290, absorbing
 
 
 def test_path_width_examples():
@@ -252,6 +269,7 @@ def test_orbit_search_matches_all_roots_oracle():
         spec, species = random_species_case(rng)
         per_span = enumerate_objects(spec, species).per_span
         assert per_span == windowed_species_census(spec, species).per_span
+        assert per_span == incremental_orbit_census(spec, species).per_span
         found[species.kind] += bool(per_span)
     assert found["TS"] >= 100 and found["AS"] >= 15
 
