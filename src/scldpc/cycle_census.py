@@ -72,7 +72,8 @@ def _row_pair_overlaps(ones: ColumnLists):
     degree = np.bincount(ones.cols, minlength=n_cols)
     starts = np.concatenate(([0], np.cumsum(degree)))
     keys, excess = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    for d in np.unique(degree[degree >= 2]):  # columns of one degree pair up together
+    # columns of one degree pair up together
+    for d in np.flatnonzero(np.bincount(degree)[2:]) + 2:
         first = starts[:-1][degree == d]
         block = rows[first[:, None] + np.arange(d)]
         a, b = np.triu_indices(d, 1)

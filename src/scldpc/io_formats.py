@@ -2,13 +2,15 @@
 
 Everything here writes LF-terminated text so identical runs produce
 byte-identical artifacts.  An alist is written from, and read into, the
-ColumnLists of its matrix; the dense matrix is an optional view.
+ColumnLists of its matrix; the dense matrix is an optional view.  Both
+are whole-array passes: gathered joins write, one numpy call reads.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import re
 
 import numpy as np
 
@@ -51,14 +53,22 @@ def alist_string(matrix) -> str:
         table = np.zeros((len(degree), width), dtype=np.int64)
         slot = np.arange(len(owner)) - np.repeat(np.cumsum(degree) - degree, degree)
         table[owner, slot] = index + 1
-        return [" ".join(map(str, line)) for line in table.tolist()]
+        return table
 
-    out = [f"{ncols} {nrows}", f"{dc} {dr}",
-           " ".join(map(str, col_deg.tolist())),
-           " ".join(map(str, row_deg.tolist()))]
-    out += padded(cols, rows, col_deg, dc)
-    out += padded(rows[by_row], cols[by_row], row_deg, dr)
-    return "\n".join(out) + "\n"
+    # every value is at most max(nrows, ncols); a line of w words is the
+    # words with a " " after each but the last, which "\n" ends.  Joining
+    # each table's words on their own keeps one table's words alive at a time.
+    words = np.array([str(v) for v in range(max(nrows, ncols) + 1)], dtype=object)
+    text = []
+    for table in (np.array([[ncols, nrows], [dc, dr]]), col_deg[None], row_deg[None],
+                  padded(cols, rows, col_deg, dc),
+                  padded(rows[by_row], cols[by_row], row_deg, dr)):
+        n, w = table.shape
+        lines = np.full((n, max(2 * w, 1)), " ", dtype=object)  # "\n" alone if w = 0
+        lines[:, :2 * w:2] = words[table]
+        lines[:, -1] = "\n"
+        text.append("".join(lines.ravel().tolist()))
+    return "".join(text)
 
 
 def write_alist(matrix, path) -> None:
@@ -84,16 +94,25 @@ def read_alist_columns(path) -> ColumnLists:
 
     Every part of the file must agree: the header, the maximum degrees,
     both degree lines, the column lists and the row lists; a mismatch, an
-    out-of-range index, a truncated file or trailing tokens raise
-    ValueError.  A column's rows may be listed in any order.
+    out-of-range index, a truncated file, trailing tokens, a non-integer
+    token or one outside int64 raise ValueError.  A column's rows may be
+    listed in any order.
     """
     with open(path) as fh:
         text = fh.read()
+    # np.fromstring would read a sign with no digits after it as a sign of
+    # the next token, or as 0 at the end of the text
+    if ("-" in text or "+" in text) and re.search(r"[-+](?![0-9])", text):
+        raise ValueError("malformed alist file: non-integer token")
     try:
-        tokens = np.array(text.split(), dtype=np.int64)
-    except (ValueError, OverflowError) as exc:
+        tokens = np.fromstring(text, dtype=np.int64, sep=" ")
+    except ValueError as exc:
         raise ValueError("malformed alist file: non-integer token") from exc
-    if len(tokens) < 4:
+    # np.fromstring saturates a value outside int64 to the int64 maximum,
+    # whatever its sign; no alist holds that value
+    if np.iinfo(np.int64).max in tokens:
+        raise ValueError("malformed alist file: token outside int64")
+    if len(tokens) < 4:  # blank text reads as [0], one token
         raise ValueError("malformed alist file: truncated header")
     ncols, nrows, dc, dr = (int(v) for v in tokens[:4])
     if ncols < 1 or nrows < 1 or dc < 0 or dr < 0:

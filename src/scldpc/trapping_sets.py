@@ -111,12 +111,19 @@ def classify(h: np.ndarray, vn_cols) -> InducedConfig:
     """Classify the subgraph induced by the given columns of h.
 
     Returns an InducedConfig carrying (a, b), the touched check rows
-    with their in-set degrees, and the trapping/absorbing flags.
+    with their in-set degrees, and the trapping/absorbing flags.  A column
+    outside [0, h.shape[1]) or a repeated one raises ValueError.
     """
     cols = tuple(sorted(int(c) for c in vn_cols))
     if not cols:
         raise ValueError("empty variable-node set")
-    deg, b, absorbing = _induced(np.asarray(h, dtype=bool), np.array([cols]))
+    h = np.asarray(h, dtype=bool)
+    for c, after in zip(cols, cols[1:] + (None,)):
+        if not 0 <= c < h.shape[1]:
+            raise ValueError(f"column {c} outside [0, {h.shape[1]})")
+        if c == after:
+            raise ValueError(f"column {c} repeated")
+    deg, b, absorbing = _induced(h, np.array([cols]))
     touched = np.nonzero(deg[:, 0])[0]
     return InducedConfig(
         vn_set=cols,

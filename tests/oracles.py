@@ -11,7 +11,8 @@ import time
 
 import numpy as np
 
-from scldpc.code_model import PartitionMatrix, sc_lift, sc_protograph, window
+from scldpc.code_model import (PartitionMatrix, as_column_lists, sc_lift,
+                               sc_protograph, window)
 from scldpc.cycle_census import CycleCensus
 from scldpc.overlaps import (IndependentOverlaps, PatternCounts,
                              column_patterns, independent_overlap_sets,
@@ -1149,3 +1150,48 @@ def scan_alist_string(matrix: np.ndarray) -> str:
         idx += [0] * (dr - len(idx))
         out.append(" ".join(str(i) for i in idx))
     return "\n".join(out) + "\n"
+
+
+def line_alist_string(matrix) -> str:
+    """alist_string of a dense matrix or its ColumnLists, joined line by line.
+
+    The same padded index tables as the fast writer, but each line is
+    one " ".join of the line's Python ints.
+    """
+    ones = as_column_lists(matrix)
+    nrows, ncols = ones.shape
+    if nrows == 0 or ncols == 0:
+        raise ValueError("need a nonempty 2-d matrix")
+    rows, cols = ones.rows, ones.cols
+    by_row = np.argsort(rows, kind="stable")  # columns stay ascending in a row
+    col_deg = np.bincount(cols, minlength=ncols)
+    row_deg = np.bincount(rows, minlength=nrows)
+    dc, dr = int(col_deg.max()), int(row_deg.max())
+
+    def padded(owner, index, degree, width):
+        # 1-based indices in the owner's slot, zeros past its degree
+        table = np.zeros((len(degree), width), dtype=np.int64)
+        slot = np.arange(len(owner)) - np.repeat(np.cumsum(degree) - degree, degree)
+        table[owner, slot] = index + 1
+        return [" ".join(map(str, line)) for line in table.tolist()]
+
+    out = [f"{ncols} {nrows}", f"{dc} {dr}",
+           " ".join(map(str, col_deg.tolist())),
+           " ".join(map(str, row_deg.tolist()))]
+    out += padded(cols, rows, col_deg, dc)
+    out += padded(rows[by_row], cols[by_row], row_deg, dr)
+    return "\n".join(out) + "\n"
+
+
+def split_alist_tokens(text: str) -> np.ndarray:
+    """Tokens of an alist text: str.split, then one int64 per string.
+
+    A token that is not an integer, or one outside int64, raises
+    ValueError.  Unlike the reader's one-call tokenizer, this also takes
+    digit-group underscores ("1_000"), non-ASCII digits and non-ASCII
+    whitespace.
+    """
+    try:
+        return np.array(text.split(), dtype=np.int64)
+    except OverflowError as exc:
+        raise ValueError("token outside int64") from exc

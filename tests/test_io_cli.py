@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +12,8 @@ import pytest
 from scldpc import cli, code_model
 from scldpc.cli import main
 from scldpc.code_model import (ColumnLists, SCCodeSpec, ab_code,
-                               partition_from_cutting_vector, sc_lift)
+                               partition_from_cutting_vector, sc_lift,
+                               sc_lift_columns)
 from scldpc.cycle_census import (active_cycles6, census_from_partition,
                                  count_cycles6)
 from scldpc.io_formats import (alist_string, census_csv, read_alist,
@@ -17,7 +22,8 @@ from scldpc.io_formats import (alist_string, census_csv, read_alist,
 from scldpc.partition_opt import STRATEGIES, OptimizerConfig
 from scldpc.trapping_sets import common_denominator, enumerate_objects
 
-from oracles import random_partition, scan_alist_string
+from oracles import (line_alist_string, random_partition, scan_alist_string,
+                     split_alist_tokens)
 
 
 def test_alist_identity_two_by_two():
@@ -92,10 +98,20 @@ _ALIST_LINES = ["3 2", "2 2", "1 2 0", "2 1", "1 0", "1 2", "0 0", "1 2", "2 0"]
     ({9: "garbage"}, "non-integer"),
     ({9: "7"}, "tokens where the header implies"),
     ({0: "0 2"}, "bad header"),
+    ({0: f"{2**63} 2"}, "outside int64"),
+    ({0: f"{-2**63 - 1} 2"}, "outside int64"),
+    ({4: f"{2**63} 0"}, "outside int64"),
+    ({4: f"{-2**63 - 1} 0"}, "outside int64"),
+    ({i: " \t" for i in range(10)}, "truncated header"),
+    ({4: "1_000 0"}, "non-integer"),
+    ({4: "1 - 0"}, "non-integer"),
+    ({8: "2 0 -"}, "non-integer"),
 ])
 def test_alist_rejects_inconsistent_files(tmp_path, edit, message):
     path = tmp_path / "ok.alist"
     path.write_text("\n".join(_ALIST_LINES) + "\n")
+    assert np.array_equal(read_alist(path), [[1, 1, 0], [0, 1, 0]])
+    path.write_bytes("".join(t + "\r\n" for t in _ALIST_LINES).encode())
     assert np.array_equal(read_alist(path), [[1, 1, 0], [0, 1, 0]])
     lines = list(_ALIST_LINES) + [""]
     for i, text in edit.items():
@@ -105,6 +121,24 @@ def test_alist_rejects_inconsistent_files(tmp_path, edit, message):
         with pytest.raises(ValueError,
                            match="malformed alist file: .*" + message):
             read(path)
+
+
+@pytest.mark.parametrize("text", [
+    "\t".join(_ALIST_LINES),
+    "\n\n  ".join(_ALIST_LINES) + " \n\n",
+    "\x0b".join(_ALIST_LINES) + "\x0c",
+    " ".join("+" + t for t in " ".join(_ALIST_LINES).split()),
+    " ".join("00" + t for t in " ".join(_ALIST_LINES).split()),
+])
+def test_alist_reader_tokens_match_split_oracle(tmp_path, text):
+    plain = "\n".join(_ALIST_LINES) + "\n"
+    # the variant holds the same tokens as the plain file
+    assert np.array_equal(split_alist_tokens(text), split_alist_tokens(plain))
+    path = tmp_path / "m.alist"
+    path.write_bytes(text.encode())
+    ones = read_alist_columns(path)
+    assert ones.shape == (2, 3)
+    assert ones.rows.tolist() == [0, 0, 1] and ones.cols.tolist() == [0, 1, 1]
 
 
 def test_int_grid_round_trip(tmp_path):
@@ -507,6 +541,71 @@ def test_alist_string_matches_scan_oracle(monkeypatch, slab):
         want = scan_alist_string(h)
         assert alist_string(h) == want
         assert alist_string(ColumnLists.from_dense(h)) == want
+
+
+def _assert_alist_round_trip(path, ones):
+    got = read_alist_columns(path)
+    assert got.shape == ones.shape
+    assert np.array_equal(got.rows, ones.rows)
+    assert np.array_equal(got.cols, ones.cols)
+
+
+def test_alist_string_matches_line_oracle_at_realistic_sizes(tmp_path):
+    # several hundred rows and columns: three-digit words, degree lines of
+    # ten and more words, empty rows and columns
+    rng = np.random.default_rng(31)
+    path = tmp_path / "m.alist"
+    for case in range(6):
+        rows, cols = (int(v) for v in rng.integers(200, 700, size=2))
+        h = rng.random((rows, cols)) < rng.uniform(0.02, 0.06)
+        if case % 2:
+            h[rng.integers(rows, size=5)] = False
+            h[:, rng.integers(cols, size=5)] = False
+        ones = ColumnLists.from_dense(h)
+        col_deg = np.bincount(ones.cols, minlength=cols)
+        row_deg = np.bincount(ones.rows, minlength=rows)
+        assert min(col_deg.max(), row_deg.max()) >= 10
+        want = line_alist_string(h)
+        assert want == scan_alist_string(h)
+        assert alist_string(h) == want, case
+        assert alist_string(ones) == want, case
+        path.write_text(want)
+        _assert_alist_round_trip(path, ones)
+
+
+def test_alist_string_of_a_coupled_lift_matches_line_oracle(tmp_path):
+    spec = SCCodeSpec(ab_code(3, 7, 7),
+                      partition_from_cutting_vector((2, 4, 6), 3, 7), 5)
+    ones, h = sc_lift_columns(spec), sc_lift(spec)
+    assert ones.shape == h.shape == (126, 245)
+    want = line_alist_string(h)
+    assert alist_string(ones) == want
+    assert alist_string(h) == want
+    write_alist(ones, tmp_path / "code.alist")
+    assert (tmp_path / "code.alist").read_text() == want
+    _assert_alist_round_trip(tmp_path / "code.alist", ones)
+
+
+def test_lift_and_census_matrix_leave_numpy_ma_unimported(tmp_path):
+    # a fresh interpreter: pytest's own process may already hold numpy.ma
+    src = Path(code_model.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(src) + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    script = (
+        "import sys\n"
+        "from scldpc.cli import main\n"
+        "out = sys.argv[1]\n"
+        "code = ['--gamma', '3', '--kappa', '5', '--p', '5', '--L', '4',\n"
+        "        '--zeta', '1,3,4', '--out', out]\n"
+        "assert main(['lift', *code]) == 0\n"
+        "assert main(['census', '--matrix', out + '/code.alist',\n"
+        "             '--out', out + '/brute']) == 0\n"
+        "print('numpy.ma' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split()[-1] == "False"
 
 
 _CODE = ["--gamma", "3", "--kappa", "4", "--p", "5", "--L", "3"]

@@ -71,6 +71,18 @@ def test_classify_rejects_empty():
         classify(np.eye(3), [])
 
 
+@pytest.mark.parametrize("cols, message", [
+    ([0, 0], "column 0 repeated"),
+    ([2, 1, 2], "column 2 repeated"),
+    ([-1], r"column -1 outside \[0, 3\)"),
+    ([0, 5], r"column 5 outside \[0, 3\)"),
+    ([3], r"column 3 outside \[0, 3\)"),
+])
+def test_classify_rejects_bad_columns(cols, message):
+    with pytest.raises(ValueError, match=message):
+        classify(np.eye(3), cols)
+
+
 def test_classify_matches_dense_oracle_on_irregular_matrices():
     rng = np.random.default_rng(17)
     absorbing = 0
