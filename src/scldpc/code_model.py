@@ -14,9 +14,10 @@ block indices are 0-based; only the replica index r is 1-based, matching
 the usual coupled-chain notation.
 
 The lifted matrix is built as ColumnLists, the row index of each 1 in
-column order, by index arithmetic; sc_lift and lift_block are its dense
-views.  The lists are what the alist writer and the direct cycle counts
-take, so a full-length coupled code never needs a dense matrix.
+column order, by index arithmetic; sc_lift, lift_block and sc_protograph
+(the p = 1 lift) are its dense views.  The lists are what the alist writer
+and the direct cycle counts take, so a full-length coupled code never
+needs a dense matrix.
 """
 
 from __future__ import annotations
@@ -177,15 +178,10 @@ def component_protograph(partition: PartitionMatrix) -> np.ndarray:
 
 
 def sc_protograph(spec: SCCodeSpec) -> np.ndarray:
-    """Binary protograph of the coupled code, ((L+m)*gamma, L*kappa)."""
-    g, k, m, L = spec.gamma, spec.kappa, spec.m, spec.L
-    proto = np.zeros(((L + m) * g, L * k), dtype=np.uint8)
-    for r in range(1, L + 1):
-        for x in range(m + 1):
-            rows = slice((r - 1 + x) * g, (r + x) * g)
-            cols = slice((r - 1) * k, r * k)
-            proto[rows, cols] |= spec.partition.component(x)
-    return proto
+    """Binary protograph of the coupled code, ((L+m)*gamma, L*kappa): its p = 1 lift."""
+    unlifted = CirculantBlockCode(spec.gamma, spec.kappa, 1,
+                                  np.zeros((spec.gamma, spec.kappa), dtype=np.int64))
+    return sc_lift_columns(SCCodeSpec(unlifted, spec.partition, spec.L)).dense(np.uint8)
 
 
 _SCAN_SLAB = 1 << 20  # matrix entries converted to bool at a time

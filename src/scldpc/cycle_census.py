@@ -49,7 +49,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .code_model import ColumnLists, SCCodeSpec, as_column_lists, window
+from .code_model import (CirculantBlockCode, ColumnLists, SCCodeSpec,
+                         as_column_lists, window)
 from .overlaps import PatternCounts, cover_matrix, overlaps_from_partition
 
 # ---------------------------------------------------------------------------
@@ -233,6 +234,47 @@ class ShapeCount:
                       - np.einsum("ij,ij->i", one[:, 2 * side:], p12)
                       + 2 * (t @ self.diagonal))
         return per_triple.reshape(len(counts), len(cover) // self.width).sum(axis=1)
+
+
+class LiftedShapeCount:
+    """Lifted 6-cycles of a batch of partitions at one block code's powers.
+
+    A 6-cycle takes base columns a, b, c as its c12, c13, c23 at residue
+    rows j1 < j2 < j3.  The powers alone decide whether it survives lifting,
+    so the active triples with distinct a, b, c are listed once, as the six
+    cells (j1,a), (j2,a), (j1,b), (j3,b), (j2,c), (j3,c) whose components
+    are the digits of its shape (x1, x2, y1, y3, z2, z3) in shape_spans.
+    A repeated base column always makes two of the columns coincide.
+    """
+
+    def __init__(self, block: CirculantBlockCode, m: int, L: int):
+        g, k = block.gamma, block.kappa
+        self.shape, self.m, self.p = (g, k), m, block.p
+        a, b, c = np.array(list(itertools.permutations(range(k), 3)),
+                           dtype=np.int64).reshape(-1, 3).T
+        cells = [np.zeros((0, 6), dtype=np.int64)]
+        for j1, j2, j3 in itertools.combinations(range(g), 3):
+            digits = np.stack([j1 * k + a, j2 * k + a, j1 * k + b, j3 * k + b,
+                               j2 * k + c, j3 * k + c], axis=1)
+            # walk (j1,b), (j1,a), (j2,a), (j2,c), (j3,c), (j3,b)
+            walk = block.powers.ravel()[digits[:, [2, 0, 1, 4, 5, 3]]]
+            cells.append(digits[alternating_sum(walk) % block.p == 0])
+        self.cells = np.concatenate(cells)
+        self.weight = shape_weight(m, L).ravel()
+
+    def __call__(self, assign) -> np.ndarray:
+        """int64 lifted 6-cycle count of each (gamma, kappa) component
+        assignment of the (n, gamma, kappa) array `assign`."""
+        z = np.asarray(assign)
+        if z.ndim != 3 or z.shape[1:] != self.shape:
+            raise ValueError(f"assignments must be (n, {self.shape[0]}, "
+                             f"{self.shape[1]}), got {z.shape}")
+        if z.size and (z.min() < 0 or z.max() > self.m):
+            raise ValueError(f"component indices must lie in [0, {self.m}]")
+        z = z.reshape(len(z), self.shape[0] * self.shape[1])
+        shapes = np.ravel_multi_index(tuple(z[:, cell] for cell in self.cells.T),
+                                      (self.m + 1,) * 6)
+        return self.p * self.weight[shapes].sum(axis=1, dtype=np.int64)
 
 
 def _span_counts(pc: PatternCounts, spans) -> dict:

@@ -41,9 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .code_model import PartitionMatrix, SCCodeSpec, ab_code
-from .cycle_census import (alternating_sum, starter_cycles4, starter_cycles6,
-                           walk_residues)
-from .overlaps import overlaps_from_partition
+from .cycle_census import (LiftedShapeCount, alternating_sum, starter_cycles4,
+                           starter_cycles6, walk_residues)
 
 
 @dataclass(frozen=True)
@@ -133,24 +132,14 @@ class CycleSystem:
         self.visits6 = _visit_table(self.res6, g * kp)
         self.visits4 = _visit_table(self.res4, g * kp)
 
-    def sums6(self, f_flat: np.ndarray) -> np.ndarray:
-        return alternating_sum(f_flat[self.res6])
-
-    def sums4(self, f_flat: np.ndarray) -> np.ndarray:
-        return alternating_sum(f_flat[self.res4])
-
     def active6(self, f_flat: np.ndarray) -> np.ndarray:
-        return self.sums6(f_flat) % self.p == 0
+        return alternating_sum(f_flat[self.res6]) % self.p == 0
 
     def f_sc(self, f_flat: np.ndarray) -> int:
-        if not len(self.res6):
-            return 0
         return int(self.weight6[self.active6(f_flat)].sum())
 
     def count_active4(self, f_flat: np.ndarray) -> int:
-        if not len(self.res4):
-            return 0
-        return int((self.sums4(f_flat) % self.p == 0).sum())
+        return int((alternating_sum(f_flat[self.res4]) % self.p == 0).sum())
 
 
 def weighted_theta(system: CycleSystem, f_flat: np.ndarray) -> np.ndarray:
@@ -383,87 +372,60 @@ def run_cpo(spec: SCCodeSpec, config: CpoConfig) -> CpoState:
 
 
 def _multiset_permutations(items):
-    """Distinct permutations of a sequence, lexicographically."""
+    """Distinct permutations of a sequence, lexicographically, each the next
+    permutation of the one before (Knuth, TAOCP 7.2.1.2, Algorithm L)."""
     items = sorted(items)
-    n = len(items)
-
-    def rec(remaining):
-        if not remaining:
-            yield ()
+    while True:
+        yield tuple(items)
+        i = len(items) - 2
+        while i >= 0 and items[i] >= items[i + 1]:
+            i -= 1
+        if i < 0:
             return
-        prev = object()
-        for i, v in enumerate(remaining):
-            if v == prev:
-                continue
-            prev = v
-            for tail in rec(remaining[:i] + remaining[i + 1 :]):
-                yield (v,) + tail
-
-    return rec(items)
+        j = len(items) - 1
+        while items[j] <= items[i]:
+            j -= 1
+        items[i], items[j] = items[j], items[i]
+        items[i + 1:] = reversed(items[i + 1:])
 
 
 def refine_layout(partition: PartitionMatrix, p: int, L: int):
     """Column arrangement of a partition minimizing the lifted count at AB powers.
 
-    Reordering partition columns while keeping AB powers is equivalent to
-    keeping the partition and permuting power columns, so candidates are
-    scored on one precomputed cycle system.  Small arrangement spaces are
-    searched exhaustively in lexicographic order (deterministic tie-break:
-    first minimum); larger ones fall back to deterministic pairwise-swap
-    descent from the current arrangement.  Returns (partition, count).
+    Each arrangement is scored as a partition whose columns sit in that
+    order at the AB powers of their positions, by one LiftedShapeCount.
+    Small arrangement spaces are searched exhaustively in lexicographic
+    order (deterministic tie-break: first minimum); larger ones fall back to
+    deterministic pairwise-swap descent from the current arrangement, taking
+    the first improving swap.  Returns (partition, count).
     """
-    g, kp = partition.gamma, partition.kappa
-    system = CycleSystem(SCCodeSpec(ab_code(g, kp, p), partition, L))
-    base_pats = [tuple(int(v) for v in partition.assign[:, j]) for j in range(kp)]
-
-    def eval_sources(source: np.ndarray) -> int:
-        # base column c draws its AB powers from arranged position source[c]
-        f = (np.arange(g)[:, None] * source[None, :]) % p
-        return system.f_sc(f.ravel())
-
-    def sources_for(arrangement) -> np.ndarray:
-        # stable matching of arranged patterns back to base column indices
-        pools = {}
-        for c, pat in enumerate(base_pats):
-            pools.setdefault(pat, []).append(c)
-        iters = {pat: iter(cols) for pat, cols in pools.items()}
-        placed = np.zeros(kp, dtype=np.int64)
-        for j, pat in enumerate(arrangement):
-            placed[next(iters[pat])] = j
-        return placed
-
-    # distinct arrangements: the multinomial of the pattern counts
-    counts = overlaps_from_partition(partition).counts.tolist()
+    kp = partition.kappa
+    score = LiftedShapeCount(ab_code(partition.gamma, kp, p), partition.m, L)
+    # distinct arrangements: the multinomial of the column pattern counts
+    _, counts = np.unique(partition.assign, axis=1, return_counts=True)
     arrangements = math.factorial(kp) // math.prod(map(math.factorial, counts))
     if arrangements <= LAYOUT_EXHAUSTIVE_CAP:
-        best = None
-        for arrangement in _multiset_permutations(base_pats):
-            val = eval_sources(sources_for(arrangement))
-            if best is None or val < best[0]:
-                best = (val, arrangement)
-        val, arrangement = best
+        # (arrangement, position, row) components
+        arranged = np.array(list(_multiset_permutations(partition.assign.T.tolist())))
+        # arrangements per block: about _CAND_CHUNK shapes gathered
+        step = max(1, _CAND_CHUNK // max(len(score.cells), 1))
+        vals = np.concatenate([score(arranged[i:i + step].transpose(0, 2, 1))
+                               for i in range(0, len(arranged), step)])
+        n = int(np.argmin(vals))
+        val, assign = int(vals[n]), arranged[n].T
     else:
-        sigma = list(range(kp))  # position j shows base column sigma[j]
-        source = np.zeros(kp, dtype=np.int64)
-        source[sigma] = np.arange(kp)
-        val = eval_sources(source)
+        assign = partition.assign.copy()
+        val = int(score(assign[None])[0])
         improved = True
         while improved:
             improved = False
             for pos1 in range(kp):
                 for pos2 in range(pos1 + 1, kp):
-                    b1, b2 = sigma[pos1], sigma[pos2]
-                    if base_pats[b1] == base_pats[b2]:
+                    if (assign[:, pos1] == assign[:, pos2]).all():
                         continue
-                    source[b1], source[b2] = source[b2], source[b1]
-                    trial = eval_sources(source)
-                    if trial < val:
-                        val = trial
-                        sigma[pos1], sigma[pos2] = b2, b1
-                        improved = True
-                    else:
-                        source[b1], source[b2] = source[b2], source[b1]
-        arrangement = tuple(base_pats[b] for b in sigma)
-
-    assign = np.array(arrangement, dtype=np.int64).T
-    return PartitionMatrix(partition.m, assign), int(val)
+                    trial = assign.copy()
+                    trial[:, [pos1, pos2]] = assign[:, [pos2, pos1]]
+                    trial_val = int(score(trial[None])[0])
+                    if trial_val < val:
+                        assign, val, improved = trial, trial_val, True
+    return PartitionMatrix(partition.m, assign), val

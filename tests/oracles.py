@@ -7,18 +7,21 @@ dense matrices, no combinatorial shortcuts beyond basic pruning.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 
 import numpy as np
 
-from scldpc.code_model import (PartitionMatrix, as_column_lists, sc_lift,
+from scldpc import power_opt
+from scldpc.code_model import (PartitionMatrix, SCCodeSpec, ab_code,
+                               as_column_lists, sc_lift,
                                sc_protograph, window)
 from scldpc.cycle_census import CycleCensus
 from scldpc.overlaps import (IndependentOverlaps, PatternCounts,
                              column_patterns, independent_overlap_sets,
-                             valid_overlap_sets)
+                             overlaps_from_partition, valid_overlap_sets)
 from scldpc.partition_opt import OptimizerConfig
-from scldpc.power_opt import _linear_forms
+from scldpc.power_opt import CycleSystem, _linear_forms
 from scldpc.trapping_sets import (MAX_SUBSET_SIZE, MAX_WINDOW_COLUMNS,
                                   InducedConfig, _fold_orbit_tallies,
                                   replica_span)
@@ -627,6 +630,73 @@ def support_table_scores(system, f_flat, subset, chunk: int = 32768) -> np.ndarr
         f_cand[table >= kill] = f_sc
         out.append(f_cand.ravel())
     return np.concatenate(out)
+
+
+def sourced_refine_layout(partition: PartitionMatrix, p: int, L: int):
+    """Column arrangement of a partition minimizing the lifted count at AB powers.
+
+    Reordering partition columns while keeping AB powers is equivalent to
+    keeping the partition and permuting power columns, so candidates are
+    scored on one precomputed cycle system.  Small arrangement spaces are
+    searched exhaustively in lexicographic order (deterministic tie-break:
+    first minimum); larger ones fall back to deterministic pairwise-swap
+    descent from the current arrangement.  Returns (partition, count).
+    """
+    g, kp = partition.gamma, partition.kappa
+    system = CycleSystem(SCCodeSpec(ab_code(g, kp, p), partition, L))
+    base_pats = [tuple(int(v) for v in partition.assign[:, j]) for j in range(kp)]
+
+    def eval_sources(source: np.ndarray) -> int:
+        # base column c draws its AB powers from arranged position source[c]
+        f = (np.arange(g)[:, None] * source[None, :]) % p
+        return system.f_sc(f.ravel())
+
+    def sources_for(arrangement) -> np.ndarray:
+        # stable matching of arranged patterns back to base column indices
+        pools = {}
+        for c, pat in enumerate(base_pats):
+            pools.setdefault(pat, []).append(c)
+        iters = {pat: iter(cols) for pat, cols in pools.items()}
+        placed = np.zeros(kp, dtype=np.int64)
+        for j, pat in enumerate(arrangement):
+            placed[next(iters[pat])] = j
+        return placed
+
+    # distinct arrangements: the multinomial of the pattern counts
+    counts = overlaps_from_partition(partition).counts.tolist()
+    arrangements = math.factorial(kp) // math.prod(map(math.factorial, counts))
+    if arrangements <= power_opt.LAYOUT_EXHAUSTIVE_CAP:
+        best = None
+        for arrangement in power_opt._multiset_permutations(base_pats):
+            val = eval_sources(sources_for(arrangement))
+            if best is None or val < best[0]:
+                best = (val, arrangement)
+        val, arrangement = best
+    else:
+        sigma = list(range(kp))  # position j shows base column sigma[j]
+        source = np.zeros(kp, dtype=np.int64)
+        source[sigma] = np.arange(kp)
+        val = eval_sources(source)
+        improved = True
+        while improved:
+            improved = False
+            for pos1 in range(kp):
+                for pos2 in range(pos1 + 1, kp):
+                    b1, b2 = sigma[pos1], sigma[pos2]
+                    if base_pats[b1] == base_pats[b2]:
+                        continue
+                    source[b1], source[b2] = source[b2], source[b1]
+                    trial = eval_sources(source)
+                    if trial < val:
+                        val = trial
+                        sigma[pos1], sigma[pos2] = b2, b1
+                        improved = True
+                    else:
+                        source[b1], source[b2] = source[b2], source[b1]
+        arrangement = tuple(base_pats[b] for b in sigma)
+
+    assign = np.array(arrangement, dtype=np.int64).T
+    return PartitionMatrix(partition.m, assign), int(val)
 
 
 def direct_overlap(partition: PartitionMatrix, rows) -> int:

@@ -125,17 +125,19 @@ def test_partition_entry_range_checked():
 
 def test_sc_protograph_structure():
     rng = np.random.default_rng(2)
-    g, k, m, L = 3, 5, 2, 6
-    part = PartitionMatrix(m, rng.integers(0, m + 1, size=(g, k)))
-    spec = SCCodeSpec(ab_code(g, k, 7), part, L)
-    proto = sc_protograph(spec)
-    assert proto.shape == ((L + m) * g, L * k)
-    for r in range(1, L + 1):
-        for x in range(m + 1):
-            block = proto[(r - 1 + x) * g:(r + x) * g, (r - 1) * k:r * k]
-            assert np.array_equal(block, part.component(x))
-    # nothing outside the band
-    assert proto.sum() == L * g * k
+    g, k = 3, 5
+    for m in range(4):
+        for L in (1, 2, 6):
+            part = PartitionMatrix(m, rng.integers(0, m + 1, size=(g, k)))
+            spec = SCCodeSpec(ab_code(g, k, 7), part, L)
+            proto = sc_protograph(spec)
+            assert proto.shape == ((L + m) * g, L * k)
+            for r in range(1, L + 1):
+                for x in range(m + 1):
+                    block = proto[(r - 1 + x) * g:(r + x) * g, (r - 1) * k:r * k]
+                    assert np.array_equal(block, part.component(x))
+            # nothing outside the band
+            assert proto.sum() == L * g * k
 
 
 def test_sc_lift_shape_and_weights():

@@ -8,8 +8,9 @@ from scldpc.code_model import (CirculantBlockCode, ColumnLists,
                                PartitionMatrix, SCCodeSpec, ab_code,
                                partition_from_cutting_vector, sc_lift,
                                sc_protograph)
-from scldpc.cycle_census import (active_cycles6, census_from_partition,
-                                 census_protograph, count_cycles4,
+from scldpc.cycle_census import (LiftedShapeCount, active_cycles6,
+                                 census_from_partition, census_protograph,
+                                 count_cycles4,
                                  count_cycles6, count_lifted_cycles4,
                                  count_span, starter_cycles4, starter_cycles6)
 from scldpc.overlaps import overlaps_from_partition
@@ -245,6 +246,44 @@ def test_active_census_equals_lifted_bruteforce():
         spec = SCCodeSpec(ab_code(g, k, p), part, L)
         assert active_cycles6(spec).total == lifted_cycles6(spec)
         assert count_lifted_cycles4(spec) == lifted_cycles4(spec)
+
+
+
+def test_lifted_shape_count_matches_active_census():
+    # several partitions per call, so batched rows equal single-row calls;
+    # gamma = 2 has no 6-cycle and L < m + 1 truncates the spans
+    rng = np.random.default_rng(19)
+    seen = set()
+    for _ in range(300):
+        g, k = int(rng.integers(2, 6)), int(rng.integers(3, 8))
+        m, p = int(rng.integers(0, 4)), int(rng.choice((2, 3, 5, 7, 11)))
+        L = int(rng.choice((1, 2, 3, 5, 30)))
+        block = CirculantBlockCode(g, k, p, rng.integers(0, p, (g, k)))
+        parts = [random_partition(rng, g, k, m) for _ in range(3)]
+        score = LiftedShapeCount(block, m, L)
+        got = score(np.stack([part.assign for part in parts]))
+        assert got.dtype == np.int64
+        want = [active_cycles6(SCCodeSpec(block, part, L)).total for part in parts]
+        assert got.tolist() == want
+        assert [int(score(part.assign[None])[0]) for part in parts] == want
+        seen.add((g == 2, L < m + 1, got.any()))
+    assert (True, False, False) in seen and (False, True, True) in seen
+
+
+def test_lifted_shape_count_rejects_bad_assignments():
+    score = LiftedShapeCount(ab_code(3, 5, 5), 1, 4)
+    good = np.zeros((2, 3, 5), dtype=np.int64)
+    uncoupled = SCCodeSpec(ab_code(3, 5, 5), PartitionMatrix(1, good[0]), 4)
+    assert score(good).tolist() == [active_cycles6(uncoupled).total] * 2
+    assert score(good[:0]).tolist() == []
+    for bad in (good[0], good[:, :2], good[:, :, :4], good.reshape(2, 5, 3)):
+        with pytest.raises(ValueError, match="assignments must be"):
+            score(bad)
+    for value in (-1, 2):
+        wrong = good.copy()
+        wrong[1, 2, 3] = value
+        with pytest.raises(ValueError, match="component indices"):
+            score(wrong)
 
 
 def test_active_plus_inactive_covers_protograph():

@@ -1,8 +1,4 @@
-"""Each demo script runs to completion in a fresh interpreter.
-
-demos/06_two_vector_scan.py is left out: it scans the whole
-two-cutting-vector space with its own evaluator and takes about a minute.
-"""
+"""Each demo script runs to completion in a fresh interpreter."""
 from __future__ import annotations
 
 import os
@@ -14,7 +10,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ["01_build_a_code.py", "02_cycle_census.py", "03_partition_search.py",
-         "04_power_search.py", "05_trapping_sets.py"]
+         "04_power_search.py", "05_trapping_sets.py", "06_two_vector_scan.py"]
 
 
 @pytest.mark.parametrize("name", DEMOS)

@@ -8,6 +8,8 @@ import pytest
 
 from scldpc.code_model import (CirculantBlockCode, PartitionMatrix, SCCodeSpec,
                                ab_code, ab_powers, partition_from_cutting_vector)
+from scldpc.overlaps import IndependentOverlaps, partition_from_overlaps
+from scldpc.partition_opt import OptimizerConfig, optimize
 from scldpc import power_opt
 from scldpc.io_formats import trace_csv
 from scldpc.power_opt import (CpoConfig, CycleSystem, _SubsetScorer,
@@ -16,7 +18,8 @@ from scldpc.power_opt import (CpoConfig, CycleSystem, _SubsetScorer,
 
 from oracles import (dense_candidate_scores, lifted_cycles4,
                      prefix_table_scores, random_partition,
-                     support_table_scores, tuple_cycle_arrays, window_theta)
+                     sourced_refine_layout, support_table_scores,
+                     tuple_cycle_arrays, window_theta)
 
 
 def uncut(gamma, kappa, m=1):
@@ -246,6 +249,33 @@ def test_refine_layout_never_worse_than_input():
         start = CycleSystem(spec).f_sc(spec.block.powers.ravel().astype(np.int64))
         _, val = refine_layout(part, 5, 8)
         assert val <= start
+
+
+
+def test_refine_layout_matches_sourced_oracle(monkeypatch):
+    # the oracle scores each arrangement as a power-column permutation on
+    # one cycle system; a cap of 0 forces the swap descent in both
+    rng = np.random.default_rng(23)
+    cases = []
+    for _ in range(200):
+        g, kp, m = int(rng.integers(3, 5)), int(rng.integers(3, 8)), int(rng.integers(1, 3))
+        p, L = int(rng.choice((5, 7, 11))), int(rng.choice((3, 8, 30)))
+        cases.append((random_partition(rng, g, kp, m), p, L))
+    cases += [
+        (partition_from_overlaps(IndependentOverlaps(
+            4, 1, 7, (3, 4, 3, 4, 0, 1, 2, 2, 2, 0, 0, 0, 0, 0, 0))), 7, 30),
+        (partition_from_overlaps(optimize(3, 17, 1, 30, OptimizerConfig(
+            strategy="exhaustive")).overlaps), 17, 30),
+        (partition_from_overlaps(optimize(4, 17, 1, 30, OptimizerConfig(
+            strategy="local-search", seed=0, restarts=40)).overlaps), 17, 30),
+    ]
+    for cap in (power_opt.LAYOUT_EXHAUSTIVE_CAP, 0):
+        monkeypatch.setattr(power_opt, "LAYOUT_EXHAUSTIVE_CAP", cap)
+        for part, p, L in cases:
+            got, val = refine_layout(part, p, L)
+            want, want_val = sourced_refine_layout(part, p, L)
+            assert val == want_val
+            assert np.array_equal(got.assign, want.assign)
 
 
 def test_cpo_beats_starting_point():
