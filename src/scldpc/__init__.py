@@ -7,7 +7,6 @@ from .code_model import (
     SCCodeSpec,
     ab_code,
     ab_powers,
-    component_protograph,
     lift_block,
     partition_from_cutting_vector,
     partition_from_cutting_vectors,
@@ -38,7 +37,7 @@ from .cycle_census import (
     count_lifted_cycles4,
     count_span,
 )
-from .partition_opt import Optimum, OptimizerConfig, enumerate_feasible, optimize
+from .partition_opt import Optimum, OptimizerConfig, optimize
 from .power_opt import CpoConfig, CpoState, refine_layout, run_cpo, \
     weighted_theta
 from .trapping_sets import (

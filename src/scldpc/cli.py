@@ -340,7 +340,8 @@ def cmd_cpo(parser, cfg) -> int:
     _check_start(parser, cfg, spec)
     state = _cpo(cfg, spec)
     print(f"F_SC = {state.f_sc} after {state.rounds} rounds"
-          + (" (target reached)" if state.reached_target else ""))
+          + (" (target reached)" if state.reached_target else "")
+          + (" (time budget reached)" if state.cut_short else ""))
     return 0
 
 

@@ -172,11 +172,6 @@ class SCCodeSpec:
         return self.partition.m
 
 
-def component_protograph(partition: PartitionMatrix) -> np.ndarray:
-    """Vertical stack [H_0; ...; H_m] of the component masks, ((m+1)*gamma, kappa)."""
-    return np.vstack([partition.component(x) for x in range(partition.m + 1)])
-
-
 def sc_protograph(spec: SCCodeSpec) -> np.ndarray:
     """Binary protograph of the coupled code, ((L+m)*gamma, L*kappa): its p = 1 lift."""
     unlifted = CirculantBlockCode(spec.gamma, spec.kappa, 1,

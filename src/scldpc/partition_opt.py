@@ -162,21 +162,6 @@ def composition_space(kappa: int, gamma: int, m: int) -> int:
     return math.comb(kappa + nparts - 1, nparts - 1)
 
 
-def enumerate_feasible(gamma: int, kappa: int, m: int,
-                       config: OptimizerConfig = OptimizerConfig()):
-    """Yield every balance-feasible overlap vector, duplicate-free.
-
-    Iterates pattern-count space, where distinct vectors give distinct
-    overlap vectors, in lexicographic order.
-    """
-    loads = _component_loads(gamma, m)
-    lo, hi = balance_bounds(gamma, kappa, m, config.balance_slack)
-    cover = cover_matrix(gamma, m, independent_overlap_sets(gamma, m))
-    for rows in _balanced_blocks(kappa, loads, lo, hi, BATCH):
-        for values in (rows @ cover.T).tolist():
-            yield IndependentOverlaps(gamma, m, kappa, tuple(values))
-
-
 def _best_of(ev: _Evaluator, batch_rows, best=None, evaluated=0):
     """Fold batches into (value, ind_vector, pattern_row), lex tie-break."""
     for rows in batch_rows:

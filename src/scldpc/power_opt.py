@@ -20,16 +20,21 @@ free of 4-cycles.  Failure escalates the subset size; exhausting the
 schedule re-samples candidates (when sampling) until the stale-round limit.
 Everything is deterministic given the seed.
 
-A touched cycle's signed power sum is base + v @ x, linear in the subset's
-new powers x, and the cycle survives lifting exactly when it is 0 mod p
-(Fossorier, IEEE T-IT 50(8), 2004).  The touched cycles are pooled by
-their coefficient row v mod p and base residue, and a row is active at x
-through the one residue (-v @ x) mod p, so scoring a candidate costs one
-gather per distinct row, not one evaluation per touched cycle.  An
-exhaustive round over all p**s assignments sums each row over the p**|S|
-powers of its support S, the cells where v is nonzero, and broadcast-adds
-one table per distinct support into the p**s scores.  Sampled rounds
-gather their random candidates directly.
+A cycle survives lifting exactly when its signed power sum is 0 mod p
+(Fossorier, IEEE T-IT 50(8), 2004).  Powers change only on an accept, so
+the rounds of an epoch, from one accept to the next, share their work.
+Q_K(x_K) weighs the cycles that visit every cell of a set K and are active
+when K takes powers x_K, the other cells keeping theirs.  Möbius inversion
+over cell sets (Rota, Z. Wahrscheinlichkeitstheorie 2, 1964) splits it into
+pieces D_K(x_K) = sum over nonempty J in K of (-1)**(|K|-|J|) Q_K(x_J, f_K-J),
+signed slices of one table at the current powers f, and the pieces of the
+nonempty K in a subset S add up to the weight of the cycles through S that
+are active at x_S, which is all that re-powering S changes.  One bincount
+per epoch gives every single-cell piece; a larger piece pools the few
+cycles that visit all of K by coefficient row and base residue, and is
+cached for the epoch.  An exhaustive round broadcast-adds its pieces into
+a p**s table and keeps its best candidate for repeats of the subset in the
+epoch; a sampled round reads the pieces at its candidates.
 """
 
 from __future__ import annotations
@@ -53,8 +58,7 @@ class CpoConfig:
     subset_size_schedule: tuple = (1, 2, 3)
     power_candidates: int | None = None  # None: exhaustive joint assignments
     # joint assignments above this are sampled; an exhaustive round of size
-    # s costs p**|S| per distinct coefficient row of support S plus p**s
-    # per distinct support, and holds a p**s score vector
+    # s holds a p**s table, and no cached piece exceeds this many entries
     exhaustive_cap: int = 8192
     target_f_sc: int = 0
     max_stale_rounds: int = 60
@@ -98,6 +102,10 @@ class CpoState:
     trace: list
     rounds: int
     reached_target: bool
+    scored: int  # rounds whose candidates were scored
+    reused: int  # exhaustive rounds that repeated a subset of their epoch
+    pieces: int  # multi-cell pieces tabulated
+    cut_short: bool  # time_budget_s ended the search
 
 
 def _visit_table(res: np.ndarray, ncells: int) -> np.ndarray:
@@ -167,88 +175,129 @@ def _candidate_chunks(rng, p: int, size: int, n: int):
         n -= take
 
 
-def _linear_forms(res, visits, subset, f_flat):
-    """Signed power sums of the cycles through `subset` as base + coef @ x.
+class _EpochScorer:
+    """Lifted 6-cycle counts after re-powering cell subsets, from one epoch's
+    pieces.  A 6-cycle weighs weight6 and a 4-cycle `kill`, more than all
+    6-cycles together: a candidate whose total reaches kill activates a
+    4-cycle, so it scores the current count and is never accepted."""
 
-    x holds the subset cells' powers and coef[:, j] is the signed
-    multiplicity of subset cell j in each touched cycle's walk.  A cycle is
-    touched when it visits a subset cell, even with a net coefficient of
-    zero.  Returns the touched cycle indices, base and coef.
-    """
-    touched = np.flatnonzero(visits[subset].any(axis=0))
-    cells = res[touched]
-    coef = alternating_sum(cells[:, None, :] == subset[:, None])
-    base = alternating_sum(f_flat[cells]) - coef @ f_flat[subset]
-    return touched, base, coef
+    def __init__(self, system: CycleSystem, f_flat, f_sc: int, cap: int):
+        self.p, self.cap, self.built = system.p, cap, 0
+        self.res = (system.res6, system.res4)
+        self.kill = int(system.weight6.sum()) + 1
+        self.weight = np.concatenate(
+            [system.weight6, np.full(len(system.res4), self.kill)])
+        self.visits = np.concatenate([system.visits6, system.visits4], axis=1)
+        # signed multiplicity of each cell in each cycle's walk
+        self.mult = np.zeros(self.visits.shape, dtype=np.int8)
+        for res, at in zip(self.res, (0, len(system.res6))):
+            np.add.at(self.mult, (res, at + np.arange(len(res))[:, None]),
+                      (-1) ** np.arange(res.shape[1]))
+        # every (cell, cycle) visit: its coefficient v mod p, the start of
+        # its (cell, v) block of p base residues, and its cycle's weight
+        self.cell, self.cycle = np.nonzero(self.visits)
+        self.v = self.mult[self.cell, self.cycle].astype(np.int64) % self.p
+        self.block = (self.cell * self.p + self.v) * self.p
+        self.visit_weight = self.weight[self.cycle]
+        self.start(f_flat, f_sc)
 
+    def start(self, f_flat, f_sc: int):
+        """Begin an epoch at powers f_flat, whose lifted count is f_sc.  The
+        visits are counted by (cell, v, base residue b), and a cell's piece
+        at power x reads the residue b = (-v * x) mod p of each v."""
+        p, ncells = self.p, len(self.visits)
+        self.f, self.f_sc, self.pieces = f_flat.copy(), f_sc, {}
+        self.sums = np.concatenate([alternating_sum(f_flat[res]) for res in self.res])
+        base = (self.sums[self.cycle] - self.v * self.f[self.cell]) % p
+        count = np.bincount(self.block + base, self.visit_weight, ncells * p * p)
+        v = np.arange(p)[:, None]
+        self.single = count.astype(np.int64).reshape(ncells, p, p)[
+            :, v, -v * np.arange(p) % p].sum(axis=1)
 
-class _SubsetScorer:
-    """Lifted 6-cycle count after re-powering one cell subset.
-
-    Only the cycles through the subset change.  A touched cycle's sum is
-    base + v @ x, so it is active exactly where base = -v @ x mod p.  The
-    touched cycles are pooled by their coefficient row v mod p: entry
-    i * p + b of pool weighs the cycles of row rows[i] with base residue b,
-    and at powers x row i adds pool[i * p + (-rows[i] @ x) % p].  A touched
-    4-cycle weighs `kill`, more than all touched 6-cycles together, so a
-    candidate whose pooled weight reaches kill activates a 4-cycle; it
-    scores the current count and is never accepted.
-    """
-
-    def __init__(self, system: CycleSystem, f_flat: np.ndarray, subset, f_sc: int):
-        p = system.p
-        self.p, self.size, self.f_sc = p, len(subset), f_sc
-        touched6, base6, coef6 = _linear_forms(
-            system.res6, system.visits6, subset, f_flat)
-        _, base4, coef4 = _linear_forms(system.res4, system.visits4, subset, f_flat)
-        w6 = system.weight6[touched6]
-        self.kill = int(w6.sum()) + 1
-        coef = np.concatenate([coef6, coef4]) % p
+    def _forms(self, cells):
+        """The cycles visiting every cell of K, pooled by coefficient row v
+        (mult[K] mod p) and base residue b, where a cycle's sum at powers
+        x_K is b + v @ x_K: the distinct rows and their (row, b) weights,
+        or None when no cycle visits all of K."""
+        sel = np.flatnonzero(self.visits[cells].all(axis=0))
+        if not len(sel):
+            return None
+        coef = self.mult[cells[:, None], sel].T.astype(np.int64) % self.p
+        base = (self.sums[sel] - coef @ self.f[cells]) % self.p
         order = np.lexsort(coef.T)
         coef = coef[order]
         new = np.ones(len(coef), dtype=bool)
         new[1:] = (coef[1:] != coef[:-1]).any(axis=1)
-        self.rows = coef[new]
-        self.at = p * np.arange(len(self.rows))
-        self.pool = np.zeros(len(self.rows) * p, dtype=np.int64)
-        np.add.at(self.pool,
-                  self.at[np.cumsum(new) - 1]
-                  + np.concatenate([base6, base4])[order] % p,
-                  np.concatenate([w6, np.full(len(base4), self.kill)])[order])
-        # the subset's current powers may close a touched 4-cycle
-        now = self._pooled(self.rows, self.at, f_flat[subset, None])
-        self.f_rest = f_sc - int(now[0]) % self.kill
+        pool = np.bincount((np.cumsum(new) - 1) * self.p + base[order],
+                           self.weight[sel][order], new.sum() * self.p)
+        return coef[new], pool.astype(np.int64).reshape(-1, self.p)
 
-    def _pooled(self, rows, at, x):
-        """Pooled weight active at each column of the (size, n) powers x,
-        summed over the given rows, whose pool entries start at `at`."""
-        return self.pool[(-rows @ x) % self.p + at[:, None]].sum(axis=0)
+    def _q(self, forms, x):
+        """Q_K at the columns of the (|K|, n) powers x."""
+        rows, pool = forms
+        return pool[np.arange(len(rows))[:, None], -rows @ x % self.p].sum(axis=0)
 
-    def _scores(self, total):
-        return np.where(total >= self.kill, self.f_sc, self.f_rest + total)
+    def _piece(self, cells):
+        """D_K over all p**|K| powers of the sorted cells K, a (p,) * |K|
+        table cached until the next epoch; None when no cycle visits all of
+        K.  Applying 1 - E_j along every axis j, E_j fixing x_j = f_j, sums
+        the slices of every J in K, so the J = {} term is taken out."""
+        key = tuple(cells.tolist())
+        if key not in self.pieces:
+            forms, k, fk = self._forms(cells), len(cells), self.f[cells].tolist()
+            if forms is not None:
+                grid = np.indices((self.p,) * k).reshape(k, -1)
+                q = piece = self._q(forms, grid).reshape((self.p,) * k)
+                for j in range(k):
+                    piece = piece - np.take(piece, [fk[j]], axis=j)
+                piece -= (-1) ** k * q[tuple(fk)]
+                self.built += 1
+            self.pieces[key] = None if forms is None else piece
+        return self.pieces[key]
 
-    def dense_scores(self, cands: np.ndarray) -> np.ndarray:
-        """Scores of the given (n, size) candidate rows."""
-        return self._scores(self._pooled(self.rows, self.at, cands.T))
+    def _piece_at(self, cells, x):
+        """D_K at the columns of the (|K|, n) powers x, not cached."""
+        forms, k, fk = self._forms(cells), len(cells), self.f[cells, None]
+        return 0 if forms is None else sum(
+            (-1) ** (k - mask.bit_count()) * self._q(
+                forms, np.where((mask >> np.arange(k) & 1)[:, None] == 1, x, fk))
+            for mask in range(1, 2**k))
 
-    def table_scores(self) -> np.ndarray:
-        """Scores of all p**size candidates, in lexicographic order.
+    def _total(self, subset, cands=None):
+        """Weight of the cycles through `subset` active at its new powers:
+        the sum of the pieces of its nonempty cell sets, as a (p,) * s table
+        in subset order, or at the (n, s) candidate rows.  Pieces above
+        `cap` entries are evaluated only at the candidates."""
+        p, s = self.p, len(subset)
+        order = np.argsort(subset)
+        cells, x = subset[order], None if cands is None else cands[:, order].T
+        total = np.zeros((p,) * s if cands is None else len(cands), dtype=np.int64)
+        for mask in range(1, 2**s):
+            pos = [j for j in range(s) if mask >> j & 1]
+            if x is not None and p**len(pos) > self.cap:
+                total += self._piece_at(cells[pos], x[pos])
+                continue
+            piece = (self.single[cells[pos[0]]] if len(pos) == 1
+                     else self._piece(cells[pos]))
+            if piece is not None and x is None:
+                total += piece.reshape([p if mask >> j & 1 else 1 for j in range(s)])
+            elif piece is not None:
+                total += piece[tuple(x[pos])]
+        return total if x is not None else total.transpose(np.argsort(order))
 
-        Each row's pooled weight depends only on the powers of its support,
-        the columns where it is nonzero, so the rows of one support are
-        summed over the p**|S| powers of S and broadcast along the rest.
-        """
-        p, s = self.p, self.size
-        table = np.zeros((p,) * s, dtype=np.int64)
-        supports = (self.rows != 0) @ (1 << np.arange(s))
-        for mask in set(supports.tolist()):
-            mine = supports == mask
-            bits = [mask >> j & 1 for j in range(s)]
-            cols = np.flatnonzero(bits)
-            grid = np.indices((p,) * len(cols)).reshape(len(cols), p ** len(cols))
-            total = self._pooled(self.rows[mine][:, cols], self.at[mine], grid)
-            table += total.reshape([p if bit else 1 for bit in bits])
-        return self._scores(table.ravel())
+    def _scores(self, total, now):
+        f_rest = self.f_sc - int(now) % self.kill
+        return np.where(total >= self.kill, self.f_sc, f_rest + total)
+
+    def table_scores(self, subset) -> np.ndarray:
+        """Scores of all p**len(subset) candidates, in lexicographic order."""
+        total = self._total(subset)
+        return self._scores(total.ravel(), total[tuple(self.f[subset])])
+
+    def dense_scores(self, subset, cands: np.ndarray) -> np.ndarray:
+        """Scores of the given (n, len(subset)) candidate rows."""
+        now = self._total(subset, self.f[subset][None])[0]
+        return self._scores(self._total(subset, cands), now)
 
 
 def run_cpo(spec: SCCodeSpec, config: CpoConfig) -> CpoState:
@@ -276,10 +325,13 @@ def run_cpo(spec: SCCodeSpec, config: CpoConfig) -> CpoState:
 
     f_sc = system.f_sc(f_flat)
     theta = weighted_theta(system, f_flat)
+    # highest theta first, ties in row-major cell order
+    order = np.argsort(-theta.ravel(), kind="stable")
+    scorer = _EpochScorer(system, f_flat, f_sc, config.exhaustive_cap)
+    seen = {}  # (argmin, score) of this epoch's exhaustive rounds, by subset
     trace: list[TraceRow] = []
-    rounds = 0
-    stale = 0
-    level = 0
+    rounds = scored = reused = stale = level = 0
+    cut_short = False
     start = time.monotonic()
 
     while f_sc > config.target_f_sc:
@@ -287,10 +339,9 @@ def run_cpo(spec: SCCodeSpec, config: CpoConfig) -> CpoState:
             config.time_budget_s is not None
             and time.monotonic() - start > config.time_budget_s
         ):
+            cut_short = True
             break
         size = min(config.subset_size_schedule[level], g * kp)
-        # highest theta first, ties in row-major cell order
-        order = np.argsort(-theta.ravel(), kind="stable")
         if stale == 0:
             subset = order[:size]
         else:
@@ -300,24 +351,29 @@ def run_cpo(spec: SCCodeSpec, config: CpoConfig) -> CpoState:
             subset = np.sort(rng.choice(pool, size=size, replace=False))
         rounds += 1
 
-        scorer = _SubsetScorer(system, f_flat, subset, f_sc)
         f_best = f_sc
         best_row = None
         if config.power_candidates is None and p**size <= config.exhaustive_cap:
             first_row = np.zeros(size, dtype=np.int64)
-            f_cand = scorer.table_scores()
-            n = int(np.argmin(f_cand))
-            if f_cand[n] < f_best:
-                f_best = int(f_cand[n])
+            key = tuple(subset.tolist())
+            reused += key in seen
+            if key not in seen:
+                scored += 1
+                f_cand = scorer.table_scores(subset)
+                seen[key] = int(np.argmin(f_cand)), int(f_cand.min())
+            n, value = seen[key]
+            if value < f_best:
+                f_best = value
                 best_row = np.array(np.unravel_index(n, (p,) * size))
         else:
+            scored += 1
             first_row = None
             n_sampled = (config.exhaustive_cap if config.power_candidates is None
                          else config.power_candidates)
             for cands in _candidate_chunks(rng, p, size, n_sampled):
                 if first_row is None:
                     first_row = cands[0].copy()
-                f_cand = scorer.dense_scores(cands)
+                f_cand = scorer.dense_scores(subset, cands)
                 n = int(np.argmin(f_cand))
                 if f_cand[n] < f_best:
                     f_best = int(f_cand[n])
@@ -345,6 +401,9 @@ def run_cpo(spec: SCCodeSpec, config: CpoConfig) -> CpoState:
                 raise RuntimeError(
                     f"accepted powers activate {n4} lifted 4-cycles, expected 0")
             theta = weighted_theta(system, f_flat)
+            order = np.argsort(-theta.ravel(), kind="stable")
+            scorer.start(f_flat, f_sc)
+            seen.clear()
             level = 0
             stale = 0
             continue
@@ -364,6 +423,10 @@ def run_cpo(spec: SCCodeSpec, config: CpoConfig) -> CpoState:
         trace=trace,
         rounds=rounds,
         reached_target=f_sc <= config.target_f_sc,
+        scored=scored,
+        reused=reused,
+        pieces=scorer.built,
+        cut_short=cut_short,
     )
 
 

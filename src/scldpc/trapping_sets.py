@@ -52,8 +52,6 @@ __all__ = [
     "enumerate_objects",
     "dominant_species",
     "common_denominator",
-    "cycle_template",
-    "six_four_template",
 ]
 
 MAX_SUBSET_SIZE = 6
@@ -163,48 +161,6 @@ def replica_span(path_vns: int, m: int) -> int:
     if path_vns < 1 or m < 0:
         raise ValueError("need path_vns >= 1 and m >= 0")
     return (path_vns - 1) * m + 1
-
-
-def cycle_template(a: int, gamma: int = 3) -> np.ndarray:
-    """Incidence of a single length-2a cycle through a variables, padded
-    with gamma - 2 private degree-1 checks per variable."""
-    if a < 2 or gamma < 2:
-        raise ValueError("need a >= 2 and gamma >= 2")
-    rows = a + a * (gamma - 2)
-    t = np.zeros((rows, a), dtype=bool)
-    for i in range(a):
-        t[i, i] = True
-        t[i, (i + 1) % a] = True
-    r = a
-    for j in range(a):
-        for _ in range(gamma - 2):
-            t[r, j] = True
-            r += 1
-    return t
-
-
-def six_four_template() -> np.ndarray:
-    """One (6, 4) absorbing set configuration for column weight 4.
-
-    Two hub variables each share a check with all four spoke variables;
-    the spokes pair up through two more checks and carry one unshared
-    check each.
-    """
-    t = np.zeros((14, 6), dtype=bool)
-    r = 0
-    for hub in (0, 1):
-        for spoke in (2, 3, 4, 5):
-            t[r, hub] = True
-            t[r, spoke] = True
-            r += 1
-    for x, y in ((2, 3), (4, 5)):
-        t[r, x] = True
-        t[r, y] = True
-        r += 1
-    for spoke in (2, 3, 4, 5):
-        t[r, spoke] = True
-        r += 1
-    return t
 
 
 def common_denominator(gamma: int) -> ObjectSpecies:

@@ -16,12 +16,15 @@ from scldpc import power_opt
 from scldpc.code_model import (PartitionMatrix, SCCodeSpec, ab_code,
                                as_column_lists, sc_lift,
                                sc_protograph, window)
-from scldpc.cycle_census import CycleCensus
+from scldpc.cycle_census import CycleCensus, alternating_sum
 from scldpc.overlaps import (IndependentOverlaps, PatternCounts,
-                             column_patterns, independent_overlap_sets,
+                             column_patterns, cover_matrix,
+                             independent_overlap_sets,
                              overlaps_from_partition, valid_overlap_sets)
-from scldpc.partition_opt import OptimizerConfig
-from scldpc.power_opt import CycleSystem, _linear_forms
+from scldpc.partition_opt import (BATCH, OptimizerConfig, _balanced_blocks,
+                                  _component_loads, balance_bounds)
+from scldpc.power_opt import (CpoConfig, CpoState, CycleSystem, TraceRow,
+                              _candidate_chunks, weighted_theta)
 from scldpc.trapping_sets import (MAX_SUBSET_SIZE, MAX_WINDOW_COLUMNS,
                                   InducedConfig, _fold_orbit_tallies,
                                   replica_span)
@@ -509,6 +512,213 @@ def _active_table(p: int, base, coef, weight=None) -> np.ndarray:
     need = (-classes[:, :1] * x) % p
     active = np.take_along_axis(cube, need[:, None, :], axis=2)
     return np.tensordot(classes[:, 1], active, axes=1)
+
+
+def _linear_forms(res, visits, subset, f_flat):
+    """Signed power sums of the cycles through `subset` as base + coef @ x.
+
+    x holds the subset cells' powers and coef[:, j] is the signed
+    multiplicity of subset cell j in each touched cycle's walk.  A cycle is
+    touched when it visits a subset cell, even with a net coefficient of
+    zero.  Returns the touched cycle indices, base and coef.
+    """
+    touched = np.flatnonzero(visits[subset].any(axis=0))
+    cells = res[touched]
+    coef = alternating_sum(cells[:, None, :] == subset[:, None])
+    base = alternating_sum(f_flat[cells]) - coef @ f_flat[subset]
+    return touched, base, coef
+
+
+class _SubsetScorer:
+    """Lifted 6-cycle count after re-powering one cell subset.
+
+    Only the cycles through the subset change.  A touched cycle's sum is
+    base + v @ x, so it is active exactly where base = -v @ x mod p.  The
+    touched cycles are pooled by their coefficient row v mod p: entry
+    i * p + b of pool weighs the cycles of row rows[i] with base residue b,
+    and at powers x row i adds pool[i * p + (-rows[i] @ x) % p].  A touched
+    4-cycle weighs `kill`, more than all touched 6-cycles together, so a
+    candidate whose pooled weight reaches kill activates a 4-cycle; it
+    scores the current count and is never accepted.
+    """
+
+    def __init__(self, system: CycleSystem, f_flat: np.ndarray, subset, f_sc: int):
+        p = system.p
+        self.p, self.size, self.f_sc = p, len(subset), f_sc
+        touched6, base6, coef6 = _linear_forms(
+            system.res6, system.visits6, subset, f_flat)
+        _, base4, coef4 = _linear_forms(system.res4, system.visits4, subset, f_flat)
+        w6 = system.weight6[touched6]
+        self.kill = int(w6.sum()) + 1
+        coef = np.concatenate([coef6, coef4]) % p
+        order = np.lexsort(coef.T)
+        coef = coef[order]
+        new = np.ones(len(coef), dtype=bool)
+        new[1:] = (coef[1:] != coef[:-1]).any(axis=1)
+        self.rows = coef[new]
+        self.at = p * np.arange(len(self.rows))
+        self.pool = np.zeros(len(self.rows) * p, dtype=np.int64)
+        np.add.at(self.pool,
+                  self.at[np.cumsum(new) - 1]
+                  + np.concatenate([base6, base4])[order] % p,
+                  np.concatenate([w6, np.full(len(base4), self.kill)])[order])
+        # the subset's current powers may close a touched 4-cycle
+        now = self._pooled(self.rows, self.at, f_flat[subset, None])
+        self.f_rest = f_sc - int(now[0]) % self.kill
+
+    def _pooled(self, rows, at, x):
+        """Pooled weight active at each column of the (size, n) powers x,
+        summed over the given rows, whose pool entries start at `at`."""
+        return self.pool[(-rows @ x) % self.p + at[:, None]].sum(axis=0)
+
+    def _scores(self, total):
+        return np.where(total >= self.kill, self.f_sc, self.f_rest + total)
+
+    def dense_scores(self, cands: np.ndarray) -> np.ndarray:
+        """Scores of the given (n, size) candidate rows."""
+        return self._scores(self._pooled(self.rows, self.at, cands.T))
+
+    def table_scores(self) -> np.ndarray:
+        """Scores of all p**size candidates, in lexicographic order.
+
+        Each row's pooled weight depends only on the powers of its support,
+        the columns where it is nonzero, so the rows of one support are
+        summed over the p**|S| powers of S and broadcast along the rest.
+        """
+        p, s = self.p, self.size
+        table = np.zeros((p,) * s, dtype=np.int64)
+        supports = (self.rows != 0) @ (1 << np.arange(s))
+        for mask in set(supports.tolist()):
+            mine = supports == mask
+            bits = [mask >> j & 1 for j in range(s)]
+            cols = np.flatnonzero(bits)
+            grid = np.indices((p,) * len(cols)).reshape(len(cols), p ** len(cols))
+            total = self._pooled(self.rows[mine][:, cols], self.at[mine], grid)
+            table += total.reshape([p if bit else 1 for bit in bits])
+        return self._scores(table.ravel())
+
+
+def subset_scorer_run_cpo(spec: SCCodeSpec, config: CpoConfig) -> CpoState:
+    """power_opt.run_cpo as it was with one _SubsetScorer per round: every
+    round rebuilds its touched cycles' pooled linear forms.
+
+    Minimize the lifted 6-cycle count by local power changes.
+
+    Starts from spec.block.powers, which must not induce lifted 4-cycles.
+    Accepted moves strictly decrease the count and never create a 4-cycle;
+    the trace logs one row per round (the best candidate tried).
+    """
+    if spec.L < spec.m + 1:
+        raise ValueError("power optimization expects L >= m + 1")
+    system = CycleSystem(spec)
+    p, g, kp = spec.p, spec.gamma, spec.kappa
+    f = spec.block.powers.astype(np.int64).copy()
+    f_flat = f.ravel()
+    if system.count_active4(f_flat):
+        raise ValueError("initial powers induce lifted 4-cycles; start cycle-4-free")
+
+    rng = np.random.default_rng(config.seed)
+    sampling = config.power_candidates is not None or any(
+        p**s > config.exhaustive_cap for s in config.subset_size_schedule
+    )
+    if sampling and config.seed is None:
+        raise ValueError("a seed is required when candidates are sampled")
+
+    f_sc = system.f_sc(f_flat)
+    theta = weighted_theta(system, f_flat)
+    trace: list[TraceRow] = []
+    rounds = 0
+    stale = 0
+    level = 0
+    start = time.monotonic()
+
+    while f_sc > config.target_f_sc:
+        if (
+            config.time_budget_s is not None
+            and time.monotonic() - start > config.time_budget_s
+        ):
+            break
+        size = min(config.subset_size_schedule[level], g * kp)
+        # highest theta first, ties in row-major cell order
+        order = np.argsort(-theta.ravel(), kind="stable")
+        if stale == 0:
+            subset = order[:size]
+        else:
+            # retry passes roam: sample the subset from the high-score
+            # region instead of always taking the exact top
+            pool = order[: min(len(order), max(4 * size, 12))]
+            subset = np.sort(rng.choice(pool, size=size, replace=False))
+        rounds += 1
+
+        scorer = _SubsetScorer(system, f_flat, subset, f_sc)
+        f_best = f_sc
+        best_row = None
+        if config.power_candidates is None and p**size <= config.exhaustive_cap:
+            first_row = np.zeros(size, dtype=np.int64)
+            f_cand = scorer.table_scores()
+            n = int(np.argmin(f_cand))
+            if f_cand[n] < f_best:
+                f_best = int(f_cand[n])
+                best_row = np.array(np.unravel_index(n, (p,) * size))
+        else:
+            first_row = None
+            n_sampled = (config.exhaustive_cap if config.power_candidates is None
+                         else config.power_candidates)
+            for cands in _candidate_chunks(rng, p, size, n_sampled):
+                if first_row is None:
+                    first_row = cands[0].copy()
+                f_cand = scorer.dense_scores(cands)
+                n = int(np.argmin(f_cand))
+                if f_cand[n] < f_best:
+                    f_best = int(f_cand[n])
+                    best_row = cands[n].copy()
+        accepted = best_row is not None
+        tried = best_row if accepted else first_row
+        trace.append(
+            TraceRow(
+                rounds,
+                tuple((int(c) // kp, int(c) % kp) for c in subset),
+                tuple(int(v) for v in tried),
+                f_sc,
+                f_best if accepted else f_sc,
+                accepted,
+            )
+        )
+        if accepted:
+            f_flat[subset] = best_row
+            f_sc = system.f_sc(f_flat)
+            if f_sc != f_best:
+                raise RuntimeError(
+                    f"incremental count drifted: scored {f_best}, recounted {f_sc}")
+            n4 = system.count_active4(f_flat)
+            if n4:
+                raise RuntimeError(
+                    f"accepted powers activate {n4} lifted 4-cycles, expected 0")
+            theta = weighted_theta(system, f_flat)
+            level = 0
+            stale = 0
+            continue
+        level += 1
+        if level >= len(config.subset_size_schedule):
+            level = 0
+            stale += 1
+            if config.seed is None and not sampling:
+                break
+            if stale >= config.max_stale_rounds:
+                break
+
+    return CpoState(
+        powers=f_flat.reshape(g, kp),
+        f_sc=f_sc,
+        theta=theta,
+        trace=trace,
+        rounds=rounds,
+        reached_target=f_sc <= config.target_f_sc,
+        scored=rounds,
+        reused=0,
+        pieces=0,
+        cut_short=False,
+    )
 
 
 def _scorer_forms(system, f_flat, subset):
@@ -1265,3 +1475,65 @@ def split_alist_tokens(text: str) -> np.ndarray:
         return np.array(text.split(), dtype=np.int64)
     except OverflowError as exc:
         raise ValueError("token outside int64") from exc
+
+
+def cycle_template(a: int, gamma: int = 3) -> np.ndarray:
+    """Incidence of a single length-2a cycle through a variables, padded
+    with gamma - 2 private degree-1 checks per variable."""
+    if a < 2 or gamma < 2:
+        raise ValueError("need a >= 2 and gamma >= 2")
+    rows = a + a * (gamma - 2)
+    t = np.zeros((rows, a), dtype=bool)
+    for i in range(a):
+        t[i, i] = True
+        t[i, (i + 1) % a] = True
+    r = a
+    for j in range(a):
+        for _ in range(gamma - 2):
+            t[r, j] = True
+            r += 1
+    return t
+
+
+def six_four_template() -> np.ndarray:
+    """One (6, 4) absorbing set configuration for column weight 4.
+
+    Two hub variables each share a check with all four spoke variables;
+    the spokes pair up through two more checks and carry one unshared
+    check each.
+    """
+    t = np.zeros((14, 6), dtype=bool)
+    r = 0
+    for hub in (0, 1):
+        for spoke in (2, 3, 4, 5):
+            t[r, hub] = True
+            t[r, spoke] = True
+            r += 1
+    for x, y in ((2, 3), (4, 5)):
+        t[r, x] = True
+        t[r, y] = True
+        r += 1
+    for spoke in (2, 3, 4, 5):
+        t[r, spoke] = True
+        r += 1
+    return t
+
+
+def component_protograph(partition: PartitionMatrix) -> np.ndarray:
+    """Vertical stack [H_0; ...; H_m] of the component masks, ((m+1)*gamma, kappa)."""
+    return np.vstack([partition.component(x) for x in range(partition.m + 1)])
+
+
+def enumerate_feasible(gamma: int, kappa: int, m: int,
+                       config: OptimizerConfig = OptimizerConfig()):
+    """Yield every balance-feasible overlap vector, duplicate-free.
+
+    Iterates pattern-count space, where distinct vectors give distinct
+    overlap vectors, in lexicographic order.
+    """
+    loads = _component_loads(gamma, m)
+    lo, hi = balance_bounds(gamma, kappa, m, config.balance_slack)
+    cover = cover_matrix(gamma, m, independent_overlap_sets(gamma, m))
+    for rows in _balanced_blocks(kappa, loads, lo, hi, BATCH):
+        for values in (rows @ cover.T).tolist():
+            yield IndependentOverlaps(gamma, m, kappa, tuple(values))

@@ -5,12 +5,11 @@ import pytest
 
 from scldpc.code_model import (CirculantBlockCode, ColumnLists,
                                PartitionMatrix, SCCodeSpec, ab_code, ab_powers,
-                               component_protograph, lift_block,
-                               partition_from_cutting_vector,
+                               lift_block, partition_from_cutting_vector,
                                partition_from_cutting_vectors, sc_lift,
                                sc_lift_columns, sc_protograph, window)
 
-from oracles import dense_sc_lift
+from oracles import component_protograph, dense_sc_lift
 
 
 def test_ab_powers_values():

@@ -261,6 +261,16 @@ def test_cli_optimize_then_cpo_round_trip(tmp_path, capsys):
         "round,cells,powers,f_sc_before,f_sc_after,accepted\n")
 
 
+def test_cli_cpo_says_when_the_time_budget_stopped_it(tmp_path, capsys):
+    argv = ["cpo", "--gamma", "3", "--kappa", "5", "--p", "5", "--L", "6",
+            "--zeta", "1,3,4", "--seed", "0", "--cpo-stale", "3",
+            "--out", str(tmp_path)]
+    assert main(argv + ["--cpo-budget", "0"]) == 0
+    assert capsys.readouterr().out.rstrip().endswith("(time budget reached)")
+    assert main(argv) == 0
+    assert "time budget" not in capsys.readouterr().out
+
+
 def test_cli_lift_and_reread(tmp_path):
     main(["lift", "--gamma", "3", "--kappa", "4", "--p", "5", "--L", "3",
           "--zeta", "1,2,3", "--out", str(tmp_path)])

@@ -15,9 +15,9 @@ from scldpc.overlaps import (column_patterns, partition_from_overlaps,
                              overlaps_from_partition)
 from scldpc.partition_opt import (OptimizerConfig, _balanced_blocks,
                                   _component_loads, _Evaluator, balance_bounds,
-                                  composition_space, enumerate_feasible,
-                                  optimize)
-from oracles import balanced_compositions, local_search, loop_random_balanced
+                                  composition_space, optimize)
+from oracles import (balanced_compositions, enumerate_feasible, local_search,
+                     loop_random_balanced)
 
 
 def brute_force_optimum(gamma, kappa, m, L, slack=0):

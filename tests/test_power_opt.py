@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -9,17 +10,18 @@ import pytest
 from scldpc.code_model import (CirculantBlockCode, PartitionMatrix, SCCodeSpec,
                                ab_code, ab_powers, partition_from_cutting_vector)
 from scldpc.overlaps import IndependentOverlaps, partition_from_overlaps
+from scldpc.overlaps import partition_from_patterns
 from scldpc.partition_opt import OptimizerConfig, optimize
 from scldpc import power_opt
 from scldpc.io_formats import trace_csv
-from scldpc.power_opt import (CpoConfig, CycleSystem, _SubsetScorer,
+from scldpc.power_opt import (CpoConfig, CycleSystem, _EpochScorer,
                               _visit_table, refine_layout, run_cpo,
                               weighted_theta)
 
-from oracles import (dense_candidate_scores, lifted_cycles4,
+from oracles import (_SubsetScorer, dense_candidate_scores, lifted_cycles4,
                      prefix_table_scores, random_partition,
-                     sourced_refine_layout, support_table_scores,
-                     tuple_cycle_arrays, window_theta)
+                     sourced_refine_layout, subset_scorer_run_cpo,
+                     support_table_scores, tuple_cycle_arrays, window_theta)
 
 
 def uncut(gamma, kappa, m=1):
@@ -329,7 +331,7 @@ def test_table_scores_match_dense_oracle(chunk):
     rng = np.random.default_rng(11)
     seen = Counter()
     signs = np.array([1, -1, 1, -1, 1, -1])
-    for _ in range(240):
+    for trial in range(240):
         p = int(rng.choice([5, 6, 7, 8, 9, 10]))
         system = random_system(rng, p)
         if rng.random() < 0.5:
@@ -337,16 +339,22 @@ def test_table_scores_match_dense_oracle(chunk):
         f = rng.integers(0, p, system.gamma * system.kappa).astype(np.int64)
         size = min(int(rng.integers(1, 5)), system.gamma * system.kappa)
         subset = np.sort(rng.choice(system.gamma * system.kappa, size, replace=False))
-        scorer = _SubsetScorer(system, f, subset, system.f_sc(f))
-        got = scorer.table_scores()
+        # a cap of p evaluates every multi-cell piece at the candidates only
+        scorer = _EpochScorer(system, f, system.f_sc(f), (8192, p)[trial % 2])
+        got = scorer.table_scores(subset)
         want = dense_candidate_scores(system, f, subset, p)
         assert np.array_equal(got, want)
         assert np.array_equal(got, prefix_table_scores(system, f, subset, **chunk))
         assert np.array_equal(got, support_table_scores(system, f, subset, **chunk))
         grid = np.indices((p,) * size).reshape(size, -1).T
-        assert np.array_equal(scorer.dense_scores(grid), want)
+        assert np.array_equal(scorer.dense_scores(subset, grid), want)
         rows = rng.integers(0, len(grid), 50)
-        assert np.array_equal(scorer.dense_scores(grid[rows]), want[rows])
+        assert np.array_equal(scorer.dense_scores(subset, grid[rows]), want[rows])
+        # run_cpo's subsets come in theta order, not sorted
+        back = subset[::-1]
+        want = _SubsetScorer(system, f, back, system.f_sc(f)).table_scores()
+        assert np.array_equal(scorer.table_scores(back), want)
+        assert np.array_equal(scorer.dense_scores(back, grid), want)
 
         seen[f"size{size}"] += 1
         seen["composite"] += p in (6, 8, 9, 10)
@@ -410,3 +418,75 @@ def test_invariant_breaks_raise(monkeypatch, method, message):
     with pytest.raises(RuntimeError, match=message):
         run_cpo(spec_for(3, 7, 7, part, 10),
                 CpoConfig(seed=1, subset_size_schedule=(1, 2)))
+
+
+def test_epoch_scorer_replays_the_per_subset_scorer():
+    # whole runs against run_cpo with one _SubsetScorer per round: AB
+    # starts without lifted 4-cycles, prime and composite p, and schedules
+    # whose larger sizes are sampled (p**s above the cap)
+    rng = np.random.default_rng(31)
+    seen = Counter()
+    while seen["specs"] < 36:
+        g, kp, m = int(rng.integers(3, 5)), int(rng.integers(4, 8)), int(rng.integers(1, 3))
+        p = int(rng.choice([5, 6, 7, 8, 9, 11]))
+        spec = spec_for(g, kp, p, random_partition(rng, g, kp, m),
+                        m + 1 + int(rng.integers(0, 4)))
+        if CycleSystem(spec).count_active4(spec.block.powers.ravel()):
+            continue
+        schedule = ((1, 2), (1, 2, 3), (1, 3, 2, 4))[int(rng.integers(0, 3))]
+        cap = int(rng.choice([40, 400, 8192]))
+        config = CpoConfig(seed=int(rng.integers(0, 100)), exhaustive_cap=cap,
+                           subset_size_schedule=schedule, max_stale_rounds=4)
+        want = subset_scorer_run_cpo(spec, config)
+        got = run_cpo(spec, config)
+        assert trace_csv(got.trace) == trace_csv(want.trace)
+        assert np.array_equal(got.powers, want.powers)
+        assert (got.f_sc, got.rounds) == (want.f_sc, want.rounds)
+        assert got.scored + got.reused == got.rounds
+        seen["specs"] += 1
+        seen["composite"] += p in (6, 8, 9)
+        seen["sampled"] += any(p**s > cap for s in schedule)
+        seen["accepted"] += sum(row.accepted for row in got.trace)
+        seen["reused"] += got.reused
+        seen["pieces"] += got.pieces
+    for key in ("composite", "sampled", "accepted", "reused", "pieces"):
+        assert seen[key] > 0, key
+
+
+@pytest.mark.parametrize("gamma, kappa, p, cuts, L, config", [
+    (3, 7, 7, (2, 4, 6), 10,
+     CpoConfig(seed=5, subset_size_schedule=(1, 2, 3, 4, 5),
+               exhaustive_cap=8192, max_stale_rounds=4)),
+    (3, 6, 9, (1, 3, 5), 8,
+     CpoConfig(seed=2, subset_size_schedule=(1, 2, 3, 4), max_stale_rounds=4)),
+])
+def test_cpo_counters(gamma, kappa, p, cuts, L, config):
+    # the test_pinned_traces runs: every round is scored or reused
+    spec = spec_for(gamma, kappa, p, partition_from_cutting_vector(cuts, gamma, kappa), L)
+    state = run_cpo(spec, config)
+    assert state.scored + state.reused == state.rounds
+    assert state.pieces > 0
+    assert not state.cut_short
+
+
+def test_time_budget_stop_is_reported():
+    spec = spec_for(3, 7, 7, partition_from_cutting_vector([2, 4, 6], 3, 7), 10)
+    state = run_cpo(spec, CpoConfig(seed=1, time_budget_s=0))
+    assert state.cut_short
+    assert (state.rounds, state.scored, state.reused) == (0, 0, 0)
+    assert not state.reached_target
+
+
+def test_headline_power_search_memory():
+    # the gamma=4 headline pipeline's power search, as `scldpc pipeline`
+    # runs it; its traced peak must stay well below the partition search's
+    opt = optimize(4, 17, 1, 30, OptimizerConfig(seed=0))
+    spec = spec_for(4, 17, 17, partition_from_patterns(opt.patterns), 30)
+    tracemalloc.start()
+    try:
+        state = run_cpo(spec, CpoConfig(seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert state.f_sc < CycleSystem(spec).f_sc(spec.block.powers.ravel())
+    assert peak < 8 * 2**20, peak

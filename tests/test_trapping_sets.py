@@ -8,15 +8,14 @@ from scldpc.code_model import (CirculantBlockCode, PartitionMatrix, SCCodeSpec,
                                ab_code, partition_from_cutting_vector, sc_lift)
 from scldpc.cycle_census import active_cycles6
 from scldpc.trapping_sets import (MAX_SUBSET_SIZE, ObjectSpecies, classify,
-                                  common_denominator, cycle_template,
-                                  dominant_species, enumerate_objects,
-                                  max_shortest_path_vns, replica_span,
-                                  six_four_template)
+                                  common_denominator, dominant_species,
+                                  enumerate_objects, max_shortest_path_vns,
+                                  replica_span)
 
 from oracles import (all_subsets_species_count, connected_species_count,
-                     dense_classify, incremental_orbit_census,
-                     random_partition, unique_species_count,
-                     windowed_species_census)
+                     cycle_template, dense_classify, incremental_orbit_census,
+                     random_partition, six_four_template,
+                     unique_species_count, windowed_species_census)
 
 
 def four_two_template():
