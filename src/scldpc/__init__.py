@@ -7,7 +7,6 @@ from .code_model import (
     SCCodeSpec,
     ab_code,
     ab_powers,
-    lift_block,
     partition_from_cutting_vector,
     partition_from_cutting_vectors,
     sc_lift,
@@ -23,7 +22,6 @@ from .overlaps import (
     partition_from_overlaps,
     pattern_counts,
     restrict_to_independent,
-    validate_realizable,
     valid_overlap_sets,
 )
 from .cycle_census import (
@@ -35,7 +33,6 @@ from .cycle_census import (
     count_cycles4,
     count_cycles6,
     count_lifted_cycles4,
-    count_span,
 )
 from .partition_opt import Optimum, OptimizerConfig, optimize
 from .power_opt import CpoConfig, CpoState, refine_layout, run_cpo, \

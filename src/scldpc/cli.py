@@ -380,7 +380,7 @@ def cmd_pipeline(parser, cfg) -> int:
     _active(cfg, final)
     _lift(cfg, final)
     print(f"F_SC = {state.f_sc}; wrote partition, powers, trace, censuses, "
-          "and code.alist")
+          "and code.alist" + (" (time budget reached)" if state.cut_short else ""))
     return 0
 
 

@@ -14,10 +14,10 @@ block indices are 0-based; only the replica index r is 1-based, matching
 the usual coupled-chain notation.
 
 The lifted matrix is built as ColumnLists, the row index of each 1 in
-column order, by index arithmetic; sc_lift, lift_block and sc_protograph
-(the p = 1 lift) are its dense views.  The lists are what the alist writer
-and the direct cycle counts take, so a full-length coupled code never
-needs a dense matrix.
+column order, by index arithmetic; sc_lift and sc_protograph (the p = 1
+lift) are its dense views.  The lists are what the alist writer and the
+direct cycle counts take, so a full-length coupled code never needs a
+dense matrix.
 """
 
 from __future__ import annotations
@@ -266,12 +266,6 @@ def sc_lift_columns(spec: SCCodeSpec) -> ColumnLists:
     rows = (r * g + row_block) * p + (b + shift) % p  # (L, kappa, p, gamma)
     cols = np.repeat(np.arange(L * k * p), g)
     return ColumnLists(((L + spec.m) * g * p, L * k * p), rows.reshape(-1), cols)
-
-
-def lift_block(code: CirculantBlockCode) -> np.ndarray:
-    """Lifted parity-check matrix of the uncoupled block code, (gamma*p, kappa*p)."""
-    uncoupled = PartitionMatrix(0, np.zeros((code.gamma, code.kappa), dtype=np.int64))
-    return sc_lift(SCCodeSpec(code, uncoupled, 1))
 
 
 def sc_lift(spec: SCCodeSpec) -> np.ndarray:

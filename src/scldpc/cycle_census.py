@@ -207,6 +207,12 @@ class ShapeCount:
     in count_cycles6) subtracts each coinciding pair, the triple overlap
     N123[x] against the third pair count, and adds back twice the triples
     where all three coincide.
+
+    The contraction runs in float64, on BLAS.  With kappa the largest
+    absolute row sum of the counts, every overlap is at most kappa and
+    every partial sum of a triple at most kappa (kappa+1) (kappa+2) times
+    the largest weight, so below 2**53 over all triples the float64 result
+    is exact; a batch that could pass it raises ValueError.
     """
 
     def __init__(self, weight: np.ndarray):
@@ -215,6 +221,8 @@ class ShapeCount:
         x1, x2, x3 = np.unravel_index(np.arange(comps ** 3), (comps,) * 3)
         u, v, w = x1 * comps + x2, x1 * comps + x3, x2 * comps + x3
         self.side, self.width = side, 3 * side + comps ** 3
+        self.max_weight = int(np.abs(weight).max(initial=0))
+        weight = weight.astype(np.float64)
         self.pairs = weight.reshape(side * side, side)
         # by triple components x: c12 = c13, c12 = c23, c13 = c23
         self.coincide = np.concatenate(
@@ -222,10 +230,15 @@ class ShapeCount:
         self.diagonal = weight[u, v, w]
 
     def __call__(self, cover: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        """Count for each pattern-count row of `counts`, summed over the
-        residue triples; `cover` is the cover matrix of shape_row_sets."""
-        side = self.side
-        n = (counts @ cover.T).reshape(-1, self.width)
+        """int64 count for each pattern-count row of `counts`, summed over
+        the residue triples; `cover` is the cover matrix of shape_row_sets."""
+        side, triples = self.side, len(cover) // self.width
+        counts = np.asarray(counts, dtype=np.float64)
+        kappa = int(np.abs(counts).sum(axis=1).max(initial=0))
+        if triples * kappa * (kappa + 1) * (kappa + 2) * self.max_weight >= 1 << 53:
+            raise ValueError(f"a count row of total {kappa} could pass 2**53, "
+                             "where float64 stops being exact")
+        n = (counts @ cover.T.astype(np.float64)).reshape(-1, self.width)
         p12, p13, p23, t = np.split(n, [side, 2 * side, 3 * side], axis=1)
         both = (p12[:, :, None] * p13[:, None, :]).reshape(len(n), side * side)
         one = t @ self.coincide
@@ -233,7 +246,7 @@ class ShapeCount:
                       - np.einsum("ij,ij->i", one[:, side:2 * side], p13)
                       - np.einsum("ij,ij->i", one[:, 2 * side:], p12)
                       + 2 * (t @ self.diagonal))
-        return per_triple.reshape(len(counts), len(cover) // self.width).sum(axis=1)
+        return per_triple.reshape(len(counts), triples).sum(axis=1).astype(np.int64)
 
 
 class LiftedShapeCount:
@@ -277,21 +290,6 @@ class LiftedShapeCount:
         return self.p * self.weight[shapes].sum(axis=1, dtype=np.int64)
 
 
-def _span_counts(pc: PatternCounts, spans) -> dict:
-    """F1[k] for each span k, all from one cover of the shape row sets."""
-    cover = cover_matrix(pc.gamma, pc.m, shape_row_sets(pc.gamma, pc.m))
-    span = shape_spans(pc.m)
-    return {k: int(ShapeCount((span == k).astype(np.int64))(
-        cover, pc.counts[None])[0]) for k in spans}
-
-
-def count_span(pc: PatternCounts, k: int) -> int:
-    """Closed-form F1[k]: span-k 6-cycles starting in a fixed replica."""
-    if k < 1 or k > pc.m + 1:
-        raise ValueError(f"span {k} outside [1, {pc.m + 1}]")
-    return _span_counts(pc, [k])[k]
-
-
 @dataclass(frozen=True)
 class CycleCensus:
     """Per-span starter counts and the weighted protograph total."""
@@ -310,7 +308,11 @@ def census_protograph(pc: PatternCounts, L: int) -> CycleCensus:
     """Closed-form 6-cycle census of the coupled protograph with L replicas."""
     if L < 1:
         raise ValueError(f"L must be >= 1, got {L}")
-    return CycleCensus(L, _span_counts(pc, range(1, min(pc.m + 1, L) + 1)))
+    # F1[k] for each span k, all from one cover of the shape row sets
+    cover = cover_matrix(pc.gamma, pc.m, shape_row_sets(pc.gamma, pc.m))
+    span = shape_spans(pc.m)
+    return CycleCensus(L, {k: int(ShapeCount((span == k).astype(np.int64))(
+        cover, pc.counts[None])[0]) for k in range(1, min(pc.m + 1, L) + 1)})
 
 
 def census_from_partition(partition, L: int) -> CycleCensus:

@@ -26,7 +26,6 @@ __all__ = [
     "census_csv",
     "optimum_csv",
     "trace_csv",
-    "species_csv",
 ]
 
 
@@ -236,14 +235,3 @@ def trace_csv(trace) -> str:
     return _csv_text(
         ["round", "cells", "powers", "f_sc_before", "f_sc_after", "accepted"],
         rows)
-
-
-def species_csv(species, census) -> str:
-    """Windowed object counts for one species."""
-    rows = []
-    for k in sorted(census.per_span):
-        rows.append([species.a, species.b, species.kind, k,
-                     census.per_span[k], ""])
-    rows.append([species.a, species.b, species.kind, "total", "",
-                 census.total])
-    return _csv_text(["a", "b", "kind", "k", "count", "total"], rows)

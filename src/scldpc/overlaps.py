@@ -181,31 +181,6 @@ def pattern_counts(ind: IndependentOverlaps) -> PatternCounts:
                          mobius_matrix(ind.gamma, ind.m) @ t)
 
 
-@dataclass(frozen=True)
-class RealizabilityReport:
-    ok: bool
-    total: int
-    kappa: int
-    negative_patterns: tuple
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def validate_realizable(ind: IndependentOverlaps) -> RealizabilityReport:
-    """Check that an overlap vector is achievable by some partition.
-
-    The vector is realizable iff every implied pattern count is nonnegative;
-    their sum always equals kappa for consistent input and is reported for
-    diagnostics.
-    """
-    pc = pattern_counts(ind)
-    neg = tuple((v, int(n)) for v, n in
-                zip(column_patterns(ind.gamma, ind.m), pc.counts) if n < 0)
-    total = int(pc.counts.sum())
-    return RealizabilityReport(not neg and total == ind.kappa, total, ind.kappa, neg)
-
-
 def partition_from_patterns(pc: PatternCounts) -> PartitionMatrix:
     """Canonical partition: columns grouped by pattern in lexicographic order."""
     if (pc.counts < 0).any():
@@ -219,12 +194,13 @@ def partition_from_patterns(pc: PatternCounts) -> PartitionMatrix:
 
 
 def partition_from_overlaps(ind: IndependentOverlaps) -> PartitionMatrix:
-    """Synthesize the canonical partition realizing an overlap vector."""
-    report = validate_realizable(ind)
-    if not report.ok:
-        raise ValueError(
-            "overlap vector is not realizable: "
-            f"negative patterns {report.negative_patterns}, "
-            f"pattern total {report.total} vs kappa {report.kappa}"
-        )
-    return partition_from_patterns(pattern_counts(ind))
+    """Synthesize the canonical partition realizing an overlap vector.
+
+    The vector is realizable iff every implied pattern count is nonnegative.
+    """
+    pc = pattern_counts(ind)
+    neg = tuple((v, int(n)) for v, n in
+                zip(column_patterns(ind.gamma, ind.m), pc.counts) if n < 0)
+    if neg:
+        raise ValueError(f"overlap vector is not realizable: negative patterns {neg}")
+    return partition_from_patterns(pc)

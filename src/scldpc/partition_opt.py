@@ -139,12 +139,13 @@ def _balanced_blocks(kappa: int, loads: np.ndarray, lo: int, hi: int,
         width, ends = width[:take], ends[:take]
         parent = np.repeat(np.arange(take), width)
         c = first[parent] + np.arange(len(parent)) - np.repeat(ends - width, width)
-        rows = rows[parent]
-        rows[:, vi] = c
         totals = totals[parent] + c[:, None] * loads[:, vi]
         left = (remaining[parent] - c)[:, None] * suffix_max[vi + 1]
         ok = ~((totals > hi).any(axis=1) | (totals + left < lo).any(axis=1))
-        rows, totals = rows[ok], totals[ok]
+        # only the children that pass gather their parent's row
+        parent, totals = parent[ok], totals[ok]
+        rows = rows[parent]
+        rows[:, vi] = c[ok]
         if vi < nparts - 1 and prune is not None and len(rows):
             keep = prune(rows)
             rows, totals = rows[keep], totals[keep]

@@ -70,11 +70,6 @@ class InducedConfig:
     check_degrees: tuple
     is_absorbing_set: bool
 
-    @property
-    def is_trapping_set(self) -> bool:
-        # Def: any nonempty set with b odd checks is an (a, b) trapping set.
-        return True
-
 
 @dataclass(frozen=True)
 class ObjectSpecies:

@@ -1354,54 +1354,6 @@ def local_search(ev, kappa, loads, lo, hi, config, deadline):
     return best, evaluated
 
 
-
-def branch_and_bound(ev, kappa, loads, lo, hi, config, deadline):
-    incumbent, evaluated = local_search(
-        ev, kappa, loads, lo, hi,
-        OptimizerConfig(strategy="local-search", balance_slack=config.balance_slack,
-                        seed=config.seed if config.seed is not None else 0,
-                        restarts=min(config.restarts, 10)),
-        deadline,
-    )
-    ncomp, nparts = loads.shape
-    suffix_max = np.zeros((nparts + 1, ncomp), dtype=np.int64)
-    for vi in range(nparts - 1, -1, -1):
-        suffix_max[vi] = np.maximum(suffix_max[vi + 1], loads[:, vi])
-    counts = np.zeros(nparts, dtype=np.int64)
-    totals = np.zeros(ncomp, dtype=np.int64)
-    best = list(incumbent) if incumbent else None
-    state = {"evaluated": evaluated}
-
-    def rec(vi, remaining):
-        nonlocal best, totals
-        if vi == nparts:
-            if remaining == 0 and (totals >= lo).all():
-                val = int(ev.objective(counts.reshape(1, -1))[0])
-                state["evaluated"] += 1
-                cand = (val, ev.independent_values(counts), counts.copy())
-                if best is None or cand[:2] < tuple(best)[:2]:
-                    best = list(cand)
-            return
-        if (totals + remaining * suffix_max[vi] < lo).any():
-            return
-        bound = int(ev.objective(counts.reshape(1, -1))[0])
-        state["evaluated"] += 1
-        if best is not None and bound > best[0]:
-            return
-        for c in range(remaining + 1):
-            counts[vi] = c
-            totals += c * loads[:, vi]
-            if (totals > hi).any():
-                totals -= c * loads[:, vi]
-                break
-            rec(vi + 1, remaining - c)
-            totals -= c * loads[:, vi]
-        counts[vi] = 0
-
-    rec(0, kappa)
-    return tuple(best), state["evaluated"]
-
-
 def scan_alist_string(matrix: np.ndarray) -> str:
     """Standard alist text for a binary matrix.
 

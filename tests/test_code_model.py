@@ -5,11 +5,17 @@ import pytest
 
 from scldpc.code_model import (CirculantBlockCode, ColumnLists,
                                PartitionMatrix, SCCodeSpec, ab_code, ab_powers,
-                               lift_block, partition_from_cutting_vector,
+                               partition_from_cutting_vector,
                                partition_from_cutting_vectors, sc_lift,
                                sc_lift_columns, sc_protograph, window)
 
 from oracles import component_protograph, dense_sc_lift
+
+
+def uncoupled_lift(code):
+    """Lifted matrix of the block code alone: one replica, one component."""
+    zeros = np.zeros((code.gamma, code.kappa), dtype=np.int64)
+    return sc_lift(SCCodeSpec(code, PartitionMatrix(0, zeros), 1))
 
 
 def test_ab_powers_values():
@@ -27,15 +33,15 @@ def test_ab_powers_wrap():
 
 def test_circulant_orientation():
     # one block, power 2, p=5: column b carries its 1 at row (b+2) mod 5
-    h = lift_block(CirculantBlockCode(1, 1, 5, np.array([[2]])))
+    h = uncoupled_lift(CirculantBlockCode(1, 1, 5, np.array([[2]])))
     for b in range(5):
         col = np.nonzero(h[:, b])[0]
         assert col.tolist() == [(b + 2) % 5]
 
 
-def test_lift_block_small_known():
+def test_uncoupled_lift_small_known():
     code = CirculantBlockCode(1, 2, 3, np.array([[0, 1]]))
-    h = lift_block(code)
+    h = uncoupled_lift(code)
     ident = np.eye(3, dtype=bool)
     shift = np.zeros((3, 3), dtype=bool)
     for b in range(3):
@@ -60,7 +66,7 @@ def test_lifted_weights():
         k = int(rng.integers(1, 5))
         p = int(rng.integers(2, 7))
         code = CirculantBlockCode(g, k, p, rng.integers(0, p, size=(g, k)))
-        h = lift_block(code)
+        h = uncoupled_lift(code)
         assert h.shape == (g * p, k * p)
         assert (h.sum(axis=0) == g).all()
         assert (h.sum(axis=1) == k).all()
@@ -164,8 +170,6 @@ def test_sc_lift_columns_match_dense_oracle():
             assert np.array_equal(lists.rows, seen.rows)
             assert np.array_equal(lists.cols, seen.cols)
         assert np.array_equal(lists.dense(), want.astype(bool))
-        if m == 0 and L == 1:
-            assert np.array_equal(lift_block(block), want)
 
 
 @pytest.mark.parametrize("shape, rows, cols, message", [

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from scldpc.cycle_census import (LiftedShapeCount, active_cycles6,
                                  census_from_partition, census_protograph,
                                  count_cycles4,
                                  count_cycles6, count_lifted_cycles4,
-                                 count_span, starter_cycles4, starter_cycles6)
+                                 starter_cycles4, starter_cycles6)
 from scldpc.overlaps import overlaps_from_partition
 from scldpc.partition_opt import _Evaluator
 from scldpc.power_opt import CycleSystem
@@ -147,7 +149,7 @@ def test_span_terms_three_replicas_need_memory_or_length():
     assert span_terms(3, 1, 3) == []  # m=1: spans end at m+1=2
 
 
-def test_count_span_matches_bruteforce_starters():
+def test_census_spans_match_bruteforce_starters():
     rng = np.random.default_rng(1)
     for _ in range(25):
         g = int(rng.integers(2, 5))
@@ -158,12 +160,13 @@ def test_count_span_matches_bruteforce_starters():
         spec = SCCodeSpec(ab_code(g, k, 5), part, L)
         ov = overlaps_from_partition(part)
         per_span = np.bincount(starter_cycles6(spec)[0], minlength=m + 2)
+        census = census_protograph(ov, m + 1)
         for kk in range(1, min(m + 1, L) + 1):
-            assert count_span(ov, kk) == per_span[kk]
+            assert census.per_span[kk] == per_span[kk]
 
 
 def test_shape_count_matches_kernel_oracle():
-    # count_span over random partitions, every span, against the paper's
+    # the census spans of random partitions, every one, against the paper's
     # three kernels; then the optimizer's objective on pattern-count rows
     # large enough that two or three columns of a shape can coincide
     rng = np.random.default_rng(12)
@@ -174,8 +177,9 @@ def test_shape_count_matches_kernel_oracle():
             m = int(rng.integers(0, 2))
         part = random_partition(rng, g, int(rng.integers(1, 10)), m)
         ov = overlaps_from_partition(part)
+        census = census_protograph(ov, m + 1)
         for k in range(1, m + 2):
-            assert count_span(ov, k) == kernel_count_span(ov, k), (g, m, k)
+            assert census.per_span[k] == kernel_count_span(ov, k), (g, m, k)
             spans += 1
     assert spans > 600
     rows = 0
@@ -193,6 +197,23 @@ def test_shape_count_matches_kernel_oracle():
                     (g, m, L)
                 rows += n
     assert rows >= 2000
+    # the objective runs in float64: rows of large total, up to the largest
+    # whose partial sums stay below 2**53, are exact; one more column raises
+    for g, m, L in ((3, 1, 30), (4, 1, 30), (3, 2, 4), (5, 0, 1)):
+        bound = math.comb(g, 3) * L
+        limit = int((2 ** 53 / bound) ** (1 / 3))
+        while bound * limit * (limit + 1) * (limit + 2) >= 1 << 53:
+            limit -= 1
+        batch = rng.multinomial(limit, np.ones((m + 1) ** g) / (m + 1) ** g,
+                                size=20)
+        batch[0] = 0
+        batch[0, 0] = limit
+        got = _Evaluator(g, m, L).objective(batch)
+        assert np.array_equal(got, kernel_objective(g, m, L, batch)), (g, m, L)
+        assert got.max() > 1 << 40
+        batch[1, 0] += 1
+        with pytest.raises(ValueError, match=r"2\*\*53"):
+            _Evaluator(g, m, L).objective(batch)
 
 
 def test_census_total_is_the_optimizer_objective():

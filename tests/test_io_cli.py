@@ -17,10 +17,9 @@ from scldpc.code_model import (ColumnLists, SCCodeSpec, ab_code,
 from scldpc.cycle_census import (active_cycles6, census_from_partition,
                                  count_cycles6)
 from scldpc.io_formats import (alist_string, census_csv, read_alist,
-                               read_alist_columns, read_int_grid, species_csv, trace_csv,
+                               read_alist_columns, read_int_grid, trace_csv,
                                write_alist, write_int_grid)
 from scldpc.partition_opt import STRATEGIES, OptimizerConfig
-from scldpc.trapping_sets import common_denominator, enumerate_objects
 
 from oracles import (line_alist_string, random_partition, scan_alist_string,
                      split_alist_tokens)
@@ -186,16 +185,6 @@ def test_census_csv_lifted_rows_sum_to_total():
     assert lines[-1] == f"total,,,{act.total}"
 
 
-def test_species_csv_holds_totals():
-    part = partition_from_cutting_vector((1, 3, 4), 3, 5)
-    spec = SCCodeSpec(ab_code(3, 5, 5), part, 5)
-    species = common_denominator(3)
-    cen = enumerate_objects(spec, species)
-    lines = species_csv(species, cen).splitlines()
-    assert lines[0] == "a,b,kind,k,count,total"
-    assert lines[-1] == f"3,3,AS,total,,{cen.total}"
-
-
 def test_cli_census_writes_artifacts(tmp_path, capsys):
     rc = main(["census", "--gamma", "3", "--kappa", "5", "--p", "5",
                "--L", "6", "--zeta", "1,3,4", "--out", str(tmp_path)])
@@ -262,13 +251,15 @@ def test_cli_optimize_then_cpo_round_trip(tmp_path, capsys):
 
 
 def test_cli_cpo_says_when_the_time_budget_stopped_it(tmp_path, capsys):
-    argv = ["cpo", "--gamma", "3", "--kappa", "5", "--p", "5", "--L", "6",
-            "--zeta", "1,3,4", "--seed", "0", "--cpo-stale", "3",
-            "--out", str(tmp_path)]
-    assert main(argv + ["--cpo-budget", "0"]) == 0
-    assert capsys.readouterr().out.rstrip().endswith("(time budget reached)")
-    assert main(argv) == 0
-    assert "time budget" not in capsys.readouterr().out
+    flags = ["--gamma", "3", "--kappa", "5", "--p", "5", "--L", "6",
+             "--zeta", "1,3,4", "--seed", "0", "--cpo-stale", "3",
+             "--out", str(tmp_path)]
+    for command in ("cpo", "pipeline"):
+        assert main([command] + flags + ["--cpo-budget", "0"]) == 0
+        out = capsys.readouterr().out.rstrip()
+        assert out.startswith("F_SC = ") and out.endswith("(time budget reached)")
+        assert main([command] + flags) == 0
+        assert "time budget" not in capsys.readouterr().out
 
 
 def test_cli_lift_and_reread(tmp_path):

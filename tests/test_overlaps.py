@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -12,7 +13,7 @@ from scldpc.overlaps import (IndependentOverlaps, column_patterns,
                              overlaps_from_partition, partition_from_overlaps,
                              partition_from_patterns, pattern_counts,
                              restrict_to_independent,
-                             valid_overlap_sets, validate_realizable)
+                             valid_overlap_sets)
 from scldpc.cycle_census import shape_row_sets
 from oracles import (direct_overlap, inclusion_exclusion_overlaps,
                      loop_cover_matrix, pattern_rows, random_partition)
@@ -205,17 +206,15 @@ def test_realizability_accepts_real_partition():
     rng = np.random.default_rng(7)
     part = random_partition(rng, 3, 8, 1)
     ind = restrict_to_independent(overlaps_from_partition(part))
-    report = validate_realizable(ind)
-    assert report
-    assert report.total == 8
+    assert partition_from_overlaps(ind).assign.shape == (3, 8)
 
 
 def test_realizability_rejects_inconsistent_vector():
     # a pair overlap larger than a single-row overlap is impossible
     bad = IndependentOverlaps(3, 1, 6, (1, 1, 1, 5, 0, 0, 0))
-    report = validate_realizable(bad)
-    assert not report
-    assert report.negative_patterns
+    named = "negative patterns (((0, 1, 1), -4), ((1, 0, 1), -4))"
+    with pytest.raises(ValueError, match=re.escape(named)):
+        partition_from_overlaps(bad)
 
 
 def test_partition_from_overlaps_roundtrip():

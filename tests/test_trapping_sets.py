@@ -32,7 +32,6 @@ def four_two_template():
 def test_classify_cycle_triple():
     cfg = classify(cycle_template(3, 3), [0, 1, 2])
     assert (cfg.a, cfg.b) == (3, 3)
-    assert cfg.is_trapping_set
     assert cfg.is_absorbing_set
     assert cfg.check_degrees == (2, 2, 2, 1, 1, 1)
 
@@ -47,7 +46,6 @@ def test_classify_trapping_only():
     # column weight 4 cycle triple: each variable sees two odd checks
     cfg = classify(cycle_template(3, 4), [0, 1, 2])
     assert (cfg.a, cfg.b) == (3, 6)
-    assert cfg.is_trapping_set
     assert not cfg.is_absorbing_set
 
 
