@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import os
 import sys
 from collections import namedtuple
@@ -105,6 +106,8 @@ def _add_flag(parser: argparse.ArgumentParser, s: Setting) -> None:
                             metavar="A,B,..." if s.parse is _int_list else None)
 
 
+# parsing leaves the parser as it was, so one per process serves every main()
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     matrix = argparse.ArgumentParser(add_help=False)

@@ -14,7 +14,8 @@ carries abc - t(a+b+c) + 2t cycles, where a, b, c are its three pairwise
 overlaps (inclusion-exclusion on the three ways two of its columns can
 coincide; cf. Halford and Chugg, IEEE T-IT 52(1), 2006).  Summed over all
 row triples this is a weighted triangle sum over the overlap graph, minus
-per-column corrections; a 4-cycle is a row pair with two shared columns.
+per-column corrections, each triangle closed by one gather from a table
+of its lowest row's overlaps; a 4-cycle is a row pair with two shared columns.
 
 Counts in the coupled protograph decompose by the replica where a cycle's
 leftmost column sits and by its span k (number of consecutive replicas its
@@ -56,8 +57,8 @@ from .overlaps import PatternCounts, cover_matrix, overlaps_from_partition
 # ---------------------------------------------------------------------------
 # direct counts of an arbitrary matrix from its row-pair overlaps
 
-# wedges (pairs of overlap-graph edges at one row) scored per pass of the
-# triangle sum; bounds its memory, whatever the matrix size
+# wedges (pairs of overlap-graph edges meeting at a row) scored per pass of
+# the triangle sum; bounds its memory, and its table to about 4x, at any size
 _WEDGE_CHUNK = 1 << 15
 
 
@@ -97,10 +98,11 @@ def count_cycles6(h) -> int:
          + 2 * sum over columns of C(d, 3),
     with d a column's degree.  Each overlap-graph edge is oriented from its
     lower row to its higher one (Chiba and Nishizeki, SIAM J. Comput. 14(1),
-    1985): the triangle sum pairs the later neighbours of each row into
-    wedges and closes each by a lookup in the sorted pair keys,
-    _WEDGE_CHUNK wedges at a time, so each triangle i < j < k is seen once,
-    at i.
+    1985), so each triangle i < j < k is seen once, at j: an arm (i, j) and
+    each later edge (j, k) make a wedge, which (i, k) closes.  A chunk of at
+    most _WEDGE_CHUNK wedges has arms from at most isqrt(4 * _WEDGE_CHUNK /
+    most later neighbours of a row) rows i, whose overlaps it tables by row
+    and ranked neighbour, so each wedge closes with one gather.
     """
     ones = as_column_lists(h)
     n_rows = ones.shape[0]
@@ -108,25 +110,40 @@ def count_cycles6(h) -> int:
     if np.any(keys[1:] <= keys[:-1]):
         raise RuntimeError("row-pair keys are not strictly increasing")
     # sorted keys i * rows + j with i < j list each row's later neighbours
-    # as one ascending segment
+    # as one ascending segment, edges ptr[i]:ptr[i + 1]
     lo, nbr = np.divmod(keys, max(n_rows, 1))
-    arm = np.arange(len(nbr))
-    # an arm (one edge at its lower row) pairs with the later edges of its
-    # segment
-    arm_wedges = np.cumsum(np.bincount(lo, minlength=n_rows))[lo] - 1 - arm
+    later = np.bincount(lo, minlength=n_rows)
+    ptr = np.concatenate(([0], np.cumsum(later)))
+    # an arm (i, j) pairs with each later edge (j, k) of its neighbour; its
+    # wedges cum[e]:cum[e + 1] take the edges from ptr[j] on
+    arm_wedges = later[nbr]
     cum = np.concatenate(([0], np.cumsum(arm_wedges)))
+    second_from = ptr[nbr] - cum[:-1]
+    most = int(later.max(initial=0))
+    cap = max(math.isqrt(4 * _WEDGE_CHUNK // max(most, 1)), 1)
+    stamp = np.zeros(n_rows, dtype=np.int64)
+    table = np.zeros(cap * (cap * most + 1), dtype=np.int64)
     triangles = 0
     e0 = 0
     while e0 < len(nbr):
-        stop = int(np.searchsorted(cum, cum[e0] + _WEDGE_CHUNK, side="right")) - 1
+        i0 = int(lo[e0])
+        stop = min(int(np.searchsorted(cum, cum[e0] + _WEDGE_CHUNK, side="right")) - 1,
+                   int(ptr[min(i0 + cap, n_rows)]))
         e1 = max(stop, e0 + 1)  # a single arm longer than the chunk runs alone
-        first = np.repeat(arm[e0:e1], arm_wedges[e0:e1])
-        second = first + 1 + np.arange(len(first)) - np.repeat(
-            cum[e0:e1] - cum[e0], arm_wedges[e0:e1])
-        closing = nbr[first] * n_rows + nbr[second]
-        pos = np.minimum(np.searchsorted(keys, closing), len(keys) - 1)
-        hit = keys[pos] == closing
-        triangles += int((overlap[first] * overlap[second] * overlap[pos])[hit].sum())
+        # the chunk's rows i hold every closing edge (i, k): rank their later
+        # neighbours 1.. (0: none; a repeat keeps its last), table (i, rank)
+        b0, b1 = int(ptr[i0]), int(ptr[lo[e1 - 1] + 1])
+        width, block = b1 - b0 + 1, nbr[b0:b1]
+        stamp[block] = np.arange(1, width)
+        cell = (lo[b0:b1] - i0) * width + stamp[block]
+        table[cell] = overlap[b0:b1]
+        wedges = arm_wedges[e0:e1]
+        second = np.arange(cum[e0], cum[e1]) + np.repeat(second_from[e0:e1], wedges)
+        close = table[np.repeat((lo[e0:e1] - i0) * width, wedges) + stamp[nbr[second]]]
+        triangles += int((np.repeat(overlap[e0:e1], wedges) * overlap[second]
+                          * close).sum())
+        table[cell] = 0
+        stamp[block] = 0
         e0 = e1
     # a degree-d column has C(d,2) pairs of excess d-2, so excess sums to
     # 3 * sum C(d,3)

@@ -16,7 +16,8 @@ from scldpc import power_opt
 from scldpc.code_model import (PartitionMatrix, SCCodeSpec, ab_code,
                                as_column_lists, sc_lift,
                                sc_protograph, window)
-from scldpc.cycle_census import CycleCensus, alternating_sum
+from scldpc.cycle_census import (CycleCensus, _row_pair_overlaps,
+                                 alternating_sum)
 from scldpc.overlaps import (IndependentOverlaps, PatternCounts,
                              column_patterns, cover_matrix,
                              independent_overlap_sets,
@@ -96,6 +97,39 @@ def brute_cycles6(h) -> int:
 def brute_cycles4(h) -> int:
     """4-cycles of a 0/1 matrix, by listing every one."""
     return len(find_cycles4(h))
+
+
+def sorted_key_cycles6(h, chunk: int = 1 << 15) -> int:
+    """6-cycles of a 0/1 matrix from its row-pair overlaps, each triangle
+    i < j < k of the overlap graph found at i and closed by a searchsorted
+    lookup of (j, k) in the sorted pair keys, chunk wedges at a time."""
+    ones = as_column_lists(h)
+    n_rows = ones.shape[0]
+    keys, overlap, excess = _row_pair_overlaps(ones)
+    # sorted keys i * rows + j with i < j list each row's later neighbours
+    # as one ascending segment
+    lo, nbr = np.divmod(keys, max(n_rows, 1))
+    arm = np.arange(len(nbr))
+    # an arm (one edge at its lower row) pairs with the later edges of its
+    # segment
+    arm_wedges = np.cumsum(np.bincount(lo, minlength=n_rows))[lo] - 1 - arm
+    cum = np.concatenate(([0], np.cumsum(arm_wedges)))
+    triangles = 0
+    e0 = 0
+    while e0 < len(nbr):
+        stop = int(np.searchsorted(cum, cum[e0] + chunk, side="right")) - 1
+        e1 = max(stop, e0 + 1)  # a single arm longer than the chunk runs alone
+        first = np.repeat(arm[e0:e1], arm_wedges[e0:e1])
+        second = first + 1 + np.arange(len(first)) - np.repeat(
+            cum[e0:e1] - cum[e0], arm_wedges[e0:e1])
+        closing = nbr[first] * n_rows + nbr[second]
+        pos = np.minimum(np.searchsorted(keys, closing), len(keys) - 1)
+        hit = keys[pos] == closing
+        triangles += int((overlap[first] * overlap[second] * overlap[pos])[hit].sum())
+        e0 = e1
+    # a degree-d column has C(d,2) pairs of excess d-2, so excess sums to
+    # 3 * sum C(d,3)
+    return triangles + 2 * (int(excess.sum()) // 3) - int((overlap * excess).sum())
 
 
 def dense_sc_lift(spec) -> np.ndarray:

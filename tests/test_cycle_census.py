@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,8 +24,9 @@ from oracles import (brute_cycles4, brute_cycles6, cycle6_power_sum,
                      cycles6_two_replicas, find_cycles4, find_cycles6,
                      kernel_count_span, kernel_objective, lifted_cycles4,
                      lifted_cycles6, protograph_cycles6, random_partition,
-                     span_terms, starter_tuples, tuple_active_cycles6,
-                     tuple_cycle_arrays, tuple_lifted_cycles4)
+                     sorted_key_cycles6, span_terms, starter_tuples,
+                     tuple_active_cycles6, tuple_cycle_arrays,
+                     tuple_lifted_cycles4)
 
 
 def test_direct_count_all_ones():
@@ -89,6 +91,73 @@ def test_direct_counts_match_brute_force(monkeypatch):
                 assert count_cycles6(form) == want6
                 assert count_cycles4(form) == want4
     assert with_cycles > 150
+
+
+def _sparse_matrices(rng, n):
+    """Seeded sparse matrices of 30-400 rows, column weights 2-6.
+
+    Some columns repeat (overlaps above 1), some rows stay empty, and in
+    every third matrix one row, the first or a random one, shares a column
+    with every other row; every fourth case is a lift with p <= 7.
+    """
+    out = []
+    for t in range(n):
+        if t % 4 == 3:
+            g, k, p = (int(v) for v in rng.integers((2, 3, 2), (5, 9, 8)))
+            m, L = int(rng.integers(0, 3)), int(rng.integers(1, 6))
+            code = CirculantBlockCode(g, k, p, rng.integers(0, p, size=(g, k)))
+            spec = SCCodeSpec(code, random_partition(rng, g, k, m), L)
+            out.append(ColumnLists.from_dense(sc_lift(spec)))
+            continue
+        n_rows = int(rng.integers(30, 401))
+        empty = rng.choice(n_rows, size=n_rows // 10, replace=False)
+        weights = rng.integers(2, 7, size=int(rng.integers(n_rows // 2, n_rows + 1)))
+        cols = [np.sort(rng.choice(n_rows, size=int(d), replace=False))
+                for d in weights]
+        cols = [c[~np.isin(c, empty)] for c in cols]
+        cols += [cols[c] for c in rng.integers(0, len(cols), size=len(cols) // 8)]
+        if t % 3 == 0:
+            hub = 0 if t % 2 else int(rng.integers(n_rows))
+            cols += [np.array(sorted((hub, r))) for r in range(n_rows) if r != hub]
+        degree = [len(c) for c in cols]
+        out.append(ColumnLists((n_rows, len(cols)), np.concatenate(cols),
+                               np.repeat(np.arange(len(cols)), degree)))
+    return out
+
+
+def test_count_cycles6_matches_sorted_key_oracle(monkeypatch):
+    # blocks of one row and chunks of one arm occur at chunk 1 and 3
+    rng = np.random.default_rng(23)
+    cases = _sparse_matrices(rng, 80)
+    assert sum(c.shape[0] >= 200 for c in cases) > 20
+    for h in cases:
+        want = sorted_key_cycles6(h)
+        for chunk in (cycle_census._WEDGE_CHUNK, 1, 3):
+            monkeypatch.setattr(cycle_census, "_WEDGE_CHUNK", chunk)
+            assert count_cycles6(h) == want
+
+
+def test_count_cycles6_memory_stays_linear():
+    # a table over all row pairs would take 400 MB here
+    rng = np.random.default_rng(7)
+    n_rows, n_cols = 20_000, 30_000
+    rows = rng.integers(0, n_rows, size=(n_cols, 3))
+    while True:
+        ordered = np.sort(rows, axis=1)
+        repeat = np.any(ordered[:, 1:] == ordered[:, :-1], axis=1)
+        if not repeat.any():
+            break
+        rows[repeat] = rng.integers(0, n_rows, size=(int(repeat.sum()), 3))
+    h = ColumnLists((n_rows, n_cols), ordered.ravel(),
+                    np.repeat(np.arange(n_cols), 3))
+    tracemalloc.start()
+    try:
+        got = count_cycles6(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == sorted_key_cycles6(h)
+    assert peak < 16 << 20, peak
 
 
 @pytest.mark.parametrize("table, message", [

@@ -353,6 +353,37 @@ def test_cli_unknown_strategy_flag_is_a_usage_error(capsys):
     assert "--strategy: unknown strategy: 'foo'" in capsys.readouterr().err
 
 
+def test_cli_parser_is_built_once_and_parses_like_a_fresh_one(
+        tmp_path, capsys, monkeypatch):
+    # back-to-back main() calls of one process share one parser; with a
+    # usage error between them, each must still act as on a fresh parser
+    code = ["--gamma", "3", "--kappa", "5", "--p", "5", "--L", "6"]
+    calls = [
+        ["census"] + code + ["--zeta", "1,3,4", "--out", str(tmp_path / "a")],
+        ["census", "--strategy", "foo"],
+        ["optimize", "--gamma", "3", "--kappa", "5", "--L", "6",
+         "--strategy", "exhaustive", "--out", str(tmp_path / "b")],
+        ["cpo"] + code + ["--zeta", "1,3,4", "--out", str(tmp_path / "c")],
+        ["cpo"] + code + ["--zeta", "1,3,4", "--seed", "0", "--cpo-stale",
+                          "2", "--out", str(tmp_path / "c")],
+        ["census"] + code + ["--zeta", "1,3,4", "--out", str(tmp_path / "a")],
+    ]
+
+    def outcome(argv):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        captured = capsys.readouterr()
+        return rc, captured.out, captured.err
+
+    cached = [outcome(argv) for argv in calls]
+    assert cli._build_parser() is cli._build_parser()
+    assert [rc for rc, _, _ in cached] == [0, 2, 0, 2, 0, 0]
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    assert cached == [outcome(argv) for argv in calls]
+
+
 def test_cli_strategies_are_the_optimizers():
     # one list: each accepted name is an optimizer strategy, and -h lists
     # every one of them
