@@ -44,6 +44,7 @@ listings, which check these, live with the test oracles.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -100,9 +101,9 @@ def count_cycles6(h) -> int:
     lower row to its higher one (Chiba and Nishizeki, SIAM J. Comput. 14(1),
     1985), so each triangle i < j < k is seen once, at j: an arm (i, j) and
     each later edge (j, k) make a wedge, which (i, k) closes.  A chunk of at
-    most _WEDGE_CHUNK wedges has arms from at most isqrt(4 * _WEDGE_CHUNK /
-    most later neighbours of a row) rows i, whose overlaps it tables by row
-    and ranked neighbour, so each wedge closes with one gather.
+    most _WEDGE_CHUNK wedges tables the overlaps of its arms' rows i by row
+    and ranked neighbour, so each wedge closes with one gather; it takes
+    the most rows i (at least one) whose table fits 4 * _WEDGE_CHUNK.
     """
     ones = as_column_lists(h)
     n_rows = ones.shape[0]
@@ -119,17 +120,21 @@ def count_cycles6(h) -> int:
     arm_wedges = later[nbr]
     cum = np.concatenate(([0], np.cumsum(arm_wedges)))
     second_from = ptr[nbr] - cum[:-1]
-    most = int(later.max(initial=0))
-    cap = max(math.isqrt(4 * _WEDGE_CHUNK // max(most, 1)), 1)
     stamp = np.zeros(n_rows, dtype=np.int64)
-    table = np.zeros(cap * (cap * most + 1), dtype=np.int64)
+    table = np.zeros(max(4 * _WEDGE_CHUNK, later.max(initial=0) + 1), np.int64)
     triangles = 0
     e0 = 0
     while e0 < len(nbr):
         i0 = int(lo[e0])
-        stop = min(int(np.searchsorted(cum, cum[e0] + _WEDGE_CHUNK, side="right")) - 1,
-                   int(ptr[min(i0 + cap, n_rows)]))
+        stop = int(np.searchsorted(cum, cum[e0] + _WEDGE_CHUNK, side="right")) - 1
         e1 = max(stop, e0 + 1)  # a single arm longer than the chunk runs alone
+        # its table, rows x (their later edges + 1), must fit 4 * _WEDGE_CHUNK;
+        # if not, the chunk ends with the most rows from i0 that fit (one at least)
+        rows = int(lo[e1 - 1]) - i0 + 1
+        if rows * (ptr[i0 + rows] - ptr[i0] + 1) > 4 * _WEDGE_CHUNK:
+            rows = bisect.bisect_right(range(1, n_rows - i0 + 1), 4 * _WEDGE_CHUNK,
+                                       key=lambda r: r * int(ptr[i0 + r] - ptr[i0] + 1))
+            e1 = max(min(stop, int(ptr[i0 + max(rows, 1)])), e0 + 1)
         # the chunk's rows i hold every closing edge (i, k): rank their later
         # neighbours 1.. (0: none; a repeat keeps its last), table (i, rank)
         b0, b1 = int(ptr[i0]), int(ptr[lo[e1 - 1] + 1])
@@ -240,10 +245,11 @@ class ShapeCount:
         self.side, self.width = side, 3 * side + comps ** 3
         self.max_weight = int(np.abs(weight).max(initial=0))
         weight = weight.astype(np.float64)
-        self.pairs = weight.reshape(side * side, side)
+        # transposed: products keep the batch rows on the last, contiguous axis
+        self.pairs = weight.reshape(side * side, side).T
         # by triple components x: c12 = c13, c12 = c23, c13 = c23
         self.coincide = np.concatenate(
-            [weight[u, v, :], weight[u, :, w], weight[:, v, w].T], axis=1)
+            [weight[u, v, :], weight[u, :, w], weight[:, v, w].T], axis=1).T
         self.diagonal = weight[u, v, w]
 
     def __call__(self, cover: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -255,15 +261,15 @@ class ShapeCount:
         if triples * kappa * (kappa + 1) * (kappa + 2) * self.max_weight >= 1 << 53:
             raise ValueError(f"a count row of total {kappa} could pass 2**53, "
                              "where float64 stops being exact")
-        n = (counts @ cover.T.astype(np.float64)).reshape(-1, self.width)
+        rows = len(counts)
+        n = (cover.astype(np.float64) @ counts.T).reshape(triples, self.width, rows)
         p12, p13, p23, t = np.split(n, [side, 2 * side, 3 * side], axis=1)
-        both = (p12[:, :, None] * p13[:, None, :]).reshape(len(n), side * side)
-        one = t @ self.coincide
-        per_triple = (np.einsum("ij,ij->i", both @ self.pairs - one[:, :side], p23)
-                      - np.einsum("ij,ij->i", one[:, side:2 * side], p13)
-                      - np.einsum("ij,ij->i", one[:, 2 * side:], p12)
-                      + 2 * (t @ self.diagonal))
-        return per_triple.reshape(len(counts), triples).sum(axis=1).astype(np.int64)
+        both = (p12[:, :, None] * p13[:, None]).reshape(triples, side * side, rows)
+        one = self.coincide @ t
+        per_triple = ((self.pairs @ both - one[:, :side]) * p23).sum(axis=1) - (
+            (one[:, side:2 * side] * p13).sum(axis=1)
+            + (one[:, 2 * side:] * p12).sum(axis=1)) + 2 * (self.diagonal @ t)
+        return per_triple.sum(axis=0).astype(np.int64)
 
 
 class LiftedShapeCount:

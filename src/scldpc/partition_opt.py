@@ -11,14 +11,16 @@ Three strategies share one vectorized evaluator: the census's shape count
 (`cycle_census.ShapeCount`) over overlaps linear in the pattern counts.
 Exhaustive search and branch-and-bound also share one block expander,
 `_balanced_blocks`, which emits the balanced compositions in lexicographic
-order, about `BATCH` rows at a time.  Exhaustive search scores every one (certifies optimality).
-Branch-and-bound prunes each new frontier of partial count vectors whose
-census already exceeds the incumbent (adding a column never removes
-cycles); its `evaluated` counts the incumbent's local-search rows, the
-bounded partial rows and the scored complete rows.  Seeded multi-restart
-steepest descent serves spaces too large to enumerate.  `time_budget_s`
-bounds local search (after its first restart) and branch-and-bound, which
-then reports certified=False.
+order, about `BATCH` rows at a time, building only each parent's interval
+of balanced child counts.  Exhaustive search scores every one (certifies
+optimality).  Branch-and-bound prunes each new frontier of partial count
+vectors whose census already exceeds the incumbent (adding a column never
+removes cycles); its `evaluated` counts the incumbent's local-search rows,
+the bounded partial rows and the scored complete rows.  Seeded
+multi-restart steepest descent, its restarts in lockstep, serves spaces
+too large to enumerate.  `time_budget_s` bounds local search (past it,
+only the first restart descends on) and branch-and-bound, which then
+reports certified=False.
 """
 
 from __future__ import annotations
@@ -112,11 +114,12 @@ def _balanced_blocks(kappa: int, loads: np.ndarray, lo: int, hi: int,
     """Pattern-count vectors summing to kappa with per-component totals in [lo, hi].
 
     Yields arrays of rows in lexicographic order.  A frontier of partial
-    count vectors is expanded one pattern at a time, every count 0..remaining
-    at once (the last pattern takes exactly the remainder), and children are
-    dropped when a component total exceeds hi or can no longer reach lo.
-    Frontiers are handled depth-first off a stack, and parents are split by
-    their cumulative child count so one step builds about `block` rows.
+    count vectors is expanded one pattern at a time (the last pattern takes
+    exactly the remainder).  Totals are linear in a child's count c, so the
+    children keeping every total <= hi and lo still reachable are one
+    interval of c per parent, and only those are built.  Frontiers are
+    handled depth-first off a stack, and parents are split by their child
+    counts before that test, so one step builds about `block` rows at most.
     `prune(rows)`, if given, returns a keep mask for each new frontier of
     partial rows (patterns from the next one on still zero).
     """
@@ -124,37 +127,46 @@ def _balanced_blocks(kappa: int, loads: np.ndarray, lo: int, hi: int,
     suffix_max = np.zeros((nparts + 1, ncomp), dtype=np.int64)
     for vi in range(nparts - 1, -1, -1):
         suffix_max[vi] = np.maximum(suffix_max[vi + 1], loads[:, vi])
-    # entries (next pattern, partial count rows, their component totals)
+    # (next pattern, partial rows, totals by component, columns left)
     stack = [(0, np.zeros((1, nparts), dtype=np.int64),
-              np.zeros((1, ncomp), dtype=np.int64))]
+              np.zeros((ncomp, 1), dtype=np.int64), np.full(1, kappa))]
     while stack:
-        vi, rows, totals = stack.pop()
-        remaining = kappa - rows.sum(axis=1)
-        first = remaining if vi == nparts - 1 else np.zeros_like(remaining)
-        width = remaining - first + 1
-        ends = np.cumsum(width)
-        take = max(int(np.searchsorted(ends, block, side="right")), 1)
+        vi, rows, totals, remaining = stack.pop()
+        last = vi == nparts - 1
+        first = remaining if last else 0
+        take = max(int(np.searchsorted(np.cumsum(remaining - first + 1), block,
+                                       side="right")), 1)
         if take < len(rows):
-            stack.append((vi, rows[take:], totals[take:]))
-        width, ends = width[:take], ends[:take]
+            stack.append((vi, rows[take:], totals[:, take:], remaining[take:]))
+        rows, totals, remaining = rows[:take], totals[:, :take], remaining[:take]
+        c_lo, c_hi = (remaining if last else 0), remaining
+        for load, s, t in zip(loads[:, vi], suffix_max[vi + 1], totals):
+            # t + c * load <= hi, and t + c * load + (remaining - c) * s >= lo
+            # with s the largest load of the later patterns
+            c_hi = (np.minimum(c_hi, (hi - t) // load) if load
+                    else np.where(t > hi, -1, c_hi))
+            need, d = lo - t - remaining * s, load - s
+            if d > 0:
+                c_lo = np.maximum(c_lo, -(-need // d))
+            else:
+                c_hi = (np.minimum(c_hi, need // d) if d
+                        else np.where(need > 0, -1, c_hi))
+        width = np.maximum(c_hi - c_lo + 1, 0)
         parent = np.repeat(np.arange(take), width)
-        c = first[parent] + np.arange(len(parent)) - np.repeat(ends - width, width)
-        totals = totals[parent] + c[:, None] * loads[:, vi]
-        left = (remaining[parent] - c)[:, None] * suffix_max[vi + 1]
-        ok = ~((totals > hi).any(axis=1) | (totals + left < lo).any(axis=1))
-        # only the children that pass gather their parent's row
-        parent, totals = parent[ok], totals[ok]
+        c = np.arange(len(parent)) + np.repeat(c_lo - np.cumsum(width) + width, width)
         rows = rows[parent]
-        rows[:, vi] = c[ok]
-        if vi < nparts - 1 and prune is not None and len(rows):
+        rows[:, vi] = c
+        totals = totals[:, parent] + loads[:, vi, None] * c
+        remaining = remaining[parent] - c
+        if not last and prune is not None and len(rows):
             keep = prune(rows)
-            rows, totals = rows[keep], totals[keep]
+            rows, totals, remaining = rows[keep], totals[:, keep], remaining[keep]
         if not len(rows):
             continue
-        if vi == nparts - 1:
+        if last:
             yield rows
         else:
-            stack.append((vi + 1, rows, totals))
+            stack.append((vi + 1, rows, totals, remaining))
 
 
 def composition_space(kappa: int, gamma: int, m: int) -> int:
@@ -164,14 +176,16 @@ def composition_space(kappa: int, gamma: int, m: int) -> int:
 
 
 def _best_of(ev: _Evaluator, batch_rows, best=None, evaluated=0):
-    """Fold batches into (value, ind_vector, pattern_row), lex tie-break."""
+    """Fold batches into (value, ind_vector, pattern_row), lex tie-break:
+    only a block's minimal rows can change the best, taken in index order."""
     for rows in batch_rows:
         vals = ev.objective(rows)
         evaluated += len(rows)
-        for i in np.argsort(vals, kind="stable"):
-            if best is not None and vals[i] > best[0]:
-                break
-            cand = (int(vals[i]), ev.independent_values(rows[i]), rows[i].copy())
+        low = vals.min(initial=np.iinfo(np.int64).max)
+        if best is not None and low > best[0]:
+            continue
+        for i in np.flatnonzero(vals == low):
+            cand = (int(low), ev.independent_values(rows[i]), rows[i].copy())
             if best is None or cand[:2] < best[:2]:
                 best = cand
     return best, evaluated
@@ -214,10 +228,12 @@ def _random_balanced(rng, kappa, loads, lo, hi, attempts=2000):
 def _local_search(ev, kappa, loads, lo, hi, config, deadline):
     """Seeded multi-restart steepest descent over single-column moves.
 
-    Every move (vi -> wi, vi != wi, vi-major) is a fixed step row, so one
-    descent step scores all balance-feasible moves at once.  The first
-    restart always runs to its local minimum; later ones stop at the
-    deadline.
+    Every move (vi -> wi, vi != wi, vi-major) is a fixed step row.  The
+    starts are drawn first (descents draw nothing); then one objective call
+    per step scores the balance-feasible moves of every restart still
+    improving, and each takes its first best move.  The clock is read
+    before each later start and step; past the deadline no start is drawn
+    and only the first restart descends on, to its local minimum.
     """
     rng = np.random.default_rng(config.seed)
     nparts = loads.shape[1]
@@ -225,31 +241,38 @@ def _local_search(ev, kappa, loads, lo, hi, config, deadline):
     vi, wi = np.nonzero(1 - eye)
     step = eye[wi] - eye[vi]
     shift = step @ loads.T
-    best = None
-    evaluated = 0
+    starts = []
     for restart in range(config.restarts):
         if restart and deadline is not None and time.monotonic() > deadline:
             break
-        n = _random_balanced(rng, kappa, loads, lo, hi)
-        val = int(ev.objective(n.reshape(1, -1))[0])
-        evaluated += 1
-        while True:
-            t2 = loads @ n + shift
-            ok = (n[vi] > 0) & ((t2 >= lo) & (t2 <= hi)).all(axis=1)
-            if not ok.any():
-                break
-            arr = n + step[ok]
-            vals = ev.objective(arr)
-            evaluated += len(arr)
-            i = int(np.argmin(vals))
-            if vals[i] >= val:
-                break
-            val = int(vals[i])
-            n = arr[i]
-        cand = (val, ev.independent_values(n), n.copy())
-        if best is None or cand[:2] < best[:2]:
-            best = cand
-    return best, evaluated
+        starts.append(_random_balanced(rng, kappa, loads, lo, hi))
+    n = np.array(starts)
+    val = ev.objective(n)
+    evaluated = len(n)
+    live = np.arange(len(n))  # restarts still descending
+    while len(live):
+        if len(live) > 1 and deadline is not None and time.monotonic() > deadline:
+            live = live[live == 0]
+            continue
+        t2 = (n[live] @ loads.T)[:, None, :] + shift
+        ok = (n[live][:, vi] > 0) & ((t2 >= lo) & (t2 <= hi)).all(axis=2)
+        seg, move = np.nonzero(ok)
+        if not len(seg):
+            break
+        # infeasible moves score above any count, so each restart's argmin
+        # is its first best move, and a restart without moves stops
+        vals = np.full(ok.shape, np.iinfo(np.int64).max)
+        vals[seg, move] = ev.objective(n[live[seg]] + step[move])
+        evaluated += len(seg)
+        move = vals.argmin(axis=1)
+        low = vals[np.arange(len(live)), move]
+        better = low < val[live]
+        live = live[better]
+        n[live] += step[move[better]]
+        val[live] = low[better]
+    ind = [tuple(row) for row in (n @ ev.independent.T).tolist()]
+    r = min(range(len(n)), key=lambda r: (int(val[r]), ind[r]))
+    return (int(val[r]), ind[r], n[r].copy()), evaluated
 
 
 def _branch_and_bound(ev, kappa, loads, lo, hi, config, deadline):

@@ -29,12 +29,14 @@ over cell sets (Rota, Z. Wahrscheinlichkeitstheorie 2, 1964) splits it into
 pieces D_K(x_K) = sum over nonempty J in K of (-1)**(|K|-|J|) Q_K(x_J, f_K-J),
 signed slices of one table at the current powers f, and the pieces of the
 nonempty K in a subset S add up to the weight of the cycles through S that
-are active at x_S, which is all that re-powering S changes.  One bincount
-per epoch gives every single-cell piece; a larger piece pools the few
-cycles that visit all of K by coefficient row and base residue, and is
-cached for the epoch.  An exhaustive round broadcast-adds its pieces into
-a p**s table and keeps its best candidate for repeats of the subset in the
-epoch; a sampled round reads the pieces at its candidates.
+are active at x_S, which is all that re-powering S changes.  Every
+single-cell piece reads visit counts by (cell, coefficient, base residue),
+which an accept updates only for the cycles through its cells; a larger
+piece pools the few cycles that visit all of K by coefficient row and base
+residue, reads each row's residues from an index table kept for the run,
+and is cached for the epoch.  An exhaustive round broadcast-adds its pieces
+into a p**s table and keeps its best candidate for repeats of the subset in
+the epoch; a sampled round reads the pieces at its candidates.
 """
 
 from __future__ import annotations
@@ -182,44 +184,62 @@ class _EpochScorer:
     4-cycle, so it scores the current count and is never accepted."""
 
     def __init__(self, system: CycleSystem, f_flat, f_sc: int, cap: int):
-        self.p, self.cap, self.built = system.p, cap, 0
-        self.res = (system.res6, system.res4)
+        p, self.p, self.cap, self.built = system.p, system.p, cap, 0
         self.kill = int(system.weight6.sum()) + 1
         self.weight = np.concatenate(
             [system.weight6, np.full(len(system.res4), self.kill)])
         self.visits = np.concatenate([system.visits6, system.visits4], axis=1)
-        # signed multiplicity of each cell in each cycle's walk
-        self.mult = np.zeros(self.visits.shape, dtype=np.int8)
-        for res, at in zip(self.res, (0, len(system.res6))):
-            np.add.at(self.mult, (res, at + np.arange(len(res))[:, None]),
-                      (-1) ** np.arange(res.shape[1]))
+        ncells, ncycles = self.visits.shape
+        # signed multiplicity of each cell in each cycle's walk; one walk
+        # position holds each cycle once, so a plain += adds every step
+        self.mult = np.zeros((ncells, ncycles), dtype=np.int8)
+        for res, at in ((system.res6, 0), (system.res4, len(system.res6))):
+            for j in range(res.shape[1]):
+                self.mult[res[:, j], at + np.arange(len(res))] += (-1) ** j
         # every (cell, cycle) visit: its coefficient v mod p, the start of
         # its (cell, v) block of p base residues, and its cycle's weight
         self.cell, self.cycle = np.nonzero(self.visits)
-        self.v = self.mult[self.cell, self.cycle].astype(np.int64) % self.p
-        self.block = (self.cell * self.p + self.v) * self.p
+        self.by_cell = np.searchsorted(self.cell, np.arange(ncells + 1))
+        if len(self.cycle) * self.kill >= 1 << 53:
+            raise ValueError("visit weights could pass 2**53, where the float64 "
+                             "visit counts stop being exact")
+        self.v = self.mult[self.cell, self.cycle].astype(np.int64) % p
+        self.block = (self.cell * p + self.v) * p
         self.visit_weight = self.weight[self.cycle]
+        self.lin, self.masks = {}, {}
+        # visit counts by (cell, v, base residue b) at all powers 0, where
+        # every sum and base residue is 0; start moves them to f_flat
+        self.f, self.sums = np.zeros_like(f_flat), np.zeros(ncycles, np.int64)
+        self.base = np.zeros(len(self.cycle), dtype=np.int64)
+        self.count = np.bincount(self.block, self.visit_weight,
+                                 ncells * p * p).astype(np.int64)
         self.start(f_flat, f_sc)
 
     def start(self, f_flat, f_sc: int):
-        """Begin an epoch at powers f_flat, whose lifted count is f_sc.  The
-        visits are counted by (cell, v, base residue b), and a cell's piece
-        at power x reads the residue b = (-v * x) mod p of each v."""
-        p, ncells = self.p, len(self.visits)
+        """Begin an epoch at powers f_flat, whose lifted count is f_sc.  Only
+        the visits of cycles through a re-powered cell move to new base
+        residues b; `single` is then re-read from the counts."""
+        p, moved = self.p, np.flatnonzero(f_flat != self.f)
+        self.sums += self.mult[moved].T @ (f_flat[moved] - self.f[moved])
+        redo = np.flatnonzero(self.visits[moved].any(axis=0)[self.cycle])
+        old = self.block[redo] + self.base[redo]
+        self.base[redo] = (self.sums[self.cycle[redo]]
+                           - self.v[redo] * f_flat[self.cell[redo]]) % p
+        weight = self.visit_weight[redo]
+        self.count += np.bincount(
+            np.concatenate([old, self.block[redo] + self.base[redo]]),
+            np.concatenate([-weight, weight]), len(self.count)).astype(np.int64)
         self.f, self.f_sc, self.pieces = f_flat.copy(), f_sc, {}
-        self.sums = np.concatenate([alternating_sum(f_flat[res]) for res in self.res])
-        base = (self.sums[self.cycle] - self.v * self.f[self.cell]) % p
-        count = np.bincount(self.block + base, self.visit_weight, ncells * p * p)
-        v = np.arange(p)[:, None]
-        self.single = count.astype(np.int64).reshape(ncells, p, p)[
-            :, v, -v * np.arange(p) % p].sum(axis=1)
+        v, x = np.arange(p)[:, None], np.arange(p)  # a piece at x reads b = -v * x
+        self.single = self.count.reshape(-1, p, p)[:, v, -v * x % p].sum(axis=1)
 
     def _forms(self, cells):
         """The cycles visiting every cell of K, pooled by coefficient row v
         (mult[K] mod p) and base residue b, where a cycle's sum at powers
         x_K is b + v @ x_K: the distinct rows and their (row, b) weights,
         or None when no cycle visits all of K."""
-        sel = np.flatnonzero(self.visits[cells].all(axis=0))
+        sel = self.cycle[self.by_cell[cells[0]]:self.by_cell[cells[0] + 1]]
+        sel = sel[self.visits[cells[1:, None], sel].all(axis=0)]
         if not len(sel):
             return None
         coef = self.mult[cells[:, None], sel].T.astype(np.int64) % self.p
@@ -237,19 +257,28 @@ class _EpochScorer:
         rows, pool = forms
         return pool[np.arange(len(rows))[:, None], -rows @ x % self.p].sum(axis=0)
 
+    def _lin(self, row):
+        """(-row @ x) mod p over all (p,) * |K| powers x, cached for the run."""
+        key = tuple(row)
+        if key not in self.lin:
+            grid = np.indices((self.p,) * len(key))
+            self.lin[key] = np.tensordot(-np.array(key), grid, 1) % self.p
+        return self.lin[key]
+
     def _piece(self, cells):
         """D_K over all p**|K| powers of the sorted cells K, a (p,) * |K|
         table cached until the next epoch; None when no cycle visits all of
-        K.  Applying 1 - E_j along every axis j, E_j fixing x_j = f_j, sums
-        the slices of every J in K, so the J = {} term is taken out."""
+        K.  Q_K is one gather per pooled row.  Applying 1 - E_j along every
+        axis j, E_j fixing x_j = f_j, sums the slices of every J in K, so
+        the J = {} term is taken out."""
         key = tuple(cells.tolist())
         if key not in self.pieces:
             forms, k, fk = self._forms(cells), len(cells), self.f[cells].tolist()
             if forms is not None:
-                grid = np.indices((self.p,) * k).reshape(k, -1)
-                q = piece = self._q(forms, grid).reshape((self.p,) * k)
+                rows, pool = forms
+                q = piece = sum(w[self._lin(v)] for v, w in zip(rows.tolist(), pool))
                 for j in range(k):
-                    piece = piece - np.take(piece, [fk[j]], axis=j)
+                    piece = piece - piece[(slice(None),) * j + (fk[j], None)]
                 piece -= (-1) ** k * q[tuple(fk)]
                 self.built += 1
             self.pieces[key] = None if forms is None else piece
@@ -272,15 +301,18 @@ class _EpochScorer:
         order = np.argsort(subset)
         cells, x = subset[order], None if cands is None else cands[:, order].T
         total = np.zeros((p,) * s if cands is None else len(cands), dtype=np.int64)
-        for mask in range(1, 2**s):
-            pos = [j for j in range(s) if mask >> j & 1]
+        if s not in self.masks:  # each nonempty mask's positions and table shape
+            self.masks[s] = [([j for j in range(s) if mask >> j & 1],
+                              [p if mask >> j & 1 else 1 for j in range(s)])
+                             for mask in range(1, 2**s)]
+        for pos, shape in self.masks[s]:
             if x is not None and p**len(pos) > self.cap:
                 total += self._piece_at(cells[pos], x[pos])
                 continue
             piece = (self.single[cells[pos[0]]] if len(pos) == 1
                      else self._piece(cells[pos]))
             if piece is not None and x is None:
-                total += piece.reshape([p if mask >> j & 1 else 1 for j in range(s)])
+                total += piece.reshape(shape)
             elif piece is not None:
                 total += piece[tuple(x[pos])]
         return total if x is not None else total.transpose(np.argsort(order))

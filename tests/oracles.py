@@ -23,7 +23,8 @@ from scldpc.overlaps import (IndependentOverlaps, PatternCounts,
                              independent_overlap_sets,
                              overlaps_from_partition, valid_overlap_sets)
 from scldpc.partition_opt import (BATCH, OptimizerConfig, _balanced_blocks,
-                                  _component_loads, balance_bounds)
+                                  _component_loads, _random_balanced,
+                                  balance_bounds)
 from scldpc.power_opt import (CpoConfig, CpoState, CycleSystem, TraceRow,
                               _candidate_chunks, weighted_theta)
 from scldpc.trapping_sets import (MAX_SUBSET_SIZE, MAX_WINDOW_COLUMNS,
@@ -1386,6 +1387,103 @@ def local_search(ev, kappa, loads, lo, hi, config, deadline):
         if best is None or cand[:2] < best[:2]:
             best = cand
     return best, evaluated
+
+
+# partition_opt's block expander before its children became one count
+# interval per parent: every child is built, then balance-filtered
+def filtered_balanced_blocks(kappa: int, loads: np.ndarray, lo: int, hi: int,
+                             block: int, prune=None):
+    """Pattern-count vectors summing to kappa with per-component totals in [lo, hi].
+
+    Yields arrays of rows in lexicographic order.  A frontier of partial
+    count vectors is expanded one pattern at a time, every count 0..remaining
+    at once (the last pattern takes exactly the remainder), and children are
+    dropped when a component total exceeds hi or can no longer reach lo.
+    Frontiers are handled depth-first off a stack, and parents are split by
+    their cumulative child count so one step builds about `block` rows.
+    `prune(rows)`, if given, returns a keep mask for each new frontier of
+    partial rows (patterns from the next one on still zero).
+    """
+    ncomp, nparts = loads.shape
+    suffix_max = np.zeros((nparts + 1, ncomp), dtype=np.int64)
+    for vi in range(nparts - 1, -1, -1):
+        suffix_max[vi] = np.maximum(suffix_max[vi + 1], loads[:, vi])
+    # entries (next pattern, partial count rows, their component totals)
+    stack = [(0, np.zeros((1, nparts), dtype=np.int64),
+              np.zeros((1, ncomp), dtype=np.int64))]
+    while stack:
+        vi, rows, totals = stack.pop()
+        remaining = kappa - rows.sum(axis=1)
+        first = remaining if vi == nparts - 1 else np.zeros_like(remaining)
+        width = remaining - first + 1
+        ends = np.cumsum(width)
+        take = max(int(np.searchsorted(ends, block, side="right")), 1)
+        if take < len(rows):
+            stack.append((vi, rows[take:], totals[take:]))
+        width, ends = width[:take], ends[:take]
+        parent = np.repeat(np.arange(take), width)
+        c = first[parent] + np.arange(len(parent)) - np.repeat(ends - width, width)
+        totals = totals[parent] + c[:, None] * loads[:, vi]
+        left = (remaining[parent] - c)[:, None] * suffix_max[vi + 1]
+        ok = ~((totals > hi).any(axis=1) | (totals + left < lo).any(axis=1))
+        # only the children that pass gather their parent's row
+        parent, totals = parent[ok], totals[ok]
+        rows = rows[parent]
+        rows[:, vi] = c[ok]
+        if vi < nparts - 1 and prune is not None and len(rows):
+            keep = prune(rows)
+            rows, totals = rows[keep], totals[keep]
+        if not len(rows):
+            continue
+        if vi == nparts - 1:
+            yield rows
+        else:
+            stack.append((vi + 1, rows, totals))
+
+
+
+# partition_opt's local search before its restarts descended in lockstep:
+# each restart is drawn and descends to its minimum before the next
+def sequential_local_search(ev, kappa, loads, lo, hi, config, deadline):
+    """Seeded multi-restart steepest descent over single-column moves.
+
+    Every move (vi -> wi, vi != wi, vi-major) is a fixed step row, so one
+    descent step scores all balance-feasible moves at once.  The first
+    restart always runs to its local minimum; later ones stop at the
+    deadline.
+    """
+    rng = np.random.default_rng(config.seed)
+    nparts = loads.shape[1]
+    eye = np.eye(nparts, dtype=np.int64)
+    vi, wi = np.nonzero(1 - eye)
+    step = eye[wi] - eye[vi]
+    shift = step @ loads.T
+    best = None
+    evaluated = 0
+    for restart in range(config.restarts):
+        if restart and deadline is not None and time.monotonic() > deadline:
+            break
+        n = _random_balanced(rng, kappa, loads, lo, hi)
+        val = int(ev.objective(n.reshape(1, -1))[0])
+        evaluated += 1
+        while True:
+            t2 = loads @ n + shift
+            ok = (n[vi] > 0) & ((t2 >= lo) & (t2 <= hi)).all(axis=1)
+            if not ok.any():
+                break
+            arr = n + step[ok]
+            vals = ev.objective(arr)
+            evaluated += len(arr)
+            i = int(np.argmin(vals))
+            if vals[i] >= val:
+                break
+            val = int(vals[i])
+            n = arr[i]
+        cand = (val, ev.independent_values(n), n.copy())
+        if best is None or cand[:2] < best[:2]:
+            best = cand
+    return best, evaluated
+
 
 
 def scan_alist_string(matrix: np.ndarray) -> str:

@@ -16,8 +16,9 @@ from scldpc.overlaps import (column_patterns, partition_from_overlaps,
 from scldpc.partition_opt import (OptimizerConfig, _balanced_blocks,
                                   _component_loads, _Evaluator, balance_bounds,
                                   composition_space, optimize)
-from oracles import (balanced_compositions, enumerate_feasible, local_search,
-                     loop_random_balanced)
+from oracles import (balanced_compositions, enumerate_feasible,
+                     filtered_balanced_blocks, local_search, loop_random_balanced,
+                     sequential_local_search)
 
 
 def brute_force_optimum(gamma, kappa, m, L, slack=0):
@@ -182,6 +183,102 @@ def test_block_expander_matches_recursive_oracle():
         empty += not len(expect)
         full += len(expect) > 100
     assert empty >= 5 and full >= 5
+
+
+def test_block_expander_matches_filtered_oracle():
+    # the count-interval expander against the build-then-filter one: the same
+    # blocks, and the same frontiers handed to a branch-and-bound style prune
+    rng = np.random.default_rng(12)
+    cases = [(3, 17, 1, 0, (1 << 15,)), (3, 15, 1, 1, (1 << 15,)), (3, 8, 1, 0, (7,))]
+    while len(cases) < 40:
+        g, m, k = int(rng.integers(2, 5)), int(rng.integers(0, 3)), int(rng.integers(1, 12))
+        if composition_space(k, g, m) <= 2_000 and (m + 1) ** g <= 27:
+            cases.append((g, k, m, int(rng.integers(0, 3)), (1 << 15, 1, 7)))
+    pruned = 0
+    for g, k, m, slack, blocks in cases:
+        ev, loads = _Evaluator(g, m, 6), _component_loads(g, m)
+        lo, hi = balance_bounds(g, k, m, slack)
+        bound = int(rng.integers(0, 4)) * max(k, 1) ** 3
+        for block in blocks:
+            for with_prune in (False, True):
+                runs = []
+                for expand in (_balanced_blocks, filtered_balanced_blocks):
+                    frontiers = []
+
+                    def prune(rows, frontiers=frontiers):
+                        frontiers.append(rows.copy())
+                        return ev.objective(rows) <= bound
+
+                    yields = list(expand(k, loads, lo, hi, block,
+                                         prune if with_prune else None))
+                    runs.append((yields, frontiers))
+                for got, want in zip(*runs):  # yields, then pruned frontiers
+                    assert len(got) == len(want), (g, k, m, slack, block, with_prune)
+                    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+                pruned += len(runs[0][1]) > 0
+    assert pruned >= 20
+
+
+def test_local_search_matches_sequential_oracle():
+    # lockstep restarts against one restart at a time: the same best point
+    # and the same number of evaluated rows
+    rng = np.random.default_rng(13)
+    for case in range(60):
+        g = int(rng.integers(2, 6))
+        m = int(rng.integers(0, 3 if g <= 3 else 2))
+        k = int(rng.integers(1, 14))
+        L = int(rng.integers(1, 9))
+        cfg = OptimizerConfig(strategy="local-search", seed=int(rng.integers(1000)),
+                              restarts=(1, 60, int(rng.integers(2, 25)))[case % 3],
+                              balance_slack=int(rng.integers(0, 3)))
+        args = (_Evaluator(g, m, L), k, _component_loads(g, m),
+                *balance_bounds(g, k, m, cfg.balance_slack), cfg, None)
+        (val, ind, row), evaluated = partition_opt._local_search(*args)
+        (want_val, want_ind, want_row), want_evaluated = sequential_local_search(*args)
+        assert (val, ind, evaluated) == (want_val, want_ind, want_evaluated)
+        assert np.array_equal(row, want_row)
+
+
+def test_branch_and_bound_counts_match_sequential_oracles(monkeypatch):
+    rng = np.random.default_rng(14)
+    cases = 0
+    while cases < 12:
+        g, m, k = int(rng.integers(2, 5)), int(rng.integers(0, 3)), int(rng.integers(2, 10))
+        if composition_space(k, g, m) > 20_000:
+            continue
+        cases += 1
+        cfg = OptimizerConfig(strategy="branch-and-bound", seed=int(rng.integers(100)),
+                              balance_slack=int(rng.integers(0, 2)))
+        L = int(rng.integers(1, 9))
+        got = optimize(g, k, m, L, cfg)
+        monkeypatch.setattr(partition_opt, "_local_search", sequential_local_search)
+        monkeypatch.setattr(partition_opt, "_balanced_blocks", filtered_balanced_blocks)
+        want = optimize(g, k, m, L, cfg)
+        monkeypatch.undo()
+        assert (got.f_star, got.overlaps.values, got.evaluated, got.certified) == (
+            want.f_star, want.overlaps.values, want.evaluated, want.certified)
+
+
+def test_local_search_deadline_lets_the_first_restart_finish(monkeypatch):
+    # a clock that advances one second per reading: the deadline passes
+    # after every start is drawn, before the first lockstep step
+    g, k, m, L = 4, 9, 1, 10
+    lo, hi = balance_bounds(g, k, m, 0)
+    args = (_Evaluator(g, m, L), k, _component_loads(g, m), lo, hi)
+    one = sequential_local_search(
+        *args, OptimizerConfig(strategy="local-search", seed=3, restarts=1), None)
+    full = partition_opt._local_search(
+        *args, OptimizerConfig(strategy="local-search", seed=3, restarts=20), None)
+    ticks = itertools.count()
+    monkeypatch.setattr(partition_opt, "time",
+                        SimpleNamespace(monotonic=lambda: float(next(ticks))))
+    cut = partition_opt._local_search(
+        *args, OptimizerConfig(strategy="local-search", seed=3, restarts=20), 18.5)
+    # readings 0-18 draw restarts 1-19; reading 19 stops all but the first
+    assert next(ticks) == 20
+    # all 20 starts, then the first restart's whole descent
+    assert cut[1] == 20 + one[1] - 1 < full[1]
+    assert cut[0][:2] <= one[0][:2]
 
 
 def test_random_balanced_matches_loop_oracle():

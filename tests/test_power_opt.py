@@ -380,6 +380,55 @@ def test_table_scores_match_dense_oracle(chunk):
         assert seen[key] > 0, key
 
 
+def test_incremental_start_matches_a_fresh_scorer():
+    # start recounts only the visits of cycles through re-powered cells;
+    # after each of several re-powerings it must hold what a scorer built
+    # at those powers holds.  Scrambled walks give net-zero visits (a cell
+    # at a + and a - step) and coefficients beyond +-1.
+    rng = np.random.default_rng(41)
+    seen = Counter()
+    for trial in range(100):
+        p = int(rng.choice([5, 7, 11, 6, 8, 9]))
+        system = random_system(rng, p)
+        if trial % 2:
+            scramble_walks(rng, system)
+        ncells = system.gamma * system.kappa
+        f = rng.integers(0, p, ncells).astype(np.int64)
+        scorer = _EpochScorer(system, f, system.f_sc(f), 8192)
+        for _ in range(int(rng.integers(2, 6))):
+            cells = rng.choice(ncells, min(int(rng.integers(1, 4)), ncells), replace=False)
+            f[cells] = rng.integers(0, p, len(cells))
+            scorer.start(f, system.f_sc(f))
+            fresh = _EpochScorer(system, f, system.f_sc(f), 8192)
+            assert np.array_equal(scorer.sums, fresh.sums)
+            assert np.array_equal(scorer.single, fresh.single)
+            assert np.array_equal(scorer.count, fresh.count)
+            subset = np.sort(rng.choice(ncells, min(3, ncells), replace=False))
+            assert np.array_equal(scorer.table_scores(subset), fresh.table_scores(subset))
+        seen["composite"] += p in (6, 8, 9)
+        seen["net-zero"] += int(((scorer.mult == 0) & scorer.visits).sum())
+        seen["four-cycles"] += len(system.res4)
+        # every cached index table is (-row @ x) mod p over the power grid
+        for row, table in scorer.lin.items():
+            k = len(row)
+            grid = np.indices((p,) * k).reshape(k, -1)
+            assert np.array_equal(table, ((-np.array(row) @ grid) % p).reshape((p,) * k))
+            seen[f"lin{k}"] += 1
+    for key in ("composite", "net-zero", "four-cycles", "lin2", "lin3"):
+        assert seen[key] > 0, key
+
+
+def test_epoch_scorer_rejects_inexact_visit_weights():
+    # each visit weighs at most kill, which exceeds all 6-cycles together
+    part = partition_from_cutting_vector([2, 4, 6], 3, 7)
+    system = CycleSystem(spec_for(3, 7, 7, part, 10))
+    f = np.zeros(system.gamma * system.kappa, dtype=np.int64)
+    _EpochScorer(system, f, system.f_sc(f), 8192)
+    system.weight6 = np.full(len(system.res6), (1 << 53) // len(system.res6))
+    with pytest.raises(ValueError, match="2\\*\\*53"):
+        _EpochScorer(system, f, system.f_sc(f), 8192)
+
+
 # (f_sc, rounds, sha256 of the trace CSV) recorded with the dense
 # per-candidate scorer (oracles.dense_candidate_scores); the first config
 # mixes exhaustive and sampled rounds, the second has composite p
