@@ -1,5 +1,6 @@
-"""Brute-force reference implementations used to validate the closed forms.
+"""Slow reference implementations, one per fast path of the library.
 
+Each reference's docstring names the library function it checks.
 Everything here trades speed for obviousness: direct subgraph walks over
 dense matrices, no combinatorial shortcuts beyond basic pruning.
 """
@@ -16,20 +17,16 @@ from scldpc import power_opt
 from scldpc.code_model import (PartitionMatrix, SCCodeSpec, ab_code,
                                as_column_lists, sc_lift,
                                sc_protograph, window)
-from scldpc.cycle_census import (CycleCensus, _row_pair_overlaps,
-                                 alternating_sum)
+from scldpc.cycle_census import CycleCensus, _row_pair_overlaps
 from scldpc.overlaps import (IndependentOverlaps, PatternCounts,
                              column_patterns, cover_matrix,
                              independent_overlap_sets,
                              overlaps_from_partition, valid_overlap_sets)
 from scldpc.partition_opt import (BATCH, OptimizerConfig, _balanced_blocks,
-                                  _component_loads, _random_balanced,
-                                  balance_bounds)
-from scldpc.power_opt import (CpoConfig, CpoState, CycleSystem, TraceRow,
+                                  _component_loads, balance_bounds)
+from scldpc.power_opt import (CpoConfig, CycleSystem, TraceRow,
                               _candidate_chunks, weighted_theta)
-from scldpc.trapping_sets import (MAX_SUBSET_SIZE, MAX_WINDOW_COLUMNS,
-                                  InducedConfig, _fold_orbit_tallies,
-                                  replica_span)
+from scldpc.trapping_sets import InducedConfig, replica_span
 
 
 def random_partition(rng, gamma: int, kappa: int, m: int) -> PartitionMatrix:
@@ -91,19 +88,22 @@ def find_cycles4(h: np.ndarray):
 
 
 def brute_cycles6(h) -> int:
-    """6-cycles of a 0/1 matrix, by listing every one."""
+    """6-cycles of a 0/1 matrix, by listing every one; the reference for
+    cycle_census.count_cycles6 on matrices small enough to list."""
     return len(find_cycles6(h))
 
 
 def brute_cycles4(h) -> int:
-    """4-cycles of a 0/1 matrix, by listing every one."""
+    """4-cycles of a 0/1 matrix, by listing every one; the reference for
+    cycle_census.count_cycles4."""
     return len(find_cycles4(h))
 
 
 def sorted_key_cycles6(h, chunk: int = 1 << 15) -> int:
     """6-cycles of a 0/1 matrix from its row-pair overlaps, each triangle
     i < j < k of the overlap graph found at i and closed by a searchsorted
-    lookup of (j, k) in the sorted pair keys, chunk wedges at a time."""
+    lookup of (j, k) in the sorted pair keys, chunk wedges at a time; the
+    reference for cycle_census.count_cycles6 at sizes too large to list."""
     ones = as_column_lists(h)
     n_rows = ones.shape[0]
     keys, overlap, excess = _row_pair_overlaps(ones)
@@ -134,7 +134,8 @@ def sorted_key_cycles6(h, chunk: int = 1 << 15) -> int:
 
 
 def dense_sc_lift(spec) -> np.ndarray:
-    """Lifted coupled matrix, by OR-ing every replica's lifted components in."""
+    """Lifted coupled matrix, by OR-ing every replica's lifted components
+    in; the reference for code_model.sc_lift."""
     g, k, p, m, L = spec.gamma, spec.kappa, spec.p, spec.m, spec.L
     f, b = spec.block.powers, np.arange(p)
     out = np.zeros(((L + m) * g * p, L * k * p), dtype=np.uint8)
@@ -435,7 +436,8 @@ def loop_cover_matrix(gamma: int, m: int, row_sets) -> np.ndarray:
 
 def kernel_objective(gamma: int, m: int, L: int, batch: np.ndarray) -> np.ndarray:
     """Weighted 6-cycle total for each pattern-count row of the batch, by
-    the three kernels compiled over span_terms and vectorized over rows."""
+    the three kernels compiled over span_terms and vectorized over rows;
+    the reference for partition_opt._Evaluator.objective."""
     ind = independent_overlap_sets(gamma, m)
     needed = list(ind)
     seen = set(needed)
@@ -486,18 +488,20 @@ def kernel_objective(gamma: int, m: int, L: int, batch: np.ndarray) -> np.ndarra
     return out
 
 
-def dense_candidate_scores(system, f_flat, subset, p) -> np.ndarray:
-    """Lifted 6-cycle count after each joint power assignment of `subset`.
+def dense_candidate_scores(system, f_flat, subset, p, cands=None) -> np.ndarray:
+    """Lifted 6-cycle count after each joint power assignment of `subset`;
+    the reference for power_opt._EpochScorer.table_scores and dense_scores.
 
-    All p**len(subset) assignments in lexicographic order, scored by
-    evaluating every touched cycle's signed power sum at every candidate.
-    A candidate that activates a touched 4-cycle scores the current count.
+    The (n, len(subset)) candidate rows, all p**len(subset) assignments in
+    lexicographic order when cands is None, scored by evaluating every
+    touched cycle's signed power sum at every candidate.  A candidate that
+    activates a touched 4-cycle scores the current count.
     """
     subset = np.asarray(subset, dtype=np.int64)
     signs6 = np.array([1, -1, 1, -1, 1, -1], dtype=np.int64)
     signs4 = signs6[:4]
-    cands = np.array(list(itertools.product(range(p), repeat=len(subset))),
-                     dtype=np.int64)
+    if cands is None:
+        cands = np.indices((p,) * len(subset)).reshape(len(subset), -1).T
     f_sc = system.f_sc(f_flat)
 
     def forms(res, signs):
@@ -513,372 +517,73 @@ def dense_candidate_scores(system, f_flat, subset, p) -> np.ndarray:
     w6 = system.weight6[touched6]
     f_cand = np.full(len(cands), f_sc - int(w6[now6 % p == 0].sum()),
                      dtype=np.int64)
-    f_cand += (w6[:, None] * ((base6[:, None] + coef6 @ cands.T) % p == 0)).sum(axis=0)
-    f_cand[((base4[:, None] + coef4 @ cands.T) % p == 0).any(axis=0)] = f_sc
+    # about a million (cycle, candidate) sums at a time
+    step = max(1, (1 << 20) // max(len(base6), len(base4), 1))
+    for lo in range(0, len(cands), step):
+        x, out = cands[lo:lo + step].T, f_cand[lo:lo + step]
+        out += (w6[:, None] * ((base6[:, None] + coef6 @ x) % p == 0)).sum(axis=0)
+        out[((base4[:, None] + coef4 @ x) % p == 0).any(axis=0)] = f_sc
     return f_cand
 
 
-def _active_table(p: int, base, coef, weight=None) -> np.ndarray:
-    """Weight (count when weight is None) of the cycles active at every joint
-    power assignment x of a subset, as a (p**(s-1), p) table: one row per
-    prefix x[:-1] in lexicographic order, one column per last power.
+def replay_run_cpo(spec: SCCodeSpec, config: CpoConfig):
+    """power_opt.run_cpo's round loop, every round scored afresh by
+    dense_candidate_scores: no epoch pieces and no cache of the subsets an
+    epoch has scored.  Returns (powers, f_sc, trace).
 
-    A cycle's sum is base + coef @ x.  Its residue r over the prefix is
-    built up one power at a time; with the prefix fixed the cycle is active
-    exactly where r + v*x[-1] = 0 mod p for its last coefficient v, so each
-    last power needs the one residue (-v*x[-1]) % p.  Cycles are counted
-    per (class, prefix, r), a class being a (v, weight) pair, and every
-    column reads its residue from each class.  This covers v = 0 (the whole
-    row) and v sharing a factor with a composite p alike.
+    The subset-size schedule, the theta order, the roaming subsets of the
+    stale passes and the seeded candidate draws follow run_cpo.  Seeded
+    configs only: there is no time budget and no argument check.
     """
-    n, x = len(base), np.arange(p)
-    r = base[:, None] % p
-    for j in range(coef.shape[1] - 1):
-        r = (r[:, :, None] + coef[:, j, None, None] * x) % p
-        r = r.reshape(n, r.shape[1] * p)
-    n_pre = r.shape[1]
-    w = np.ones(n, dtype=np.int64) if weight is None else weight
-    classes, cls = np.unique(np.stack([coef[:, -1] % p, w], axis=1), axis=0,
-                             return_inverse=True)
-    r += np.arange(n_pre) * p
-    r += (cls * (n_pre * p))[:, None]
-    cube = np.bincount(r.ravel(), minlength=len(classes) * n_pre * p)
-    cube = cube.reshape(len(classes), n_pre, p)
-    need = (-classes[:, :1] * x) % p
-    active = np.take_along_axis(cube, need[:, None, :], axis=2)
-    return np.tensordot(classes[:, 1], active, axes=1)
-
-
-def _linear_forms(res, visits, subset, f_flat):
-    """Signed power sums of the cycles through `subset` as base + coef @ x.
-
-    x holds the subset cells' powers and coef[:, j] is the signed
-    multiplicity of subset cell j in each touched cycle's walk.  A cycle is
-    touched when it visits a subset cell, even with a net coefficient of
-    zero.  Returns the touched cycle indices, base and coef.
-    """
-    touched = np.flatnonzero(visits[subset].any(axis=0))
-    cells = res[touched]
-    coef = alternating_sum(cells[:, None, :] == subset[:, None])
-    base = alternating_sum(f_flat[cells]) - coef @ f_flat[subset]
-    return touched, base, coef
-
-
-class _SubsetScorer:
-    """Lifted 6-cycle count after re-powering one cell subset.
-
-    Only the cycles through the subset change.  A touched cycle's sum is
-    base + v @ x, so it is active exactly where base = -v @ x mod p.  The
-    touched cycles are pooled by their coefficient row v mod p: entry
-    i * p + b of pool weighs the cycles of row rows[i] with base residue b,
-    and at powers x row i adds pool[i * p + (-rows[i] @ x) % p].  A touched
-    4-cycle weighs `kill`, more than all touched 6-cycles together, so a
-    candidate whose pooled weight reaches kill activates a 4-cycle; it
-    scores the current count and is never accepted.
-    """
-
-    def __init__(self, system: CycleSystem, f_flat: np.ndarray, subset, f_sc: int):
-        p = system.p
-        self.p, self.size, self.f_sc = p, len(subset), f_sc
-        touched6, base6, coef6 = _linear_forms(
-            system.res6, system.visits6, subset, f_flat)
-        _, base4, coef4 = _linear_forms(system.res4, system.visits4, subset, f_flat)
-        w6 = system.weight6[touched6]
-        self.kill = int(w6.sum()) + 1
-        coef = np.concatenate([coef6, coef4]) % p
-        order = np.lexsort(coef.T)
-        coef = coef[order]
-        new = np.ones(len(coef), dtype=bool)
-        new[1:] = (coef[1:] != coef[:-1]).any(axis=1)
-        self.rows = coef[new]
-        self.at = p * np.arange(len(self.rows))
-        self.pool = np.zeros(len(self.rows) * p, dtype=np.int64)
-        np.add.at(self.pool,
-                  self.at[np.cumsum(new) - 1]
-                  + np.concatenate([base6, base4])[order] % p,
-                  np.concatenate([w6, np.full(len(base4), self.kill)])[order])
-        # the subset's current powers may close a touched 4-cycle
-        now = self._pooled(self.rows, self.at, f_flat[subset, None])
-        self.f_rest = f_sc - int(now[0]) % self.kill
-
-    def _pooled(self, rows, at, x):
-        """Pooled weight active at each column of the (size, n) powers x,
-        summed over the given rows, whose pool entries start at `at`."""
-        return self.pool[(-rows @ x) % self.p + at[:, None]].sum(axis=0)
-
-    def _scores(self, total):
-        return np.where(total >= self.kill, self.f_sc, self.f_rest + total)
-
-    def dense_scores(self, cands: np.ndarray) -> np.ndarray:
-        """Scores of the given (n, size) candidate rows."""
-        return self._scores(self._pooled(self.rows, self.at, cands.T))
-
-    def table_scores(self) -> np.ndarray:
-        """Scores of all p**size candidates, in lexicographic order.
-
-        Each row's pooled weight depends only on the powers of its support,
-        the columns where it is nonzero, so the rows of one support are
-        summed over the p**|S| powers of S and broadcast along the rest.
-        """
-        p, s = self.p, self.size
-        table = np.zeros((p,) * s, dtype=np.int64)
-        supports = (self.rows != 0) @ (1 << np.arange(s))
-        for mask in set(supports.tolist()):
-            mine = supports == mask
-            bits = [mask >> j & 1 for j in range(s)]
-            cols = np.flatnonzero(bits)
-            grid = np.indices((p,) * len(cols)).reshape(len(cols), p ** len(cols))
-            total = self._pooled(self.rows[mine][:, cols], self.at[mine], grid)
-            table += total.reshape([p if bit else 1 for bit in bits])
-        return self._scores(table.ravel())
-
-
-def subset_scorer_run_cpo(spec: SCCodeSpec, config: CpoConfig) -> CpoState:
-    """power_opt.run_cpo as it was with one _SubsetScorer per round: every
-    round rebuilds its touched cycles' pooled linear forms.
-
-    Minimize the lifted 6-cycle count by local power changes.
-
-    Starts from spec.block.powers, which must not induce lifted 4-cycles.
-    Accepted moves strictly decrease the count and never create a 4-cycle;
-    the trace logs one row per round (the best candidate tried).
-    """
-    if spec.L < spec.m + 1:
-        raise ValueError("power optimization expects L >= m + 1")
     system = CycleSystem(spec)
     p, g, kp = spec.p, spec.gamma, spec.kappa
-    f = spec.block.powers.astype(np.int64).copy()
-    f_flat = f.ravel()
-    if system.count_active4(f_flat):
-        raise ValueError("initial powers induce lifted 4-cycles; start cycle-4-free")
-
+    f_flat = spec.block.powers.astype(np.int64).ravel()
     rng = np.random.default_rng(config.seed)
-    sampling = config.power_candidates is not None or any(
-        p**s > config.exhaustive_cap for s in config.subset_size_schedule
-    )
-    if sampling and config.seed is None:
-        raise ValueError("a seed is required when candidates are sampled")
-
+    schedule = config.subset_size_schedule
     f_sc = system.f_sc(f_flat)
-    theta = weighted_theta(system, f_flat)
-    trace: list[TraceRow] = []
-    rounds = 0
-    stale = 0
-    level = 0
-    start = time.monotonic()
-
+    trace = []
+    stale = level = 0
     while f_sc > config.target_f_sc:
-        if (
-            config.time_budget_s is not None
-            and time.monotonic() - start > config.time_budget_s
-        ):
-            break
-        size = min(config.subset_size_schedule[level], g * kp)
+        size = min(schedule[level], g * kp)
         # highest theta first, ties in row-major cell order
-        order = np.argsort(-theta.ravel(), kind="stable")
+        order = np.argsort(-weighted_theta(system, f_flat).ravel(), kind="stable")
         if stale == 0:
             subset = order[:size]
         else:
-            # retry passes roam: sample the subset from the high-score
-            # region instead of always taking the exact top
             pool = order[: min(len(order), max(4 * size, 12))]
             subset = np.sort(rng.choice(pool, size=size, replace=False))
-        rounds += 1
-
-        scorer = _SubsetScorer(system, f_flat, subset, f_sc)
-        f_best = f_sc
-        best_row = None
         if config.power_candidates is None and p**size <= config.exhaustive_cap:
-            first_row = np.zeros(size, dtype=np.int64)
-            f_cand = scorer.table_scores()
+            chunks = [np.indices((p,) * size).reshape(size, -1).T]
+        else:
+            n_sampled = config.power_candidates or config.exhaustive_cap
+            chunks = _candidate_chunks(rng, p, size, n_sampled)
+        f_best, best, first = f_sc, None, None
+        for cands in chunks:
+            first = cands[0] if first is None else first
+            f_cand = dense_candidate_scores(system, f_flat, subset, p, cands)
             n = int(np.argmin(f_cand))
             if f_cand[n] < f_best:
-                f_best = int(f_cand[n])
-                best_row = np.array(np.unravel_index(n, (p,) * size))
-        else:
-            first_row = None
-            n_sampled = (config.exhaustive_cap if config.power_candidates is None
-                         else config.power_candidates)
-            for cands in _candidate_chunks(rng, p, size, n_sampled):
-                if first_row is None:
-                    first_row = cands[0].copy()
-                f_cand = scorer.dense_scores(cands)
-                n = int(np.argmin(f_cand))
-                if f_cand[n] < f_best:
-                    f_best = int(f_cand[n])
-                    best_row = cands[n].copy()
-        accepted = best_row is not None
-        tried = best_row if accepted else first_row
-        trace.append(
-            TraceRow(
-                rounds,
-                tuple((int(c) // kp, int(c) % kp) for c in subset),
-                tuple(int(v) for v in tried),
-                f_sc,
-                f_best if accepted else f_sc,
-                accepted,
-            )
-        )
-        if accepted:
-            f_flat[subset] = best_row
+                f_best, best = int(f_cand[n]), cands[n]
+        trace.append(TraceRow(
+            len(trace) + 1, tuple((int(c) // kp, int(c) % kp) for c in subset),
+            tuple(int(v) for v in (first if best is None else best)),
+            f_sc, f_best, best is not None))
+        if best is not None:
+            f_flat[subset] = best
             f_sc = system.f_sc(f_flat)
-            if f_sc != f_best:
-                raise RuntimeError(
-                    f"incremental count drifted: scored {f_best}, recounted {f_sc}")
-            n4 = system.count_active4(f_flat)
-            if n4:
-                raise RuntimeError(
-                    f"accepted powers activate {n4} lifted 4-cycles, expected 0")
-            theta = weighted_theta(system, f_flat)
-            level = 0
-            stale = 0
+            stale = level = 0
             continue
-        level += 1
-        if level >= len(config.subset_size_schedule):
-            level = 0
+        level = (level + 1) % len(schedule)
+        if level == 0:
             stale += 1
-            if config.seed is None and not sampling:
-                break
             if stale >= config.max_stale_rounds:
                 break
-
-    return CpoState(
-        powers=f_flat.reshape(g, kp),
-        f_sc=f_sc,
-        theta=theta,
-        trace=trace,
-        rounds=rounds,
-        reached_target=f_sc <= config.target_f_sc,
-        scored=rounds,
-        reused=0,
-        pieces=0,
-        cut_short=False,
-    )
-
-
-def _scorer_forms(system, f_flat, subset):
-    """Linear forms of the touched 6- and 4-cycles, as the library builds
-    them: (base6, coef6, w6, base4, coef4, f_rest)."""
-    touched6, base6, coef6 = _linear_forms(system.res6, system.visits6,
-                                           subset, f_flat)
-    _, base4, coef4 = _linear_forms(system.res4, system.visits4, subset, f_flat)
-    w6 = system.weight6[touched6]
-    now = (base6 + coef6 @ f_flat[subset]) % system.p == 0
-    return base6, coef6, w6, base4, coef4, system.f_sc(f_flat) - int(w6[now].sum())
-
-
-def _lead_heads(p: int, size: int, chunk: int):
-    """Leading powers to loop over so no table has more than `chunk`
-    prefix rows, as (lead, heads)."""
-    lead = 0
-    while p ** (size - 1 - lead) > chunk:
-        lead += 1
-    return lead, [np.array(h, dtype=np.int64)
-                  for h in itertools.product(range(p), repeat=lead)]
-
-
-def prefix_table_scores(system, f_flat, subset, chunk: int = 32768) -> np.ndarray:
-    """Scores of all p**len(subset) candidates, in lexicographic order, by
-    tabulating every touched cycle over all p**(size-1) power prefixes."""
-    p, f_sc = system.p, system.f_sc(f_flat)
-    base6, coef6, w6, base4, coef4, f_rest = _scorer_forms(system, f_flat, subset)
-    lead, heads = _lead_heads(p, len(subset), chunk)
-    out = []
-    for head in heads:
-        f_cand = f_rest + _active_table(
-            p, base6 + coef6[:, :lead] @ head, coef6[:, lead:], w6)
-        kills = _active_table(p, base4 + coef4[:, :lead] @ head, coef4[:, lead:])
-        f_cand[kills > 0] = f_sc
-        out.append(f_cand.ravel())
-    return np.concatenate(out)
-
-
-def _support_table(p: int, base, coef, weight) -> np.ndarray:
-    """Weight of the cycles active at every joint power assignment x of a
-    subset, as an array of shape (p,) * s indexed by x.
-
-    A cycle's sum is base + coef @ x and depends only on its support, the
-    columns j with coef[:, j] % p != 0, so a cycle with support S is
-    tabulated over the p**|S| assignments of S alone and broadcast along
-    the other axes; a cycle with an empty support is a constant.  Within a
-    support the residue r over the prefix x[S[:-1]] is built up one power
-    at a time; with the prefix fixed the cycle is active exactly where
-    r + v*x[S[-1]] = 0 mod p for its last coefficient v, so each last power
-    needs the one residue (-v*x[S[-1]]) % p.  All supports of one size
-    share one bincount over (support, v, weight) classes, prefixes and
-    residues, and every last power reads its residue from each class.
-    This covers v sharing a factor with a composite p.
-    """
-    n, s = coef.shape
-    x = np.arange(p)
-    live = coef % p != 0
-    size = live.sum(axis=1)
-    order = np.argsort(size, kind="stable")
-    base, coef, live = base[order] % p, coef[order], live[order]
-    weight = weight[order]
-    wvals, wcls = np.unique(weight, return_inverse=True)
-    nw = len(wvals)
-    sup = live @ (1 << np.arange(s))
-    flat = coef[live] % p  # each cycle's support coefficients, in order
-    ends = np.cumsum(np.bincount(size, minlength=s + 1)).tolist()
-    const = weight[:ends[0]][base[:ends[0]] == 0].sum()
-    table = np.full((p,) * s, const, dtype=np.int64)
-    at = 0  # start of this size's coefficients in flat
-    for k in range(1, s + 1):
-        a, b = ends[k - 1], ends[k]
-        if a == b:
-            continue
-        c = flat[at:at + (b - a) * k].reshape(b - a, k)
-        at += (b - a) * k
-        r = base[a:b, None]
-        for j in range(k - 1):
-            r = (r[:, :, None] + c[:, j, None, None] * x) % p
-            r = r.reshape(b - a, r.shape[1] * p)
-        n_pre = r.shape[1]
-        # classes present among this size's (support, v, weight) keys
-        key = (sup[a:b] * p + c[:, -1]) * nw + wcls[a:b]
-        hit = np.bincount(key, minlength=(2 ** s) * p * nw) > 0
-        classes = np.flatnonzero(hit)
-        cls = (np.cumsum(hit) - 1)[key]
-        r += ((cls * n_pre)[:, None] + np.arange(n_pre)) * p
-        cube = np.bincount(r.ravel(), minlength=len(classes) * n_pre * p)
-        cls_sup, v = np.divmod(classes // nw, p)
-        rows = (np.arange(len(classes) * n_pre) * p).reshape(-1, n_pre, 1)
-        need = (-v[:, None] * x) % p
-        active = cube[rows + need[:, None, :]].reshape(len(classes), n_pre * p)
-        active *= wvals[classes % nw, None]
-        # classes are sorted by support: sum each support's run of them
-        masks = np.flatnonzero(hit.reshape(2 ** s, p * nw).any(axis=1))
-        sums = np.add.reduceat(active, np.searchsorted(cls_sup, masks))
-        for mask, t in zip(masks.tolist(), sums):
-            table += t.reshape([p if mask >> j & 1 else 1 for j in range(s)])
-    return table
-
-
-def support_table_scores(system, f_flat, subset, chunk: int = 32768) -> np.ndarray:
-    """Scores of all p**len(subset) candidates, in lexicographic order, from
-    one _support_table per run of leading powers: each touched cycle is
-    tabulated over its support's prefix residues, and a touched 4-cycle
-    weighs more than all touched 6-cycles together."""
-    p, f_sc = system.p, system.f_sc(f_flat)
-    base6, coef6, w6, base4, coef4, f_rest = _scorer_forms(system, f_flat, subset)
-    kill = int(w6.sum()) + 1
-    base = np.concatenate([base6, base4])
-    coef = np.concatenate([coef6, coef4])
-    weight = np.concatenate([w6, np.full(len(base4), kill)])
-    lead, heads = _lead_heads(p, len(subset), chunk)
-    out = []
-    for head in heads:
-        table = _support_table(p, base + coef[:, :lead] @ head, coef[:, lead:],
-                               weight)
-        f_cand = f_rest + table
-        f_cand[table >= kill] = f_sc
-        out.append(f_cand.ravel())
-    return np.concatenate(out)
+    return f_flat.reshape(g, kp), f_sc, trace
 
 
 def sourced_refine_layout(partition: PartitionMatrix, p: int, L: int):
-    """Column arrangement of a partition minimizing the lifted count at AB powers.
+    """Column arrangement of a partition minimizing the lifted count at AB
+    powers; the reference for power_opt.refine_layout.
 
     Reordering partition columns while keeping AB powers is equivalent to
     keeping the partition and permuting power columns, so candidates are
@@ -956,30 +661,22 @@ def direct_overlap(partition: PartitionMatrix, rows) -> int:
     return int(mask.sum())
 
 
-def _column_rows(w: np.ndarray):
-    return [np.nonzero(w[:, c])[0] for c in range(w.shape[1])]
+def _species_tally(h, species, roots, key) -> dict:
+    """Instances of species among the connected column subsets of h whose
+    lowest column is one of roots, tallied by key(subset).
 
-
-def _adjacency_lists(w: np.ndarray):
-    dense = w.astype(np.float32)
-    shared = dense.T @ dense
-    np.fill_diagonal(shared, 0.0)
-    return [np.nonzero(shared[c] > 0)[0].tolist() for c in range(w.shape[1])]
-
-
-def connected_species_count(h: np.ndarray, species) -> int:
-    """Species instances anywhere in h, by connected subset search.
-
-    Every column is a search root.  Check degrees and the number of odd
-    checks are Python ints updated as a column enters or leaves the subset.
+    Each connected subset of species.a columns is listed once, from its
+    lowest column.  Check degrees and the number of odd checks are Python
+    ints updated as a column enters or leaves the subset.
     """
     h = np.asarray(h, dtype=bool)
-    rows = [r.tolist() for r in _column_rows(h)]
-    nbr = _adjacency_lists(h)
+    rows = [np.flatnonzero(col).tolist() for col in h.T]
+    shared = h.T.astype(np.float32) @ h.astype(np.float32)
+    np.fill_diagonal(shared, 0.0)
+    nbr = [np.flatnonzero(col).tolist() for col in shared]
     deg = [0] * h.shape[0]
     odd = 0
-    a = species.a
-    total = 0
+    tally = {}
 
     def move(c, step):
         nonlocal odd
@@ -998,9 +695,13 @@ def connected_species_count(h: np.ndarray, species) -> int:
         return True
 
     def extend(sub, ext, blocked, root):
-        nonlocal total
-        if len(sub) == a:
-            total += matches(sub)
+        # ext holds unprocessed extension candidates; blocked is the
+        # subset plus every neighbor seen so far, which keeps each
+        # connected subset from being produced twice
+        if len(sub) == species.a:
+            if matches(sub):
+                k = key(sub)
+                tally[k] = tally.get(k, 0) + 1
             return
         ext = list(ext)
         while ext:
@@ -1010,211 +711,37 @@ def connected_species_count(h: np.ndarray, species) -> int:
             extend(sub + [cand], ext + grow, blocked | set(grow), root)
             move(cand, -1)
 
-    for root in range(h.shape[1]):
+    for root in roots:
         seeds = [u for u in nbr[root] if u > root]
         move(root, 1)
         extend([root], seeds, {root} | set(seeds), root)
         move(root, -1)
-    return total
+    return tally
 
 
-def unique_species_count(h: np.ndarray, species) -> int:
-    """Species instances anywhere in h, by connected subset search that
-    recounts each subset's odd checks with np.unique; the reference for
-    connected_species_count."""
-    h = np.asarray(h, dtype=bool)
-    rows = _column_rows(h)
-    nbr = _adjacency_lists(h)
-    counts = np.zeros(h.shape[0], dtype=np.int64)
-    a = species.a
-    total = 0
-
-    def matches(sub) -> bool:
-        for c in sub:
-            counts[rows[c]] += 1
-        touched = np.unique(np.concatenate([rows[c] for c in sub]))
-        deg = counts[touched]
-        ok = int((deg % 2 == 1).sum()) == species.b
-        if ok and species.kind == "AS":
-            for c in sub:
-                d = counts[rows[c]]
-                n_odd = int((d % 2 == 1).sum())
-                if len(rows[c]) - n_odd <= n_odd:
-                    ok = False
-                    break
-        for c in sub:
-            counts[rows[c]] -= 1
-        return ok
-
-    def extend(sub, ext, blocked, root):
-        nonlocal total
-        if len(sub) == a:
-            if matches(sub):
-                total += 1
-            return
-        ext = list(ext)
-        while ext:
-            cand = ext.pop()
-            grow = [u for u in nbr[cand] if u > root and u not in blocked]
-            extend(sub + [cand], ext + grow, blocked | set(grow), root)
-
-    for root in range(h.shape[1]):
-        if a == 1:
-            if matches([root]):
-                total += 1
-            continue
-        seeds = [u for u in nbr[root] if u > root]
-        extend([root], seeds, {root} | set(seeds), root)
-    return total
+def connected_species_count(h: np.ndarray, species) -> int:
+    """Species instances anywhere in h, by connected subset search from
+    every column; the reference for trapping_sets.enumerate_objects over a
+    whole lift."""
+    return sum(_species_tally(h, species, range(h.shape[1]),
+                              lambda sub: None).values())
 
 
 def windowed_species_census(spec, species) -> CycleCensus:
-    """Per-span species counts by windowed search from every replica-1 root.
+    """Per-span species counts by windowed search from every replica-1
+    root; the reference for trapping_sets.enumerate_objects.
 
-    Enumerates connected variable subsets of size species.a inside the
-    first window of (path_vns - 1) * m + 1 replicas whose lowest column
-    falls in replica 1, classifies each, and tags it with its exact
-    replica span k.  The per-span counts weighted by (L - k + 1) give
-    the full-matrix total.
+    Lists the connected variable subsets of size species.a inside the first
+    window of (path_vns - 1) * m + 1 replicas whose lowest column falls in
+    replica 1, and tags each instance with its exact replica span k.  The
+    per-span counts weighted by (L - k + 1) give the full-matrix total.
     """
-    if species.a > MAX_SUBSET_SIZE:
-        raise ValueError(
-            "subset search capped at a <= %d; use the closed-form cycle "
-            "census for protograph-scale audits" % MAX_SUBSET_SIZE)
     chi = min(replica_span(species.path_vns, spec.m), spec.L)
     w = window(spec, 1, chi, lifted=True)
-    ncols = w.shape[1]
-    if ncols > MAX_WINDOW_COLUMNS:
-        raise ValueError(
-            "window has %d columns (cap %d); use the closed-form cycle "
-            "census for protograph-scale audits" % (ncols, MAX_WINDOW_COLUMNS))
-    cols_per_replica = spec.kappa * spec.p
-    rows = _column_rows(w)
-    nbr = _adjacency_lists(w)
-    nrows = w.shape[0]
-    a = species.a
-    want_as = species.kind == "AS"
-    per_span: dict = {}
-    counts = np.zeros(nrows, dtype=np.int64)
-
-    def matches(sub) -> bool:
-        for c in sub:
-            counts[rows[c]] += 1
-        touched = np.concatenate([rows[c] for c in sub])
-        uniq = np.unique(touched)
-        deg = counts[uniq]
-        odd = deg % 2 == 1
-        ok = int(odd.sum()) == species.b
-        if ok and want_as:
-            for c in sub:
-                d = counts[rows[c]]
-                n_odd = int((d % 2 == 1).sum())
-                if len(rows[c]) - n_odd <= n_odd:
-                    ok = False
-                    break
-        for c in sub:
-            counts[rows[c]] -= 1
-        return ok
-
-    def record(sub):
-        if not matches(sub):
-            return
-        k = max(c // cols_per_replica for c in sub) + 1
-        per_span[k] = per_span.get(k, 0) + 1
-
-    def extend(sub, ext, blocked, root):
-        # ext holds unprocessed extension candidates; blocked is the
-        # subset plus every neighbor seen so far, which keeps each
-        # connected subset from being produced twice.
-        if len(sub) == a:
-            record(sub)
-            return
-        ext = list(ext)
-        while ext:
-            cand = ext.pop()
-            grow = [u for u in nbr[cand] if u > root and u not in blocked]
-            extend(sub + [cand], ext + grow, blocked | set(grow), root)
-
-    for root in range(min(cols_per_replica, ncols)):
-        if a == 1:
-            record([root])
-            continue
-        seeds = [u for u in nbr[root] if u > root]
-        extend([root], seeds, {root} | set(seeds), root)
-    return CycleCensus(spec.L, per_span)
-
-
-def incremental_orbit_census(spec, species) -> CycleCensus:
-    """Per-span species counts by orbit-reduced windowed search whose check
-    degrees and odd-check count are Python ints updated as a column enters
-    or leaves the subset; the reference for trapping_sets.enumerate_objects.
-
-    Enumerates connected variable subsets of size species.a inside the
-    first window of (path_vns - 1) * m + 1 replicas whose lowest column
-    is one of the kappa offset-0 columns of replica 1, classifies each,
-    and tags it with its exact replica span k and the number c of its
-    columns in its lowest column block.  Weighting each find by p / c
-    (see the module docstring) and each span by (L - k + 1) gives the
-    full-matrix total.
-    """
-    if species.a > MAX_SUBSET_SIZE:
-        raise ValueError(
-            "subset search capped at a <= %d; use the closed-form cycle "
-            "census for protograph-scale audits" % MAX_SUBSET_SIZE)
-    chi = min(replica_span(species.path_vns, spec.m), spec.L)
-    w = window(spec, 1, chi, lifted=True)
-    ncols = w.shape[1]
-    if ncols > MAX_WINDOW_COLUMNS:
-        raise ValueError(
-            "window has %d columns (cap %d); use the closed-form cycle "
-            "census for protograph-scale audits" % (ncols, MAX_WINDOW_COLUMNS))
-    p = spec.p
-    cols_per_replica = spec.kappa * p
-    rows = [np.nonzero(col)[0].tolist() for col in w.T]
-    shared = w.T.astype(np.float32) @ w.astype(np.float32)
-    np.fill_diagonal(shared, 0.0)
-    nbr = [np.nonzero(col)[0].tolist() for col in shared]
-    a = species.a
-    want_as = species.kind == "AS"
-    counts = [0] * w.shape[0]
-    odd = 0
-    tally: dict = {}
-
-    def add(c, step):
-        # in-set degree of each check of c; odd tracks how many are odd
-        nonlocal odd
-        for r in rows[c]:
-            counts[r] += step
-            odd += 1 if counts[r] & 1 else -1
-
-    def absorbing(sub) -> bool:
-        return all(2 * sum(counts[r] & 1 for r in rows[c]) < len(rows[c])
-                   for c in sub)
-
-    def extend(sub, ext, blocked, root):
-        # ext holds unprocessed extension candidates; blocked is the
-        # subset plus every neighbor seen so far, which keeps each
-        # connected subset from being produced twice.
-        if len(sub) == a:
-            if odd == species.b and (not want_as or absorbing(sub)):
-                key = (max(sub) // cols_per_replica + 1,
-                       sum(c < root + p for c in sub))
-                tally[key] = tally.get(key, 0) + 1
-            return
-        ext = list(ext)
-        while ext:
-            cand = ext.pop()
-            grow = [u for u in nbr[cand] if u > root and u not in blocked]
-            add(cand, 1)
-            extend(sub + [cand], ext + grow, blocked | set(grow), root)
-            add(cand, -1)
-
-    for root in range(0, cols_per_replica, p):
-        seeds = [u for u in nbr[root] if u > root]
-        add(root, 1)
-        extend([root], seeds, {root} | set(seeds), root)
-        add(root, -1)
-    return CycleCensus(spec.L, _fold_orbit_tallies(tally, p))
+    width = spec.kappa * spec.p
+    return CycleCensus(spec.L, _species_tally(
+        w, species, range(min(width, w.shape[1])),
+        lambda sub: max(sub) // width + 1))
 
 
 def dense_classify(h: np.ndarray, vn_cols) -> InducedConfig:
@@ -1247,9 +774,10 @@ def dense_classify(h: np.ndarray, vn_cols) -> InducedConfig:
 
 
 def all_subsets_species_count(h: np.ndarray, species) -> int:
-    """Species instances by unrestricted subset search (small inputs only)."""
-    import itertools
-
+    """Species instances by unrestricted subset search (small inputs only);
+    the reference for connected_species_count and
+    trapping_sets.enumerate_objects on lifts small enough to list every
+    subset."""
     h = np.asarray(h, dtype=bool)
     total = 0
     for sub in itertools.combinations(range(h.shape[1]), species.a):
@@ -1266,45 +794,6 @@ def all_subsets_species_count(h: np.ndarray, species) -> int:
                 continue
         total += 1
     return total
-
-
-def balanced_compositions(kappa: int, loads: np.ndarray, lo: int, hi: int):
-    """Pattern-count vectors summing to kappa with per-component totals in [lo, hi].
-
-    Lexicographic order; pruned on partial totals.
-    """
-    ncomp, nparts = loads.shape
-    suffix_max = np.zeros((nparts + 1, ncomp), dtype=np.int64)
-    for vi in range(nparts - 1, -1, -1):
-        suffix_max[vi] = np.maximum(suffix_max[vi + 1], loads[:, vi])
-    counts = np.zeros(nparts, dtype=np.int64)
-    totals = np.zeros(ncomp, dtype=np.int64)
-
-    def rec(vi, remaining):
-        nonlocal totals
-        if vi == nparts - 1:
-            counts[vi] = remaining
-            totals += remaining * loads[:, vi]
-            if (totals >= lo).all() and (totals <= hi).all():
-                yield counts.copy()
-            totals -= remaining * loads[:, vi]
-            counts[vi] = 0
-            return
-        if (totals + remaining * suffix_max[vi] < lo).any():
-            return
-        for c in range(remaining + 1):
-            counts[vi] = c
-            totals += c * loads[:, vi]
-            if (totals > hi).any():
-                totals -= c * loads[:, vi]
-                counts[vi] = 0
-                break
-            yield from rec(vi + 1, remaining - c)
-            totals -= c * loads[:, vi]
-        else:
-            counts[vi] = 0
-
-    yield from rec(0, kappa)
 
 
 def loop_random_balanced(rng, kappa, loads, lo, hi, attempts=2000):
@@ -1348,9 +837,19 @@ def loop_random_balanced(rng, kappa, loads, lo, hi, attempts=2000):
 
 
 def local_search(ev, kappa, loads, lo, hi, config, deadline):
+    """Seeded multi-restart steepest descent over single-column moves, one
+    restart after another and one move at a time; the reference for
+    partition_opt._local_search.
+
+    Each restart draws its start with loop_random_balanced and takes the
+    first best of its balance-feasible moves (vi -> wi, vi-major) until
+    none improves.  Returns ((value, independent values, counts),
+    evaluated rows).
+    """
     rng = np.random.default_rng(config.seed)
     nparts = loads.shape[1]
     moves = [(vi, wi) for vi in range(nparts) for wi in range(nparts) if vi != wi]
+    cols = loads.T.tolist()  # each pattern's load on every component
     best = None
     evaluated = 0
     for _ in range(config.restarts):
@@ -1360,22 +859,18 @@ def local_search(ev, kappa, loads, lo, hi, config, deadline):
         val = int(ev.objective(n.reshape(1, -1))[0])
         evaluated += 1
         while True:
-            cand_rows = []
-            cand_moves = []
+            counts, totals = n.tolist(), (loads @ n).tolist()
+            rows = []
             for vi, wi in moves:
-                if n[vi] == 0:
-                    continue
-                t2 = loads @ n - loads[:, vi] + loads[:, wi]
-                if (t2 < lo).any() or (t2 > hi).any():
-                    continue
-                row = n.copy()
-                row[vi] -= 1
-                row[wi] += 1
-                cand_rows.append(row)
-                cand_moves.append((vi, wi))
-            if not cand_rows:
+                t2 = [t - a + b for t, a, b in zip(totals, cols[vi], cols[wi])]
+                if counts[vi] and lo <= min(t2) and max(t2) <= hi:
+                    row = counts.copy()
+                    row[vi] -= 1
+                    row[wi] += 1
+                    rows.append(row)
+            if not rows:
                 break
-            arr = np.array(cand_rows, dtype=np.int64)
+            arr = np.array(rows, dtype=np.int64)
             vals = ev.objective(arr)
             evaluated += len(arr)
             i = int(np.argmin(vals))
@@ -1389,11 +884,11 @@ def local_search(ev, kappa, loads, lo, hi, config, deadline):
     return best, evaluated
 
 
-# partition_opt's block expander before its children became one count
-# interval per parent: every child is built, then balance-filtered
 def filtered_balanced_blocks(kappa: int, loads: np.ndarray, lo: int, hi: int,
                              block: int, prune=None):
-    """Pattern-count vectors summing to kappa with per-component totals in [lo, hi].
+    """Pattern-count vectors summing to kappa with per-component totals in
+    [lo, hi], every child built and then balance-filtered; the reference
+    for partition_opt._balanced_blocks.
 
     Yields arrays of rows in lexicographic order.  A frontier of partial
     count vectors is expanded one pattern at a time, every count 0..remaining
@@ -1441,53 +936,9 @@ def filtered_balanced_blocks(kappa: int, loads: np.ndarray, lo: int, hi: int,
             stack.append((vi + 1, rows, totals))
 
 
-
-# partition_opt's local search before its restarts descended in lockstep:
-# each restart is drawn and descends to its minimum before the next
-def sequential_local_search(ev, kappa, loads, lo, hi, config, deadline):
-    """Seeded multi-restart steepest descent over single-column moves.
-
-    Every move (vi -> wi, vi != wi, vi-major) is a fixed step row, so one
-    descent step scores all balance-feasible moves at once.  The first
-    restart always runs to its local minimum; later ones stop at the
-    deadline.
-    """
-    rng = np.random.default_rng(config.seed)
-    nparts = loads.shape[1]
-    eye = np.eye(nparts, dtype=np.int64)
-    vi, wi = np.nonzero(1 - eye)
-    step = eye[wi] - eye[vi]
-    shift = step @ loads.T
-    best = None
-    evaluated = 0
-    for restart in range(config.restarts):
-        if restart and deadline is not None and time.monotonic() > deadline:
-            break
-        n = _random_balanced(rng, kappa, loads, lo, hi)
-        val = int(ev.objective(n.reshape(1, -1))[0])
-        evaluated += 1
-        while True:
-            t2 = loads @ n + shift
-            ok = (n[vi] > 0) & ((t2 >= lo) & (t2 <= hi)).all(axis=1)
-            if not ok.any():
-                break
-            arr = n + step[ok]
-            vals = ev.objective(arr)
-            evaluated += len(arr)
-            i = int(np.argmin(vals))
-            if vals[i] >= val:
-                break
-            val = int(vals[i])
-            n = arr[i]
-        cand = (val, ev.independent_values(n), n.copy())
-        if best is None or cand[:2] < best[:2]:
-            best = cand
-    return best, evaluated
-
-
-
 def scan_alist_string(matrix: np.ndarray) -> str:
-    """Standard alist text for a binary matrix.
+    """Standard alist text for a binary matrix, one nonzero scan per line;
+    the reference for io_formats.alist_string.
 
     Line 1 is "N M" (columns rows), line 2 the maximum column and row
     degrees, then per-column degrees, per-row degrees, per-column
@@ -1513,37 +964,6 @@ def scan_alist_string(matrix: np.ndarray) -> str:
         idx = (np.nonzero(h[r])[0] + 1).tolist()
         idx += [0] * (dr - len(idx))
         out.append(" ".join(str(i) for i in idx))
-    return "\n".join(out) + "\n"
-
-
-def line_alist_string(matrix) -> str:
-    """alist_string of a dense matrix or its ColumnLists, joined line by line.
-
-    The same padded index tables as the fast writer, but each line is
-    one " ".join of the line's Python ints.
-    """
-    ones = as_column_lists(matrix)
-    nrows, ncols = ones.shape
-    if nrows == 0 or ncols == 0:
-        raise ValueError("need a nonempty 2-d matrix")
-    rows, cols = ones.rows, ones.cols
-    by_row = np.argsort(rows, kind="stable")  # columns stay ascending in a row
-    col_deg = np.bincount(cols, minlength=ncols)
-    row_deg = np.bincount(rows, minlength=nrows)
-    dc, dr = int(col_deg.max()), int(row_deg.max())
-
-    def padded(owner, index, degree, width):
-        # 1-based indices in the owner's slot, zeros past its degree
-        table = np.zeros((len(degree), width), dtype=np.int64)
-        slot = np.arange(len(owner)) - np.repeat(np.cumsum(degree) - degree, degree)
-        table[owner, slot] = index + 1
-        return [" ".join(map(str, line)) for line in table.tolist()]
-
-    out = [f"{ncols} {nrows}", f"{dc} {dr}",
-           " ".join(map(str, col_deg.tolist())),
-           " ".join(map(str, row_deg.tolist()))]
-    out += padded(cols, rows, col_deg, dc)
-    out += padded(rows[by_row], cols[by_row], row_deg, dr)
     return "\n".join(out) + "\n"
 
 
@@ -1601,11 +1021,6 @@ def six_four_template() -> np.ndarray:
         t[r, spoke] = True
         r += 1
     return t
-
-
-def component_protograph(partition: PartitionMatrix) -> np.ndarray:
-    """Vertical stack [H_0; ...; H_m] of the component masks, ((m+1)*gamma, kappa)."""
-    return np.vstack([partition.component(x) for x in range(partition.m + 1)])
 
 
 def enumerate_feasible(gamma: int, kappa: int, m: int,

@@ -27,8 +27,8 @@ from scldpc.partition_opt import OptimizerConfig, optimize
 from scldpc.power_opt import CpoConfig, CycleSystem, refine_layout, run_cpo
 from scldpc.trapping_sets import ObjectSpecies, common_denominator, enumerate_objects
 
-from oracles import (connected_species_count, direct_overlap, lifted_cycles4,
-                     lifted_cycles6, protograph_cycles6, random_partition)
+from oracles import (connected_species_count, direct_overlap, lifted_cycles6,
+                     protograph_cycles6, random_partition)
 
 pytestmark = pytest.mark.slow
 

@@ -9,7 +9,7 @@ from scldpc.code_model import (CirculantBlockCode, ColumnLists,
                                partition_from_cutting_vectors, sc_lift,
                                sc_lift_columns, sc_protograph, window)
 
-from oracles import component_protograph, dense_sc_lift
+from oracles import dense_sc_lift
 
 
 def uncoupled_lift(code):

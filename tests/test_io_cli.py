@@ -21,7 +21,7 @@ from scldpc.io_formats import (alist_string, census_csv, read_alist,
                                write_alist, write_int_grid)
 from scldpc.partition_opt import STRATEGIES, OptimizerConfig
 
-from oracles import (line_alist_string, random_partition, scan_alist_string,
+from oracles import (random_partition, scan_alist_string,
                      split_alist_tokens)
 
 
@@ -582,7 +582,7 @@ def _assert_alist_round_trip(path, ones):
     assert np.array_equal(got.cols, ones.cols)
 
 
-def test_alist_string_matches_line_oracle_at_realistic_sizes(tmp_path):
+def test_alist_string_matches_scan_oracle_at_realistic_sizes(tmp_path):
     # several hundred rows and columns: three-digit words, degree lines of
     # ten and more words, empty rows and columns
     rng = np.random.default_rng(31)
@@ -597,20 +597,19 @@ def test_alist_string_matches_line_oracle_at_realistic_sizes(tmp_path):
         col_deg = np.bincount(ones.cols, minlength=cols)
         row_deg = np.bincount(ones.rows, minlength=rows)
         assert min(col_deg.max(), row_deg.max()) >= 10
-        want = line_alist_string(h)
-        assert want == scan_alist_string(h)
+        want = scan_alist_string(h)
         assert alist_string(h) == want, case
         assert alist_string(ones) == want, case
         path.write_text(want)
         _assert_alist_round_trip(path, ones)
 
 
-def test_alist_string_of_a_coupled_lift_matches_line_oracle(tmp_path):
+def test_alist_string_of_a_coupled_lift_matches_scan_oracle(tmp_path):
     spec = SCCodeSpec(ab_code(3, 7, 7),
                       partition_from_cutting_vector((2, 4, 6), 3, 7), 5)
     ones, h = sc_lift_columns(spec), sc_lift(spec)
     assert ones.shape == h.shape == (126, 245)
-    want = line_alist_string(h)
+    want = scan_alist_string(h)
     assert alist_string(ones) == want
     assert alist_string(h) == want
     write_alist(ones, tmp_path / "code.alist")

@@ -16,9 +16,8 @@ from scldpc.overlaps import (column_patterns, partition_from_overlaps,
 from scldpc.partition_opt import (OptimizerConfig, _balanced_blocks,
                                   _component_loads, _Evaluator, balance_bounds,
                                   composition_space, optimize)
-from oracles import (balanced_compositions, enumerate_feasible,
-                     filtered_balanced_blocks, local_search, loop_random_balanced,
-                     sequential_local_search)
+from oracles import (enumerate_feasible, filtered_balanced_blocks, local_search,
+                     loop_random_balanced)
 
 
 def brute_force_optimum(gamma, kappa, m, L, slack=0):
@@ -156,8 +155,8 @@ def test_tie_break_is_lexicographic():
     assert opt.overlaps.values == min(vectors)
 
 
-def test_block_expander_matches_recursive_oracle():
-    # same rows in the same order at every block size, infeasible bounds
+def test_block_expander_matches_filtered_oracle_at_every_bound():
+    # the same blocks of rows at every block size, infeasible bounds
     # included (lo > hi, or lo above what kappa columns can reach)
     rng = np.random.default_rng(7)
     empty = full = 0
@@ -173,15 +172,16 @@ def test_block_expander_matches_recursive_oracle():
             lo = hi + 1
         elif case % 10 == 1:
             lo = hi = k * g + 1
-        expect = np.array(list(balanced_compositions(k, loads, lo, hi)),
-                          dtype=np.int64).reshape(-1, loads.shape[1])
         for block in (1 << 15, 1, 7):
             got = list(_balanced_blocks(k, loads, lo, hi, block))
+            want = list(filtered_balanced_blocks(k, loads, lo, hi, block))
             assert all(len(rows) for rows in got)
-            got = np.concatenate(got) if got else expect[:0]
-            assert np.array_equal(got, expect), (g, m, k, lo, hi, block)
-        empty += not len(expect)
-        full += len(expect) > 100
+            assert len(got) == len(want), (g, m, k, lo, hi, block)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want)), (
+                g, m, k, lo, hi, block)
+        count = sum(map(len, want))
+        empty += not count
+        full += count > 100
     assert empty >= 5 and full >= 5
 
 
@@ -220,8 +220,8 @@ def test_block_expander_matches_filtered_oracle():
 
 
 def test_local_search_matches_sequential_oracle():
-    # lockstep restarts against one restart at a time: the same best point
-    # and the same number of evaluated rows
+    # lockstep restarts against one restart and one move at a time: the
+    # same best point and the same number of evaluated rows
     rng = np.random.default_rng(13)
     for case in range(60):
         g = int(rng.integers(2, 6))
@@ -234,7 +234,7 @@ def test_local_search_matches_sequential_oracle():
         args = (_Evaluator(g, m, L), k, _component_loads(g, m),
                 *balance_bounds(g, k, m, cfg.balance_slack), cfg, None)
         (val, ind, row), evaluated = partition_opt._local_search(*args)
-        (want_val, want_ind, want_row), want_evaluated = sequential_local_search(*args)
+        (want_val, want_ind, want_row), want_evaluated = local_search(*args)
         assert (val, ind, evaluated) == (want_val, want_ind, want_evaluated)
         assert np.array_equal(row, want_row)
 
@@ -251,7 +251,7 @@ def test_branch_and_bound_counts_match_sequential_oracles(monkeypatch):
                               balance_slack=int(rng.integers(0, 2)))
         L = int(rng.integers(1, 9))
         got = optimize(g, k, m, L, cfg)
-        monkeypatch.setattr(partition_opt, "_local_search", sequential_local_search)
+        monkeypatch.setattr(partition_opt, "_local_search", local_search)
         monkeypatch.setattr(partition_opt, "_balanced_blocks", filtered_balanced_blocks)
         want = optimize(g, k, m, L, cfg)
         monkeypatch.undo()
@@ -265,7 +265,7 @@ def test_local_search_deadline_lets_the_first_restart_finish(monkeypatch):
     g, k, m, L = 4, 9, 1, 10
     lo, hi = balance_bounds(g, k, m, 0)
     args = (_Evaluator(g, m, L), k, _component_loads(g, m), lo, hi)
-    one = sequential_local_search(
+    one = local_search(
         *args, OptimizerConfig(strategy="local-search", seed=3, restarts=1), None)
     full = partition_opt._local_search(
         *args, OptimizerConfig(strategy="local-search", seed=3, restarts=20), None)

@@ -18,10 +18,9 @@ from scldpc.power_opt import (CpoConfig, CycleSystem, _EpochScorer,
                               _visit_table, refine_layout, run_cpo,
                               weighted_theta)
 
-from oracles import (_SubsetScorer, dense_candidate_scores, lifted_cycles4,
-                     prefix_table_scores, random_partition,
-                     sourced_refine_layout, subset_scorer_run_cpo,
-                     support_table_scores, tuple_cycle_arrays, window_theta)
+from oracles import (dense_candidate_scores, lifted_cycles4, random_partition,
+                     replay_run_cpo, sourced_refine_layout, tuple_cycle_arrays,
+                     window_theta)
 
 
 def uncut(gamma, kappa, m=1):
@@ -324,10 +323,11 @@ def test_cycles_by_cell_match_per_cell_scan():
                 assert np.array_equal(visits[c], (res == c).any(axis=1))
 
 
-@pytest.mark.parametrize("chunk", [None, 40])
-def test_table_scores_match_dense_oracle(chunk):
-    # a small chunk makes the table oracles loop over leading powers
-    chunk = {} if chunk is None else {"chunk": chunk}
+@pytest.mark.parametrize("cap", [None, 40])
+def test_table_scores_match_dense_oracle(cap):
+    # no cap alternates 8192, which tabulates every piece, and p, which
+    # evaluates every multi-cell piece at the candidates only; a cap of 40
+    # mixes the two within a subset once p >= 7
     rng = np.random.default_rng(11)
     seen = Counter()
     signs = np.array([1, -1, 1, -1, 1, -1])
@@ -339,20 +339,18 @@ def test_table_scores_match_dense_oracle(chunk):
         f = rng.integers(0, p, system.gamma * system.kappa).astype(np.int64)
         size = min(int(rng.integers(1, 5)), system.gamma * system.kappa)
         subset = np.sort(rng.choice(system.gamma * system.kappa, size, replace=False))
-        # a cap of p evaluates every multi-cell piece at the candidates only
-        scorer = _EpochScorer(system, f, system.f_sc(f), (8192, p)[trial % 2])
+        scorer = _EpochScorer(system, f, system.f_sc(f),
+                              cap or (8192, p)[trial % 2])
         got = scorer.table_scores(subset)
         want = dense_candidate_scores(system, f, subset, p)
         assert np.array_equal(got, want)
-        assert np.array_equal(got, prefix_table_scores(system, f, subset, **chunk))
-        assert np.array_equal(got, support_table_scores(system, f, subset, **chunk))
         grid = np.indices((p,) * size).reshape(size, -1).T
         assert np.array_equal(scorer.dense_scores(subset, grid), want)
         rows = rng.integers(0, len(grid), 50)
         assert np.array_equal(scorer.dense_scores(subset, grid[rows]), want[rows])
         # run_cpo's subsets come in theta order, not sorted
         back = subset[::-1]
-        want = _SubsetScorer(system, f, back, system.f_sc(f)).table_scores()
+        want = dense_candidate_scores(system, f, back, p)
         assert np.array_equal(scorer.table_scores(back), want)
         assert np.array_equal(scorer.dense_scores(back, grid), want)
 
@@ -470,9 +468,10 @@ def test_invariant_breaks_raise(monkeypatch, method, message):
 
 
 def test_epoch_scorer_replays_the_per_subset_scorer():
-    # whole runs against run_cpo with one _SubsetScorer per round: AB
-    # starts without lifted 4-cycles, prime and composite p, and schedules
-    # whose larger sizes are sampled (p**s above the cap)
+    # whole runs against a replay of run_cpo's round loop that scores every
+    # round afresh with the dense scorer: AB starts without lifted
+    # 4-cycles, prime and composite p, and schedules whose larger sizes are
+    # sampled (p**s above the cap)
     rng = np.random.default_rng(31)
     seen = Counter()
     while seen["specs"] < 36:
@@ -486,11 +485,11 @@ def test_epoch_scorer_replays_the_per_subset_scorer():
         cap = int(rng.choice([40, 400, 8192]))
         config = CpoConfig(seed=int(rng.integers(0, 100)), exhaustive_cap=cap,
                            subset_size_schedule=schedule, max_stale_rounds=4)
-        want = subset_scorer_run_cpo(spec, config)
+        powers, f_sc, trace = replay_run_cpo(spec, config)
         got = run_cpo(spec, config)
-        assert trace_csv(got.trace) == trace_csv(want.trace)
-        assert np.array_equal(got.powers, want.powers)
-        assert (got.f_sc, got.rounds) == (want.f_sc, want.rounds)
+        assert trace_csv(got.trace) == trace_csv(trace)
+        assert np.array_equal(got.powers, powers)
+        assert (got.f_sc, got.rounds) == (f_sc, len(trace))
         assert got.scored + got.reused == got.rounds
         seen["specs"] += 1
         seen["composite"] += p in (6, 8, 9)

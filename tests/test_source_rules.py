@@ -26,13 +26,13 @@ def _defined_names(node):
     return [t.id for t in targets if isinstance(t, ast.Name)]
 
 
-def _referenced_names(node):
+def _referenced_names(node, imports=True):
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
             yield sub.id
         elif isinstance(sub, ast.Attribute):
             yield sub.attr
-        elif isinstance(sub, ast.alias):
+        elif isinstance(sub, ast.alias) and imports:
             yield sub.name
 
 
@@ -49,6 +49,25 @@ def test_private_helpers_are_used_by_the_library():
               if helper.startswith("_") and not helper.startswith("__")
               and not any(helper in used
                           for k, used in enumerate(uses) if k != n)]
+    assert not unused, unused
+
+
+def test_every_oracle_is_used_by_a_test():
+    # a reference that no test reads any more is a replaced generation left
+    # behind; each oracle must be read by a test module, directly or through
+    # another oracle that is (an import alone reads nothing)
+    here = Path(__file__).parent
+    oracles = {name: set(_referenced_names(node))
+               for node in ast.parse((here / "oracles.py").read_text()).body
+               for name in _defined_names(node)}
+    reached = set().union(*(_referenced_names(ast.parse(path.read_text()), False)
+                            for path in sorted(here.glob("test_*.py"))))
+    todo = list(reached & oracles.keys())
+    while todo:
+        for name in oracles[todo.pop()] & oracles.keys() - reached:
+            reached.add(name)
+            todo.append(name)
+    unused = sorted(oracles.keys() - reached)
     assert not unused, unused
 
 
