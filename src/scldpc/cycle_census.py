@@ -217,6 +217,9 @@ def shape_row_sets(gamma: int, m: int):
     return sets
 
 
+_SHAPE_ROWS = 1024  # pattern-count rows ShapeCount contracts at a time
+
+
 class ShapeCount:
     """6-cycles under one weight on shapes, from pattern counts.
 
@@ -230,11 +233,13 @@ class ShapeCount:
     N123[x] against the third pair count, and adds back twice the triples
     where all three coincide.
 
-    The contraction runs in float64, on BLAS.  With kappa the largest
-    absolute row sum of the counts, every overlap is at most kappa and
-    every partial sum of a triple at most kappa (kappa+1) (kappa+2) times
-    the largest weight, so below 2**53 over all triples the float64 result
-    is exact; a batch that could pass it raises ValueError.
+    The contraction runs in float64, on BLAS, _SHAPE_ROWS count rows at a
+    time, each chunk converted on its own, so its temporaries stay bounded
+    whatever the batch size.  With kappa the largest absolute row sum of
+    the counts, every overlap is at most kappa and every partial sum of a
+    triple at most kappa (kappa+1) (kappa+2) times the largest weight, so
+    below 2**53 over all triples the float64 result is exact; a batch
+    whose rows could pass it raises ValueError before any chunk runs.
     """
 
     def __init__(self, weight: np.ndarray):
@@ -256,20 +261,24 @@ class ShapeCount:
         """int64 count for each pattern-count row of `counts`, summed over
         the residue triples; `cover` is the cover matrix of shape_row_sets."""
         side, triples = self.side, len(cover) // self.width
-        counts = np.asarray(counts, dtype=np.float64)
+        counts = np.asarray(counts)
         kappa = int(np.abs(counts).sum(axis=1).max(initial=0))
         if triples * kappa * (kappa + 1) * (kappa + 2) * self.max_weight >= 1 << 53:
             raise ValueError(f"a count row of total {kappa} could pass 2**53, "
                              "where float64 stops being exact")
-        rows = len(counts)
-        n = (cover.astype(np.float64) @ counts.T).reshape(triples, self.width, rows)
-        p12, p13, p23, t = np.split(n, [side, 2 * side, 3 * side], axis=1)
-        both = (p12[:, :, None] * p13[:, None]).reshape(triples, side * side, rows)
-        one = self.coincide @ t
-        per_triple = ((self.pairs @ both - one[:, :side]) * p23).sum(axis=1) - (
-            (one[:, side:2 * side] * p13).sum(axis=1)
-            + (one[:, 2 * side:] * p12).sum(axis=1)) + 2 * (self.diagonal @ t)
-        return per_triple.sum(axis=0).astype(np.int64)
+        cover, out = cover.astype(np.float64), np.empty(len(counts), np.int64)
+        for lo in range(0, len(counts), _SHAPE_ROWS):
+            chunk = counts[lo:lo + _SHAPE_ROWS].astype(np.float64)
+            rows = len(chunk)
+            n = (cover @ chunk.T).reshape(triples, self.width, rows)
+            p12, p13, p23, t = np.split(n, [side, 2 * side, 3 * side], axis=1)
+            both = (p12[:, :, None] * p13[:, None]).reshape(triples, side * side, rows)
+            one = self.coincide @ t
+            per_triple = ((self.pairs @ both - one[:, :side]) * p23).sum(axis=1) - (
+                (one[:, side:2 * side] * p13).sum(axis=1)
+                + (one[:, 2 * side:] * p12).sum(axis=1)) + 2 * (self.diagonal @ t)
+            out[lo:lo + rows] = per_triple.sum(axis=0)
+        return out
 
 
 class LiftedShapeCount:

@@ -29,14 +29,15 @@ over cell sets (Rota, Z. Wahrscheinlichkeitstheorie 2, 1964) splits it into
 pieces D_K(x_K) = sum over nonempty J in K of (-1)**(|K|-|J|) Q_K(x_J, f_K-J),
 signed slices of one table at the current powers f, and the pieces of the
 nonempty K in a subset S add up to the weight of the cycles through S that
-are active at x_S, which is all that re-powering S changes.  Every
-single-cell piece reads visit counts by (cell, coefficient, base residue),
-which an accept updates only for the cycles through its cells; a larger
-piece pools the few cycles that visit all of K by coefficient row and base
+are active at x_S, which is all that re-powering S changes.  A piece
+pools the cycles that visit every cell of K by coefficient row and base
 residue, reads each row's residues from an index table kept for the run,
-and is cached for the epoch.  An exhaustive round broadcast-adds its pieces
-into a p**s table and keeps its best candidate for repeats of the subset in
-the epoch; a sampled round reads the pieces at its candidates.
+and is cached for the epoch; a single cell's piece is Q_K itself, and an
+accept moves only the power sums of the cycles through its cells.  An
+exhaustive round broadcast-adds its pieces into a p**s table and keeps its
+best candidate for repeats of the subset in the epoch; a sampled round
+pools the cycles through any cell of its subset once and reads that pool at
+its candidates.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ class CpoConfig:
     subset_size_schedule: tuple = (1, 2, 3)
     power_candidates: int | None = None  # None: exhaustive joint assignments
     # joint assignments above this are sampled; an exhaustive round of size
-    # s holds a p**s table, and no cached piece exceeds this many entries
+    # s holds a p**s table, and its pieces are the only ones tabulated
     exhaustive_cap: int = 8192
     target_f_sc: int = 0
     max_stale_rounds: int = 60
@@ -178,68 +179,45 @@ def _candidate_chunks(rng, p: int, size: int, n: int):
 
 
 class _EpochScorer:
-    """Lifted 6-cycle counts after re-powering cell subsets, from one epoch's
-    pieces.  A 6-cycle weighs weight6 and a 4-cycle `kill`, more than all
+    """Lifted 6-cycle counts after re-powering cell subsets, at one epoch's
+    powers.  A 6-cycle weighs weight6 and a 4-cycle `kill`, more than all
     6-cycles together: a candidate whose total reaches kill activates a
     4-cycle, so it scores the current count and is never accepted."""
 
-    def __init__(self, system: CycleSystem, f_flat, f_sc: int, cap: int):
-        p, self.p, self.cap, self.built = system.p, system.p, cap, 0
+    def __init__(self, system: CycleSystem, f_flat, f_sc: int):
+        self.p, self.built = system.p, 0
         self.kill = int(system.weight6.sum()) + 1
         self.weight = np.concatenate(
             [system.weight6, np.full(len(system.res4), self.kill)])
         self.visits = np.concatenate([system.visits6, system.visits4], axis=1)
         ncells, ncycles = self.visits.shape
+        if ncycles * self.kill >= 1 << 53:
+            raise ValueError("cycle weights could pass 2**53, where the float64 "
+                             "pooled weights stop being exact")
         # signed multiplicity of each cell in each cycle's walk; one walk
         # position holds each cycle once, so a plain += adds every step
         self.mult = np.zeros((ncells, ncycles), dtype=np.int8)
         for res, at in ((system.res6, 0), (system.res4, len(system.res6))):
             for j in range(res.shape[1]):
                 self.mult[res[:, j], at + np.arange(len(res))] += (-1) ** j
-        # every (cell, cycle) visit: its coefficient v mod p, the start of
-        # its (cell, v) block of p base residues, and its cycle's weight
-        self.cell, self.cycle = np.nonzero(self.visits)
-        self.by_cell = np.searchsorted(self.cell, np.arange(ncells + 1))
-        if len(self.cycle) * self.kill >= 1 << 53:
-            raise ValueError("visit weights could pass 2**53, where the float64 "
-                             "visit counts stop being exact")
-        self.v = self.mult[self.cell, self.cycle].astype(np.int64) % p
-        self.block = (self.cell * p + self.v) * p
-        self.visit_weight = self.weight[self.cycle]
         self.lin, self.masks = {}, {}
-        # visit counts by (cell, v, base residue b) at all powers 0, where
-        # every sum and base residue is 0; start moves them to f_flat
+        # every cycle's signed power sum, at all powers 0 until start moves it
         self.f, self.sums = np.zeros_like(f_flat), np.zeros(ncycles, np.int64)
-        self.base = np.zeros(len(self.cycle), dtype=np.int64)
-        self.count = np.bincount(self.block, self.visit_weight,
-                                 ncells * p * p).astype(np.int64)
         self.start(f_flat, f_sc)
 
     def start(self, f_flat, f_sc: int):
-        """Begin an epoch at powers f_flat, whose lifted count is f_sc.  Only
-        the visits of cycles through a re-powered cell move to new base
-        residues b; `single` is then re-read from the counts."""
-        p, moved = self.p, np.flatnonzero(f_flat != self.f)
+        """Begin an epoch at powers f_flat, whose lifted count is f_sc: move
+        the sums of the cycles through re-powered cells, drop the pieces."""
+        moved = np.flatnonzero(f_flat != self.f)
         self.sums += self.mult[moved].T @ (f_flat[moved] - self.f[moved])
-        redo = np.flatnonzero(self.visits[moved].any(axis=0)[self.cycle])
-        old = self.block[redo] + self.base[redo]
-        self.base[redo] = (self.sums[self.cycle[redo]]
-                           - self.v[redo] * f_flat[self.cell[redo]]) % p
-        weight = self.visit_weight[redo]
-        self.count += np.bincount(
-            np.concatenate([old, self.block[redo] + self.base[redo]]),
-            np.concatenate([-weight, weight]), len(self.count)).astype(np.int64)
         self.f, self.f_sc, self.pieces = f_flat.copy(), f_sc, {}
-        v, x = np.arange(p)[:, None], np.arange(p)  # a piece at x reads b = -v * x
-        self.single = self.count.reshape(-1, p, p)[:, v, -v * x % p].sum(axis=1)
 
-    def _forms(self, cells):
-        """The cycles visiting every cell of K, pooled by coefficient row v
-        (mult[K] mod p) and base residue b, where a cycle's sum at powers
-        x_K is b + v @ x_K: the distinct rows and their (row, b) weights,
-        or None when no cycle visits all of K."""
-        sel = self.cycle[self.by_cell[cells[0]]:self.by_cell[cells[0] + 1]]
-        sel = sel[self.visits[cells[1:, None], sel].all(axis=0)]
+    def _forms(self, cells, through=np.all):
+        """The cycles visiting every cell of K (or any, through=np.any),
+        pooled by coefficient row v (mult[K] mod p) and base residue b, where
+        a cycle's sum at powers x_K is b + v @ x_K: the distinct rows and
+        their (row, b) weights, or None when no cycle is selected."""
+        sel = np.flatnonzero(through(self.visits[cells], axis=0))
         if not len(sel):
             return None
         coef = self.mult[cells[:, None], sel].T.astype(np.int64) % self.p
@@ -270,7 +248,7 @@ class _EpochScorer:
         table cached until the next epoch; None when no cycle visits all of
         K.  Q_K is one gather per pooled row.  Applying 1 - E_j along every
         axis j, E_j fixing x_j = f_j, sums the slices of every J in K, so
-        the J = {} term is taken out."""
+        the J = {} term is taken out; a single cell's piece is Q_K itself."""
         key = tuple(cells.tolist())
         if key not in self.pieces:
             forms, k, fk = self._forms(cells), len(cells), self.f[cells].tolist()
@@ -280,56 +258,41 @@ class _EpochScorer:
                 for j in range(k):
                     piece = piece - piece[(slice(None),) * j + (fk[j], None)]
                 piece -= (-1) ** k * q[tuple(fk)]
-                self.built += 1
+                self.built += k > 1  # CpoState.pieces: multi-cell only
             self.pieces[key] = None if forms is None else piece
         return self.pieces[key]
-
-    def _piece_at(self, cells, x):
-        """D_K at the columns of the (|K|, n) powers x, not cached."""
-        forms, k, fk = self._forms(cells), len(cells), self.f[cells, None]
-        return 0 if forms is None else sum(
-            (-1) ** (k - mask.bit_count()) * self._q(
-                forms, np.where((mask >> np.arange(k) & 1)[:, None] == 1, x, fk))
-            for mask in range(1, 2**k))
-
-    def _total(self, subset, cands=None):
-        """Weight of the cycles through `subset` active at its new powers:
-        the sum of the pieces of its nonempty cell sets, as a (p,) * s table
-        in subset order, or at the (n, s) candidate rows.  Pieces above
-        `cap` entries are evaluated only at the candidates."""
-        p, s = self.p, len(subset)
-        order = np.argsort(subset)
-        cells, x = subset[order], None if cands is None else cands[:, order].T
-        total = np.zeros((p,) * s if cands is None else len(cands), dtype=np.int64)
-        if s not in self.masks:  # each nonempty mask's positions and table shape
-            self.masks[s] = [([j for j in range(s) if mask >> j & 1],
-                              [p if mask >> j & 1 else 1 for j in range(s)])
-                             for mask in range(1, 2**s)]
-        for pos, shape in self.masks[s]:
-            if x is not None and p**len(pos) > self.cap:
-                total += self._piece_at(cells[pos], x[pos])
-                continue
-            piece = (self.single[cells[pos[0]]] if len(pos) == 1
-                     else self._piece(cells[pos]))
-            if piece is not None and x is None:
-                total += piece.reshape(shape)
-            elif piece is not None:
-                total += piece[tuple(x[pos])]
-        return total if x is not None else total.transpose(np.argsort(order))
 
     def _scores(self, total, now):
         f_rest = self.f_sc - int(now) % self.kill
         return np.where(total >= self.kill, self.f_sc, f_rest + total)
 
     def table_scores(self, subset) -> np.ndarray:
-        """Scores of all p**len(subset) candidates, in lexicographic order."""
-        total = self._total(subset)
+        """Scores of all p**len(subset) candidates, in lexicographic order:
+        the pieces of the subset's nonempty cell sets, broadcast-added into
+        one (p,) * s table in subset order, weigh the cycles through it that
+        are active at each candidate."""
+        p, s = self.p, len(subset)
+        order = np.argsort(subset)
+        cells, total = subset[order], np.zeros((p,) * s, dtype=np.int64)
+        if s not in self.masks:  # each nonempty mask's positions and table shape
+            self.masks[s] = [([j for j in range(s) if mask >> j & 1],
+                              [p if mask >> j & 1 else 1 for j in range(s)])
+                             for mask in range(1, 2**s)]
+        for pos, shape in self.masks[s]:
+            piece = self._piece(cells[pos])
+            if piece is not None:
+                total += piece.reshape(shape)
+        total = total.transpose(np.argsort(order))
         return self._scores(total.ravel(), total[tuple(self.f[subset])])
 
     def dense_scores(self, subset, cands: np.ndarray) -> np.ndarray:
-        """Scores of the given (n, len(subset)) candidate rows."""
-        now = self._total(subset, self.f[subset][None])[0]
-        return self._scores(self._total(subset, cands), now)
+        """Scores of the given (n, len(subset)) candidate rows: the cycles
+        through any cell of the subset, pooled once, read at each row."""
+        forms = self._forms(subset, np.any)
+        if forms is None:  # no cycle passes the subset, so no row changes the count
+            return np.full(len(cands), self.f_sc, dtype=np.int64)
+        return self._scores(self._q(forms, cands.T),
+                            self._q(forms, self.f[subset, None])[0])
 
 
 def run_cpo(spec: SCCodeSpec, config: CpoConfig) -> CpoState:
@@ -359,7 +322,7 @@ def run_cpo(spec: SCCodeSpec, config: CpoConfig) -> CpoState:
     theta = weighted_theta(system, f_flat)
     # highest theta first, ties in row-major cell order
     order = np.argsort(-theta.ravel(), kind="stable")
-    scorer = _EpochScorer(system, f_flat, f_sc, config.exhaustive_cap)
+    scorer = _EpochScorer(system, f_flat, f_sc)
     seen = {}  # (argmin, score) of this epoch's exhaustive rounds, by subset
     trace: list[TraceRow] = []
     rounds = scored = reused = stale = level = 0

@@ -15,16 +15,15 @@ import pytest
 
 from scldpc.code_model import (CirculantBlockCode, PartitionMatrix, SCCodeSpec,
                                ab_code, partition_from_cutting_vector,
-                               partition_from_cutting_vectors, sc_lift, window)
+                               partition_from_cutting_vectors, sc_lift)
 from scldpc.cycle_census import (active_cycles6, census_from_partition,
-                                 count_cycles4, count_cycles6,
-                                 count_lifted_cycles4)
+                                 count_cycles6)
 from scldpc.overlaps import (IndependentOverlaps, independent_overlap_sets,
                              overlaps_from_partition, partition_from_overlaps,
                              pattern_counts, restrict_to_independent,
                              valid_overlap_sets)
 from scldpc.partition_opt import OptimizerConfig, optimize
-from scldpc.power_opt import CpoConfig, CycleSystem, refine_layout, run_cpo
+from scldpc.power_opt import CpoConfig, refine_layout, run_cpo
 from scldpc.trapping_sets import ObjectSpecies, common_denominator, enumerate_objects
 
 from oracles import (connected_species_count, direct_overlap, lifted_cycles6,

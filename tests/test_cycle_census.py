@@ -9,8 +9,7 @@ import pytest
 from scldpc import cycle_census
 from scldpc.code_model import (CirculantBlockCode, ColumnLists,
                                PartitionMatrix, SCCodeSpec, ab_code,
-                               partition_from_cutting_vector, sc_lift,
-                               sc_protograph)
+                               partition_from_cutting_vector, sc_lift)
 from scldpc.cycle_census import (LiftedShapeCount, active_cycles6,
                                  census_from_partition, census_protograph,
                                  count_cycles4,
@@ -283,6 +282,22 @@ def test_shape_count_matches_kernel_oracle():
         batch[1, 0] += 1
         with pytest.raises(ValueError, match=r"2\*\*53"):
             _Evaluator(g, m, L).objective(batch)
+
+
+def test_objective_rows_run_in_chunks(monkeypatch):
+    # ShapeCount contracts _SHAPE_ROWS rows at a time: a batch over several
+    # chunks, the last one partial, scores every row as the oracle does, and
+    # a row past the first chunk that could pass 2**53 raises
+    monkeypatch.setattr(cycle_census, "_SHAPE_ROWS", 7)
+    rng = np.random.default_rng(13)
+    for g, m, L in ((3, 1, 30), (4, 2, 5)):
+        batch = rng.multinomial(17, np.ones((m + 1) ** g) / (m + 1) ** g, size=45)
+        ev = _Evaluator(g, m, L)
+        assert np.array_equal(ev.objective(batch), kernel_objective(g, m, L, batch))
+        assert ev.objective(batch[:0]).tolist() == []
+        batch[40, 0] = 1 << 20
+        with pytest.raises(ValueError, match=r"2\*\*53"):
+            ev.objective(batch)
 
 
 def test_census_total_is_the_optimizer_objective():

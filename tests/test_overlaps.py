@@ -9,11 +9,9 @@ import pytest
 
 from scldpc.overlaps import (IndependentOverlaps, column_patterns,
                              cover_matrix, independent_overlap_sets,
-                             mobius_matrix,
-                             overlaps_from_partition, partition_from_overlaps,
-                             partition_from_patterns, pattern_counts,
-                             restrict_to_independent,
-                             valid_overlap_sets)
+                             mobius_matrix, overlaps_from_partition,
+                             partition_from_overlaps, pattern_counts,
+                             restrict_to_independent, valid_overlap_sets)
 from scldpc.cycle_census import shape_row_sets
 from oracles import (direct_overlap, inclusion_exclusion_overlaps,
                      loop_cover_matrix, pattern_rows, random_partition)

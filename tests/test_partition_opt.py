@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -391,3 +392,16 @@ def test_config_rejects_bad_values(bad):
 def test_optimize_rejects_bad_shapes(gamma, kappa, m, L):
     with pytest.raises(ValueError):
         optimize(gamma, kappa, m, L)
+
+
+def test_gamma4_m2_search_memory():
+    # the objective contracts each batch in row chunks, so the traced peak
+    # of this gamma=4, m=2 search stays well below its batches' full products
+    tracemalloc.start()
+    try:
+        opt = optimize(4, 17, 2, 30, OptimizerConfig(seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert opt.f_star == 64438
+    assert peak < 48 * 2**20, peak

@@ -15,8 +15,8 @@ from scldpc.partition_opt import OptimizerConfig, optimize
 from scldpc import power_opt
 from scldpc.io_formats import trace_csv
 from scldpc.power_opt import (CpoConfig, CycleSystem, _EpochScorer,
-                              _visit_table, refine_layout, run_cpo,
-                              weighted_theta)
+                              _candidate_chunks, _visit_table, refine_layout,
+                              run_cpo, weighted_theta)
 
 from oracles import (dense_candidate_scores, lifted_cycles4, random_partition,
                      replay_run_cpo, sourced_refine_layout, tuple_cycle_arrays,
@@ -325,9 +325,11 @@ def test_cycles_by_cell_match_per_cell_scan():
 
 @pytest.mark.parametrize("cap", [None, 40])
 def test_table_scores_match_dense_oracle(cap):
-    # no cap alternates 8192, which tabulates every piece, and p, which
-    # evaluates every multi-cell piece at the candidates only; a cap of 40
-    # mixes the two within a subset once p >= 7
+    # table_scores sums the subset's pieces; dense_scores pools the cycles
+    # through any of its cells, at every candidate and at sampled rows.
+    # cap plays run_cpo's exhaustive_cap: a subset with more candidates is
+    # also scored at rows drawn by _candidate_chunks, as run_cpo scores it;
+    # those draws use their own generator, so both cases see the same trials
     rng = np.random.default_rng(11)
     seen = Counter()
     signs = np.array([1, -1, 1, -1, 1, -1])
@@ -339,8 +341,7 @@ def test_table_scores_match_dense_oracle(cap):
         f = rng.integers(0, p, system.gamma * system.kappa).astype(np.int64)
         size = min(int(rng.integers(1, 5)), system.gamma * system.kappa)
         subset = np.sort(rng.choice(system.gamma * system.kappa, size, replace=False))
-        scorer = _EpochScorer(system, f, system.f_sc(f),
-                              cap or (8192, p)[trial % 2])
+        scorer = _EpochScorer(system, f, system.f_sc(f))
         got = scorer.table_scores(subset)
         want = dense_candidate_scores(system, f, subset, p)
         assert np.array_equal(got, want)
@@ -348,6 +349,12 @@ def test_table_scores_match_dense_oracle(cap):
         assert np.array_equal(scorer.dense_scores(subset, grid), want)
         rows = rng.integers(0, len(grid), 50)
         assert np.array_equal(scorer.dense_scores(subset, grid[rows]), want[rows])
+        if cap is not None and len(grid) > cap:
+            draw = np.random.default_rng(trial)
+            cands = np.concatenate(list(_candidate_chunks(draw, p, size, cap)))
+            at = cands @ p ** np.arange(size - 1, -1, -1)  # lexicographic rank
+            assert np.array_equal(scorer.dense_scores(subset, cands), want[at])
+            seen["past-cap"] += 1
         # run_cpo's subsets come in theta order, not sorted
         back = subset[::-1]
         want = dense_candidate_scores(system, f, back, p)
@@ -374,12 +381,13 @@ def test_table_scores_match_dense_oracle(cap):
                 seen[f"support{k}-{name}"] += 1
     for key in ("size1", "size2", "size3", "size4", "composite", "no6", "no4",
                 "coef0", "coef2", "shared", "closed6", "closed4",
-                *(f"support{k}-{n}" for k in range(5) for n in "64")):
+                *(f"support{k}-{n}" for k in range(5) for n in "64"),
+                *(("past-cap",) if cap else ())):
         assert seen[key] > 0, key
 
 
 def test_incremental_start_matches_a_fresh_scorer():
-    # start recounts only the visits of cycles through re-powered cells;
+    # start moves only the sums of cycles through re-powered cells;
     # after each of several re-powerings it must hold what a scorer built
     # at those powers holds.  Scrambled walks give net-zero visits (a cell
     # at a + and a - step) and coefficients beyond +-1.
@@ -392,15 +400,13 @@ def test_incremental_start_matches_a_fresh_scorer():
             scramble_walks(rng, system)
         ncells = system.gamma * system.kappa
         f = rng.integers(0, p, ncells).astype(np.int64)
-        scorer = _EpochScorer(system, f, system.f_sc(f), 8192)
+        scorer = _EpochScorer(system, f, system.f_sc(f))
         for _ in range(int(rng.integers(2, 6))):
             cells = rng.choice(ncells, min(int(rng.integers(1, 4)), ncells), replace=False)
             f[cells] = rng.integers(0, p, len(cells))
             scorer.start(f, system.f_sc(f))
-            fresh = _EpochScorer(system, f, system.f_sc(f), 8192)
+            fresh = _EpochScorer(system, f, system.f_sc(f))
             assert np.array_equal(scorer.sums, fresh.sums)
-            assert np.array_equal(scorer.single, fresh.single)
-            assert np.array_equal(scorer.count, fresh.count)
             subset = np.sort(rng.choice(ncells, min(3, ncells), replace=False))
             assert np.array_equal(scorer.table_scores(subset), fresh.table_scores(subset))
         seen["composite"] += p in (6, 8, 9)
@@ -417,14 +423,15 @@ def test_incremental_start_matches_a_fresh_scorer():
 
 
 def test_epoch_scorer_rejects_inexact_visit_weights():
-    # each visit weighs at most kill, which exceeds all 6-cycles together
+    # a pooled weight sums at most every cycle at kill, which exceeds all
+    # 6-cycles together
     part = partition_from_cutting_vector([2, 4, 6], 3, 7)
     system = CycleSystem(spec_for(3, 7, 7, part, 10))
     f = np.zeros(system.gamma * system.kappa, dtype=np.int64)
-    _EpochScorer(system, f, system.f_sc(f), 8192)
+    _EpochScorer(system, f, system.f_sc(f))
     system.weight6 = np.full(len(system.res6), (1 << 53) // len(system.res6))
     with pytest.raises(ValueError, match="2\\*\\*53"):
-        _EpochScorer(system, f, system.f_sc(f), 8192)
+        _EpochScorer(system, f, system.f_sc(f))
 
 
 # (f_sc, rounds, sha256 of the trace CSV) recorded with the dense

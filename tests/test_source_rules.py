@@ -80,12 +80,7 @@ def _imported_names(tree):
                 yield alias.asname or alias.name.split(".")[0]
 
 
-def test_library_imports_are_used():
-    # a module-level import that its module never reads is left over from
-    # a mechanism that moved or went away
-    sources = [path for path in sorted(Path(scldpc.__file__).parent.glob("*.py"))
-               if path.name != "__init__.py"]
-    assert len(sources) >= 8
+def _unused_imports(sources):
     unused = []
     for path in sources:
         tree = ast.parse(path.read_text(), str(path))
@@ -93,4 +88,23 @@ def test_library_imports_are_used():
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
         unused += [f"{path.name}:{name}" for name in _imported_names(tree)
                    if name not in read]
+    return unused
+
+
+def test_library_imports_are_used():
+    # a module-level import that its module never reads is left over from
+    # a mechanism that moved or went away
+    sources = [path for path in sorted(Path(scldpc.__file__).parent.glob("*.py"))
+               if path.name != "__init__.py"]
+    assert len(sources) >= 8
+    unused = _unused_imports(sources)
+    assert not unused, unused
+
+
+def test_test_imports_are_used():
+    # the same rule for the test modules: an unread import hides which
+    # names a test still exercises
+    sources = sorted(Path(__file__).parent.glob("test_*.py"))
+    assert len(sources) >= 10
+    unused = _unused_imports(sources)
     assert not unused, unused
