@@ -241,6 +241,15 @@ class ColumnLists:
         return out
 
 
+def padded_lists(keys, values, n: int, pad: int, dtype=np.int64) -> np.ndarray:
+    """values grouped by their ascending keys 0..n-1: an (n, width) table,
+    each key's values in order, then `pad` up to the widest key."""
+    count = np.bincount(keys, minlength=n)
+    out = np.full((n, count.max(initial=0)), pad, dtype=dtype)
+    out[keys, np.arange(len(keys)) - (np.cumsum(count) - count)[keys]] = values
+    return out
+
+
 def as_column_lists(matrix) -> ColumnLists:
     """Column lists of a dense matrix; column lists pass through unchanged."""
     if isinstance(matrix, ColumnLists):

@@ -11,10 +11,11 @@ from __future__ import annotations
 import csv
 import io
 import re
+from functools import lru_cache
 
 import numpy as np
 
-from .code_model import ColumnLists, as_column_lists
+from .code_model import ColumnLists, as_column_lists, padded_lists
 
 __all__ = [
     "alist_string",
@@ -27,6 +28,12 @@ __all__ = [
     "optimum_csv",
     "trace_csv",
 ]
+
+
+@lru_cache(maxsize=1)
+def _words(top: int) -> np.ndarray:
+    """The words str(0..top), kept for the next alist of the same size."""
+    return np.array([str(v) for v in range(top + 1)], dtype=object)
 
 
 def alist_string(matrix) -> str:
@@ -46,22 +53,15 @@ def alist_string(matrix) -> str:
     col_deg = np.bincount(cols, minlength=ncols)
     row_deg = np.bincount(rows, minlength=nrows)
     dc, dr = int(col_deg.max()), int(row_deg.max())
-
-    def padded(owner, index, degree, width):
-        # 1-based indices in the owner's slot, zeros past its degree
-        table = np.zeros((len(degree), width), dtype=np.int64)
-        slot = np.arange(len(owner)) - np.repeat(np.cumsum(degree) - degree, degree)
-        table[owner, slot] = index + 1
-        return table
-
     # every value is at most max(nrows, ncols); a line of w words is the
     # words with a " " after each but the last, which "\n" ends.  Joining
     # each table's words on their own keeps one table's words alive at a time.
-    words = np.array([str(v) for v in range(max(nrows, ncols) + 1)], dtype=object)
+    words = _words(max(nrows, ncols))
     text = []
     for table in (np.array([[ncols, nrows], [dc, dr]]), col_deg[None], row_deg[None],
-                  padded(cols, rows, col_deg, dc),
-                  padded(rows[by_row], cols[by_row], row_deg, dr)):
+                  # 1-based indices, zeros past each list's degree
+                  padded_lists(cols, rows + 1, ncols, 0),
+                  padded_lists(rows[by_row], cols[by_row] + 1, nrows, 0)):
         n, w = table.shape
         lines = np.full((n, max(2 * w, 1)), " ", dtype=object)  # "\n" alone if w = 0
         lines[:, :2 * w:2] = words[table]

@@ -15,8 +15,8 @@ object whose variable pairs are linked by shortest paths through at
 most `path_vns` variables fits inside (path_vns - 1) * m + 1
 consecutive replicas, so counting window-resident instances that start
 in the first replica and weighting by position yields the full-matrix
-count.  The search only lists subsets; `_induced`, the classifier that
-`classify` also calls, classifies them a buffer at a time.
+count.  The search lists subsets by array ESU over column row lists;
+`_induced`, which `classify` also calls, classifies them a block at a time.
 
 Within the window, shifting every circulant offset by the same s is an
 automorphism that keeps each column in its replica, so the search only
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .code_model import SCCodeSpec, window
+from .code_model import SCCodeSpec, padded_lists, window
 from .cycle_census import CycleCensus
 
 __all__ = [
@@ -56,7 +56,7 @@ __all__ = [
 
 MAX_SUBSET_SIZE = 6
 MAX_WINDOW_COLUMNS = 4000
-CLASSIFY_BUFFER = 1 << 11  # subsets per _induced call of the search
+SEARCH_BLOCK = 1 << 11  # subsets built per array pass of the search
 
 
 @dataclass(frozen=True)
@@ -87,17 +87,20 @@ class ObjectSpecies:
             raise ValueError("invalid species sizes")
 
 
-def _induced(h: np.ndarray, subsets: np.ndarray):
-    """In-set check degrees (rows x n), odd-check counts b and absorbing
-    flags of n equal-size column subsets, given as an (n, a) array."""
-    # each sum is at most a or len(h)
-    acc = np.int16 if max(len(h), subsets.shape[1]) < 1 << 15 else np.int64
-    sub = h[:, subsets]  # (rows, n, a), in h's dtype
-    deg = sub.sum(axis=2, dtype=acc)
-    odd = deg & 1
-    n_odd = (sub * odd[:, :, None]).sum(axis=0, dtype=acc)
-    absorbing = (n_odd < sub.sum(axis=0, dtype=acc) - n_odd).all(axis=1)
-    return deg, odd.sum(axis=0), absorbing
+def _induced(rows: np.ndarray):
+    """In-set degrees of the row entries, odd-check counts b (each odd row
+    at its first entry) and absorbing flags of n column subsets from their
+    (d, a, n) row lists: row j of column v of subset s, -1 past its degree."""
+    d, a, n = rows.shape
+    flat = rows.reshape(d * a, n)
+    acc = np.int16 if d * a < 1 << 15 else np.int64  # sums reach d * a
+    eq = flat[:, None] == flat[None]  # (entries, entries, n)
+    deg = eq.sum(axis=1, dtype=acc)
+    odd = (deg & 1).astype(bool) & (flat >= 0)
+    first = ~(eq & np.tri(d * a, k=-1, dtype=bool)[:, :, None]).any(axis=1)
+    n_odd = odd.reshape(d, a, n).sum(axis=0, dtype=acc)
+    absorbing = (2 * n_odd < (rows >= 0).sum(axis=0, dtype=acc)).all(axis=0)
+    return deg, (odd & first).sum(axis=0), absorbing
 
 
 def classify(h: np.ndarray, vn_cols) -> InducedConfig:
@@ -116,14 +119,16 @@ def classify(h: np.ndarray, vn_cols) -> InducedConfig:
             raise ValueError(f"column {c} outside [0, {h.shape[1]})")
         if c == after:
             raise ValueError(f"column {c} repeated")
-    deg, b, absorbing = _induced(h, np.array([cols]))
-    touched = np.nonzero(deg[:, 0])[0]
+    rows = padded_lists(*np.nonzero(h[:, list(cols)].T), len(cols), -1).T
+    deg, b, absorbing = _induced(rows[:, :, None])
+    live = rows.ravel() >= 0
+    touched, at = np.unique(rows.ravel()[live], return_index=True)
     return InducedConfig(
         vn_set=cols,
         a=len(cols),
         b=int(b[0]),
         check_rows=tuple(touched.tolist()),
-        check_degrees=tuple(deg[touched, 0].tolist()),
+        check_degrees=tuple(deg[live, 0][at].tolist()),
         is_absorbing_set=bool(absorbing[0]),
     )
 
@@ -200,13 +205,64 @@ def _fold_orbit_tallies(tally: dict, p: int) -> dict:
     return per_span
 
 
+def _connected_subsets(h: np.ndarray, roots: np.ndarray, a: int):
+    """Yield each connected a-column subset of h whose lowest column is a
+    root once, root first, in int16 blocks of at most SEARCH_BLOCK rows,
+    with their row lists for `_induced`; h's columns must share one weight.
+    ESU (Wernicke 2006) over arrays: the child at a live entry of a subset's
+    extension row takes the entries after it and the new column's
+    neighbours above the root that are neither in nor adjacent to it."""
+    ncols = h.shape[1]
+    cols, rows = np.nonzero(h.T)
+    # row lists in the smallest int type (cheapest for `_induced`), then
+    # the pad column's, all -1, which meet no row
+    col_rows = padded_lists(cols, rows, ncols + 1, -1, np.min_scalar_type(-len(h)))
+    # each column's neighbours and itself (adjacent to a subset it extends,
+    # or the root), ascending, once each; -1 entries read an empty row
+    order = np.argsort(rows, kind="stable")
+    near = padded_lists(rows[order], cols[order], len(h) + 1, ncols)[col_rows]
+    near = near.reshape(ncols + 1, -1)
+    near.sort(axis=1)
+    near[:, 1:][near[:, 1:] == near[:, :-1]] = ncols
+    near.sort(axis=1)
+    # column indices fit int16, since ncols <= MAX_WINDOW_COLUMNS < 2**15
+    nbr = near[:, :(near < ncols).sum(axis=1).max(initial=0)].astype(np.int16)
+    stack: list = []
+
+    def push(sub, ext):
+        live = (ext < ncols).sum(axis=1)  # children, numbered from `at`
+        if live.any():
+            stack.append((sub, ext, np.cumsum(live) - live, int(live.sum()), 0))
+
+    push(np.empty((len(roots), 0), np.int16), roots.astype(np.int16)[:, None])
+    while stack:
+        sub, ext, at, total, made = stack.pop()
+        if made + SEARCH_BLOCK < total:
+            stack.append((sub, ext, at, total, made + SEARCH_BLOCK))
+        t = np.arange(made, min(made + SEARCH_BLOCK, total))
+        i = np.searchsorted(at, t, side="right") - 1  # parent state
+        j = t - at[i]  # its extension entry
+        child = np.column_stack([sub[i], ext[i, j]])
+        if child.shape[1] == a:
+            yield child, col_rows.T[:, child.T]
+            continue
+        cand = nbr[child[:, -1]]
+        touching = (col_rows[cand][:, :, :, None, None]
+                    == col_rows[sub[i]][:, None, None]).any(axis=(2, 3, 4))
+        grown = np.concatenate(
+            [np.where(np.arange(ext.shape[1]) > j[:, None], ext[i], ncols),
+             np.where((cand > child[:, :1]) & ~touching, cand, ncols)], axis=1)
+        grown.sort(axis=1)
+        push(child, grown[:, :(grown < ncols).sum(axis=1).max()])
+
+
 def enumerate_objects(spec: SCCodeSpec, species: ObjectSpecies) -> CycleCensus:
     """Count lifted instances of a species via windowed search.
 
     Lists the connected variable subsets of size species.a inside the
     first window of (path_vns - 1) * m + 1 replicas whose lowest column
     is one of the kappa offset-0 columns of replica 1, classifies them
-    with `_induced` a buffer at a time, and tags each find with its exact
+    with `_induced` a block at a time, and tags each find with its exact
     replica span k and the number c of its columns in its lowest column
     block.  Weighting each find by p / c (see the module docstring) and
     each span by (L - k + 1) gives the full-matrix total.
@@ -224,37 +280,12 @@ def enumerate_objects(spec: SCCodeSpec, species: ObjectSpecies) -> CycleCensus:
             "census for protograph-scale audits" % (ncols, MAX_WINDOW_COLUMNS))
     p = spec.p
     cols_per_replica = spec.kappa * p
-    shared = w.T.astype(np.float32) @ w.astype(np.float32)
-    np.fill_diagonal(shared, 0.0)
-    nbr = [np.nonzero(col)[0].tolist() for col in shared]
-    found: list = []
     tally: Counter = Counter()
-
-    def classify_found():
-        subs = np.array(found, dtype=np.intp).reshape(-1, species.a)
-        found.clear()
-        _, b, absorbing = _induced(w, subs)
-        hit = subs[(b == species.b) & (absorbing | (species.kind == "TS"))]
+    roots = np.arange(0, cols_per_replica, p)
+    for sub, rows in _connected_subsets(w, roots, species.a):
+        _, b, absorbing = _induced(rows)
+        hit = sub[(b == species.b) & (absorbing | (species.kind == "TS"))]
         # the root is each subset's first and lowest column
         tally.update(zip((hit.max(axis=1) // cols_per_replica + 1).tolist(),
                          (hit < hit[:, :1] + p).sum(axis=1).tolist()))
-
-    def extend(sub, ext, blocked, root):
-        # ext holds unprocessed extension candidates; blocked is the
-        # subset plus every neighbor seen so far, which keeps each
-        # connected subset from being produced twice.
-        if len(sub) == species.a - 1:
-            found.extend(sub + [c] for c in ext)
-            if len(found) >= CLASSIFY_BUFFER:
-                classify_found()
-            return
-        ext = list(ext)
-        while ext:
-            cand = ext.pop()
-            grow = [u for u in nbr[cand] if u > root and u not in blocked]
-            extend(sub + [cand], ext + grow, blocked | set(grow), root)
-
-    for root in range(0, cols_per_replica, p):
-        extend([], [root], {root}, root)
-    classify_found()
     return CycleCensus(spec.L, _fold_orbit_tallies(tally, p))

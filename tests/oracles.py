@@ -744,6 +744,38 @@ def windowed_species_census(spec, species) -> CycleCensus:
         lambda sub: max(sub) // width + 1))
 
 
+def brute_connected_subsets(h: np.ndarray, roots, a: int) -> list:
+    """Every connected a-column subset of h whose lowest column is one of
+    roots, as sorted tuples, from all column combinations and a BFS each;
+    the reference for trapping_sets._connected_subsets.
+
+    Pruning: a subset's columns lie within a - 1 steps of its lowest
+    column, through columns no lower than it.
+    """
+    h = np.asarray(h, dtype=bool)
+    adj = (h.T.astype(np.int64) @ h.astype(np.int64)) > 0
+    found = []
+    for root in sorted(int(r) for r in roots):
+        near, frontier = {root}, {root}
+        for _ in range(a - 1):
+            frontier = {int(u) for c in frontier
+                        for u in np.flatnonzero(adj[c])} - near
+            frontier = {u for u in frontier if u > root}
+            near |= frontier
+        for rest in itertools.combinations(sorted(near - {root}), a - 1):
+            sub = (root,) + rest
+            seen, todo = {root}, [root]
+            while todo:
+                c = todo.pop()
+                for u in sub:
+                    if u not in seen and adj[c, u]:
+                        seen.add(u)
+                        todo.append(u)
+            if len(seen) == a:
+                found.append(sub)
+    return found
+
+
 def dense_classify(h: np.ndarray, vn_cols) -> InducedConfig:
     """Classify the subgraph induced by the given columns of h, from the
     dense column slice; the reference for trapping_sets.classify.

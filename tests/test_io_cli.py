@@ -617,12 +617,21 @@ def test_alist_string_of_a_coupled_lift_matches_scan_oracle(tmp_path):
     _assert_alist_round_trip(tmp_path / "code.alist", ones)
 
 
-def test_lift_and_census_matrix_leave_numpy_ma_unimported(tmp_path):
-    # a fresh interpreter: pytest's own process may already hold numpy.ma
+def _numpy_ma_after(script, tmp_path) -> str:
+    """Run script in a fresh interpreter (pytest's own process may already
+    hold numpy.ma) with sys.argv[1] = tmp_path; whether it imported numpy.ma."""
     src = Path(code_model.__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = str(src) + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    script += "print('numpy.ma' in sys.modules)\n"
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()[-1]
+
+
+def test_lift_and_census_matrix_leave_numpy_ma_unimported(tmp_path):
     script = (
         "import sys\n"
         "from scldpc.cli import main\n"
@@ -631,12 +640,35 @@ def test_lift_and_census_matrix_leave_numpy_ma_unimported(tmp_path):
         "        '--zeta', '1,3,4', '--out', out]\n"
         "assert main(['lift', *code]) == 0\n"
         "assert main(['census', '--matrix', out + '/code.alist',\n"
+        "             '--out', out + '/brute']) == 0\n")
+    assert _numpy_ma_after(script, tmp_path) == "False"
+
+
+def test_pipeline_audits_and_trapping_search_leave_numpy_ma_unimported(tmp_path):
+    # plain np.unique(x) imports numpy.ma on first use; every stage of both
+    # benchmark workloads must avoid it
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from scldpc.cli import main\n"
+        "from scldpc.code_model import (SCCodeSpec, ab_code,\n"
+        "                               partition_from_cutting_vector, sc_lift)\n"
+        "from scldpc.trapping_sets import (ObjectSpecies, classify,\n"
+        "                                  enumerate_objects)\n"
+        "out = sys.argv[1]\n"
+        "code = ['--gamma', '3', '--kappa', '5', '--p', '5', '--L', '4']\n"
+        "assert main(['pipeline', *code, '--seed', '0', '--cpo-stale', '2',\n"
+        "             '--out', out + '/pipe']) == 0\n"
+        "code += ['--zeta', '1,3,4', '--out', out + '/audit']\n"
+        "assert main(['census', *code]) == 0\n"
+        "assert main(['lift', *code]) == 0\n"
+        "assert main(['census', '--matrix', out + '/audit/code.alist',\n"
         "             '--out', out + '/brute']) == 0\n"
-        "print('numpy.ma' in sys.modules)\n")
-    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
-                          env=env, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split()[-1] == "False"
+        "spec = SCCodeSpec(ab_code(3, 5, 5),\n"
+        "                  partition_from_cutting_vector([1, 3, 4], 3, 5), 4)\n"
+        "assert enumerate_objects(spec, ObjectSpecies(4, 2, 'AS', 3)).total\n"
+        "assert classify(sc_lift(spec), [0, 5, 11]).a == 3\n")
+    assert _numpy_ma_after(script, tmp_path) == "False"
 
 
 _CODE = ["--gamma", "3", "--kappa", "4", "--p", "5", "--L", "3"]

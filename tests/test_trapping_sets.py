@@ -1,20 +1,24 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from scldpc import trapping_sets
 from scldpc.code_model import (CirculantBlockCode, PartitionMatrix, SCCodeSpec,
-                               ab_code, partition_from_cutting_vector, sc_lift)
+                               ab_code, partition_from_cutting_vector,
+                               partition_from_cutting_vectors, sc_lift, window)
 from scldpc.cycle_census import active_cycles6
 from scldpc.trapping_sets import (MAX_SUBSET_SIZE, ObjectSpecies, classify,
                                   common_denominator, dominant_species,
                                   enumerate_objects, max_shortest_path_vns,
                                   replica_span)
 
-from oracles import (all_subsets_species_count, connected_species_count,
-                     cycle_template, dense_classify, random_partition,
-                     six_four_template, windowed_species_census)
+from oracles import (all_subsets_species_count, brute_connected_subsets,
+                     connected_species_count, cycle_template, dense_classify,
+                     random_partition, six_four_template,
+                     windowed_species_census)
 
 
 def four_two_template():
@@ -279,3 +283,91 @@ def test_fold_rejects_a_tally_that_is_not_whole_orbits():
     assert trapping_sets._fold_orbit_tallies({(1, 2): 3, (1, 1): 1}, 4) == {1: 10}
     with pytest.raises(RuntimeError, match="orbits"):
         trapping_sets._fold_orbit_tallies({(1, 3): 1}, 4)
+
+
+def random_window(rng):
+    """A small window of a random coupled lift, every column one weight."""
+    gamma, kappa = int(rng.integers(2, 4)), int(rng.integers(2, 6))
+    p, m = int(rng.integers(2, 6)), int(rng.integers(0, 3))
+    block = CirculantBlockCode(gamma, kappa, p,
+                               rng.integers(0, p, size=(gamma, kappa)))
+    spec = SCCodeSpec(block, random_partition(rng, gamma, kappa, m),
+                      int(rng.integers(1, 4)))
+    return window(spec, 1, int(rng.integers(1, spec.L + 1)), lifted=True)
+
+
+@pytest.mark.parametrize("budget", [1, 7, None])
+def test_connected_subsets_match_brute_force_listing(monkeypatch, budget):
+    if budget is not None:
+        monkeypatch.setattr(trapping_sets, "SEARCH_BLOCK", budget)
+    budget = trapping_sets.SEARCH_BLOCK
+    rng = np.random.default_rng(28)
+    cases = listed = 0
+    while cases < 120:
+        h = random_window(rng)
+        ncols = h.shape[1]
+        if ncols > 30:
+            continue
+        lists = np.array([np.flatnonzero(col) for col in h.T])
+        a = int(rng.integers(1, 6))
+        roots = rng.choice(ncols, size=int(rng.integers(1, ncols + 1)),
+                           replace=False)
+        got = []
+        for sub, rows in trapping_sets._connected_subsets(h, roots, a):
+            assert sub.shape[1] == a and 1 <= len(sub) <= budget
+            assert (rows == lists[sub].transpose(2, 1, 0)).all()
+            # the root comes first and is the lowest column
+            assert set(sub[:, 0].tolist()) <= set(roots.tolist())
+            assert (sub[:, 1:] > sub[:, :1]).all()
+            got += [tuple(sorted(row)) for row in sub.tolist()]
+        want = brute_connected_subsets(h, roots, a)
+        assert len(got) == len(set(got)), "a subset was listed twice"
+        assert sorted(got) == sorted(want)
+        cases += 1
+        listed += len(got)
+    assert listed > 10000, listed
+
+
+def test_induced_matches_dense_classify_on_batches():
+    # irregular columns, degree 0 included; a column's rows pad with -1
+    rng = np.random.default_rng(29)
+    seen = {"absorbing": 0, "degree 0": 0}
+    for _ in range(60):
+        nrows, ncols = int(rng.integers(1, 13)), int(rng.integers(6, 15))
+        density = rng.random(ncols) * (rng.random(ncols) > 0.2)
+        h = rng.random((nrows, ncols)) < density
+        lists = [np.flatnonzero(col) for col in h.T]
+        table = np.full((ncols, max(max(map(len, lists)), 1)), -1)
+        for c, col_rows in enumerate(lists):
+            table[c, :len(col_rows)] = col_rows
+        a = int(rng.integers(1, 7))
+        subs = np.array([rng.choice(ncols, size=a, replace=False)
+                         for _ in range(int(rng.integers(1, 40)))])
+        rows = table[subs].transpose(2, 1, 0)  # (d, a, n)
+        deg, b, absorbing = trapping_sets._induced(rows)
+        flat = rows.reshape(-1, len(subs))
+        for s, sub in enumerate(subs):
+            want = dense_classify(h, sub)
+            assert (b[s], absorbing[s]) == (want.b, want.is_absorbing_set)
+            in_set = h[:, sub].sum(axis=1)
+            live = flat[:, s] >= 0
+            assert (deg[live, s] == in_set[flat[live, s]]).all()
+            seen["absorbing"] += want.is_absorbing_set
+            seen["degree 0"] += not h[:, sub].any(axis=0).all()
+    assert min(seen.values()) >= 20, seen
+
+
+def test_trapping_search_memory():
+    # a (4, 2) search over a 363-column window, checked against its counts;
+    # listing every subset at once instead of a block at a time peaks near
+    # 45 MB here
+    spec = SCCodeSpec(ab_code(3, 11, 11),
+                      partition_from_cutting_vectors([[1, 6, 10]], 3, 11), 12)
+    tracemalloc.start()
+    try:
+        census = enumerate_objects(spec, ObjectSpecies(4, 2, "TS", 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert census.per_span == {1: 407, 2: 110}
+    assert peak < 12e6, peak
