@@ -292,8 +292,7 @@ def _census(cfg, part: PartitionMatrix):
 def _active(cfg, spec: SCCodeSpec):
     """The lifted code's active cycles, in census_lifted.csv."""
     act = active_cycles6(spec)
-    (_out_dir(cfg) / "census_lifted.csv").write_text(
-        census_csv(act, p=cfg.p), newline="")
+    (_out_dir(cfg) / "census_lifted.csv").write_text(census_csv(act), newline="")
     return act
 
 

@@ -195,11 +195,12 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
-def census_csv(census, p: int | None = None) -> str:
+def census_csv(census) -> str:
     """Per-span cycle counts with the position multiplicity applied.
 
     Columns: span k, count of first-window classes, number of window
-    positions L-k+1, and the weighted contribution; a final total row.
+    positions L-k+1, and the weighted contribution (times the lift factor
+    p of a lifted census); a final total row.
     """
     # an activity-aware census reports the classes that survive lifting
     per_span = getattr(census, "active_per_span", census.per_span)
@@ -207,8 +208,7 @@ def census_csv(census, p: int | None = None) -> str:
     for k in sorted(per_span):
         n = per_span[k]
         mult = max(census.L - k + 1, 0)
-        contrib = n * mult * (p if p is not None else 1)
-        rows.append([k, n, mult, contrib])
+        rows.append([k, n, mult, n * mult * getattr(census, "p", 1)])
     rows.append(["total", "", "", census.total])
     return _csv_text(["k", "count", "positions", "weighted"], rows)
 

@@ -17,10 +17,10 @@ optimality).  Branch-and-bound prunes each new frontier of partial count
 vectors whose census already exceeds the incumbent (adding a column never
 removes cycles); its `evaluated` counts the incumbent's local-search rows,
 the bounded partial rows and the scored complete rows.  Seeded
-multi-restart steepest descent, its restarts in lockstep, serves spaces
-too large to enumerate.  `time_budget_s` bounds local search (past it,
-only the first restart descends on) and branch-and-bound, which then
-reports certified=False.
+multi-restart steepest descent serves spaces too large to enumerate; its
+restarts descend in lockstep over (restart, v, w) move triples.
+`time_budget_s` bounds local search (past it, only the first restart
+descends on) and branch-and-bound, which then reports certified=False.
 """
 
 from __future__ import annotations
@@ -225,22 +225,26 @@ def _random_balanced(rng, kappa, loads, lo, hi, attempts=2000):
     raise RuntimeError("could not sample a balanced start; relax the slack")
 
 
+def _move(rows, v, w):
+    """The rows (a fancy-indexed copy), row i moving a column from v[i] to w[i]."""
+    at = np.arange(len(rows))
+    rows[at, v] -= 1
+    rows[at, w] += 1
+    return rows
+
+
 def _local_search(ev, kappa, loads, lo, hi, config, deadline):
     """Seeded multi-restart steepest descent over single-column moves.
 
-    Every move (vi -> wi, vi != wi, vi-major) is a fixed step row.  The
-    starts are drawn first (descents draw nothing); then one objective call
-    per step scores the balance-feasible moves of every restart still
-    improving, and each takes its first best move.  The clock is read
-    before each later start and step; past the deadline no start is drawn
-    and only the first restart descends on, to its local minimum.
+    The starts are drawn first (descents draw nothing).  Each step scores,
+    `BATCH` rows at a time, the moves (restart, v, w) of every restart still
+    improving, v a used pattern and w another keeping the totals in [lo, hi],
+    in restart-major, v-major, w-ascending order; each restart takes its
+    first best move.  The clock is read before each later start and step;
+    past the deadline no start is drawn and only the first restart descends
+    on, to its local minimum.
     """
     rng = np.random.default_rng(config.seed)
-    nparts = loads.shape[1]
-    eye = np.eye(nparts, dtype=np.int64)
-    vi, wi = np.nonzero(1 - eye)
-    step = eye[wi] - eye[vi]
-    shift = step @ loads.T
     starts = []
     for restart in range(config.restarts):
         if restart and deadline is not None and time.monotonic() > deadline:
@@ -254,22 +258,25 @@ def _local_search(ev, kappa, loads, lo, hi, config, deadline):
         if len(live) > 1 and deadline is not None and time.monotonic() > deadline:
             live = live[live == 0]
             continue
-        t2 = (n[live] @ loads.T)[:, None, :] + shift
-        ok = (n[live][:, vi] > 0) & ((t2 >= lo) & (t2 <= hi)).all(axis=2)
-        seg, move = np.nonzero(ok)
-        if not len(seg):
-            break
-        # infeasible moves score above any count, so each restart's argmin
-        # is its first best move, and a restart without moves stops
-        vals = np.full(ok.shape, np.iinfo(np.int64).max)
-        vals[seg, move] = ev.objective(n[live[seg]] + step[move])
-        evaluated += len(seg)
-        move = vals.argmin(axis=1)
-        low = vals[np.arange(len(live)), move]
-        better = low < val[live]
-        live = live[better]
-        n[live] += step[move[better]]
-        val[live] = low[better]
+        at, v = np.nonzero(n[live] > 0)
+        totals = ((loads @ n[live].T)[:, at] - loads[:, v])[:, :, None] + loads[:, None]
+        ok = ((totals >= lo) & (totals <= hi)).all(axis=0)
+        ok[np.arange(len(v)), v] = False
+        pair, w = np.nonzero(ok)
+        r, v = live[at[pair]], v[pair]
+        vals = np.empty(len(r), dtype=np.int64)
+        for s in range(0, len(r), BATCH):
+            b = slice(s, s + BATCH)
+            vals[b] = ev.objective(_move(n[r[b]], v[b], w[b]))
+        evaluated += len(r)
+        heads = np.flatnonzero(np.diff(r, prepend=-1))  # each restart's first move
+        low = np.minimum.reduceat(vals, heads).repeat(np.diff(heads, append=len(r)))
+        best = np.flatnonzero(vals == low)
+        best = best[np.diff(r[best], prepend=-1) > 0]  # its first best move
+        best = best[vals[best] < val[r[best]]]  # the restarts still improving
+        live = r[best]
+        n[live] = _move(n[live], v[best], w[best])
+        val[live] = vals[best]
     ind = [tuple(row) for row in (n @ ev.independent.T).tolist()]
     r = min(range(len(n)), key=lambda r: (int(val[r]), ind[r]))
     return (int(val[r]), ind[r], n[r].copy()), evaluated

@@ -111,26 +111,17 @@ class CpoState:
     cut_short: bool  # time_budget_s ended the search
 
 
-def _visit_table(res: np.ndarray, ncells: int) -> np.ndarray:
-    """Boolean (cell, cycle) table: does the cycle's walk visit the cell."""
-    visits = np.zeros((ncells, len(res)), dtype=bool)
-    visits[res, np.arange(len(res))[:, None]] = True
-    return visits
-
-
 class CycleSystem:
     """Starter cycles of a coupled spec in residue-cell coordinates.
 
     res6 and res4 hold each cycle's cells in alternating walk order, so the
     alternating sum of powers over them is 0 mod p exactly for the cycles
     that survive lifting.  Powers enter only through the residue cell index
-    (row mod gamma) * kappa + (col mod kappa).  visits6 and visits4 mark,
-    per cell, the cycles whose walk passes through it.
+    (row mod gamma) * kappa + (col mod kappa).
     """
 
     def __init__(self, spec: SCCodeSpec):
-        g, kp = spec.gamma, spec.kappa
-        self.gamma, self.kappa, self.m, self.p = g, kp, spec.m, spec.p
+        self.gamma, self.kappa, self.m, self.p = spec.gamma, spec.kappa, spec.m, spec.p
 
         span6, rows6, cols6 = starter_cycles6(spec)
         self.res6 = walk_residues(spec, rows6, cols6)
@@ -139,9 +130,6 @@ class CycleSystem:
 
         _, rows4, cols4 = starter_cycles4(spec)
         self.res4 = walk_residues(spec, rows4, cols4)
-
-        self.visits6 = _visit_table(self.res6, g * kp)
-        self.visits4 = _visit_table(self.res4, g * kp)
 
     def active6(self, f_flat: np.ndarray) -> np.ndarray:
         return alternating_sum(f_flat[self.res6]) % self.p == 0
@@ -189,17 +177,20 @@ class _EpochScorer:
         self.kill = int(system.weight6.sum()) + 1
         self.weight = np.concatenate(
             [system.weight6, np.full(len(system.res4), self.kill)])
-        self.visits = np.concatenate([system.visits6, system.visits4], axis=1)
-        ncells, ncycles = self.visits.shape
+        ncells, ncycles = system.gamma * system.kappa, len(self.weight)
         if ncycles * self.kill >= 1 << 53:
             raise ValueError("cycle weights could pass 2**53, where the float64 "
                              "pooled weights stop being exact")
-        # signed multiplicity of each cell in each cycle's walk; one walk
-        # position holds each cycle once, so a plain += adds every step
+        # signed multiplicity of each cell in each cycle's walk, and whether
+        # the walk visits it (a net-zero visit too); one walk position holds
+        # each cycle once, so a plain += adds every step
         self.mult = np.zeros((ncells, ncycles), dtype=np.int8)
+        self.visits = np.zeros((ncells, ncycles), dtype=bool)
         for res, at in ((system.res6, 0), (system.res4, len(system.res6))):
+            cycles = at + np.arange(len(res))
             for j in range(res.shape[1]):
-                self.mult[res[:, j], at + np.arange(len(res))] += (-1) ** j
+                self.mult[res[:, j], cycles] += (-1) ** j
+                self.visits[res[:, j], cycles] = True
         self.lin, self.masks = {}, {}
         # every cycle's signed power sum, at all powers 0 until start moves it
         self.f, self.sums = np.zeros_like(f_flat), np.zeros(ncycles, np.int64)

@@ -15,8 +15,8 @@ object whose variable pairs are linked by shortest paths through at
 most `path_vns` variables fits inside (path_vns - 1) * m + 1
 consecutive replicas, so counting window-resident instances that start
 in the first replica and weighting by position yields the full-matrix
-count.  The search lists subsets by array ESU over column row lists;
-`_induced`, which `classify` also calls, classifies them a block at a time.
+count.  The search lists subsets by array ESU over column row lists, and
+`_induced` classifies them a block at a time.
 
 Within the window, shifting every circulant offset by the same s is an
 automorphism that keeps each column in its replica, so the search only
@@ -88,9 +88,9 @@ class ObjectSpecies:
 
 
 def _induced(rows: np.ndarray):
-    """In-set degrees of the row entries, odd-check counts b (each odd row
-    at its first entry) and absorbing flags of n column subsets from their
-    (d, a, n) row lists: row j of column v of subset s, -1 past its degree."""
+    """Odd-check counts b (each odd row at its first entry) and absorbing
+    flags of n column subsets from their (d, a, n) row lists: row j of
+    column v of subset s, -1 past its degree."""
     d, a, n = rows.shape
     flat = rows.reshape(d * a, n)
     acc = np.int16 if d * a < 1 << 15 else np.int64  # sums reach d * a
@@ -100,7 +100,7 @@ def _induced(rows: np.ndarray):
     first = ~(eq & np.tri(d * a, k=-1, dtype=bool)[:, :, None]).any(axis=1)
     n_odd = odd.reshape(d, a, n).sum(axis=0, dtype=acc)
     absorbing = (2 * n_odd < (rows >= 0).sum(axis=0, dtype=acc)).all(axis=0)
-    return deg, (odd & first).sum(axis=0), absorbing
+    return (odd & first).sum(axis=0), absorbing
 
 
 def classify(h: np.ndarray, vn_cols) -> InducedConfig:
@@ -119,17 +119,18 @@ def classify(h: np.ndarray, vn_cols) -> InducedConfig:
             raise ValueError(f"column {c} outside [0, {h.shape[1]})")
         if c == after:
             raise ValueError(f"column {c} repeated")
-    rows = padded_lists(*np.nonzero(h[:, list(cols)].T), len(cols), -1).T
-    deg, b, absorbing = _induced(rows[:, :, None])
-    live = rows.ravel() >= 0
-    touched, at = np.unique(rows.ravel()[live], return_index=True)
+    vn, rows = np.nonzero(h[:, list(cols)].T)
+    touched, at, deg = np.unique(rows, return_inverse=True, return_counts=True)
+    odd = deg % 2 == 1
+    n_odd = np.bincount(vn[odd[at]], minlength=len(cols))
+    absorbing = (2 * n_odd < np.bincount(vn, minlength=len(cols))).all()
     return InducedConfig(
         vn_set=cols,
         a=len(cols),
-        b=int(b[0]),
+        b=int(odd.sum()),
         check_rows=tuple(touched.tolist()),
-        check_degrees=tuple(deg[live, 0][at].tolist()),
-        is_absorbing_set=bool(absorbing[0]),
+        check_degrees=tuple(deg.tolist()),
+        is_absorbing_set=bool(absorbing),
     )
 
 
@@ -283,7 +284,7 @@ def enumerate_objects(spec: SCCodeSpec, species: ObjectSpecies) -> CycleCensus:
     tally: Counter = Counter()
     roots = np.arange(0, cols_per_replica, p)
     for sub, rows in _connected_subsets(w, roots, species.a):
-        _, b, absorbing = _induced(rows)
+        b, absorbing = _induced(rows)
         hit = sub[(b == species.b) & (absorbing | (species.kind == "TS"))]
         # the root is each subset's first and lowest column
         tally.update(zip((hit.max(axis=1) // cols_per_replica + 1).tolist(),

@@ -171,11 +171,13 @@ def test_census_csv_recomputable():
 
 
 def test_census_csv_lifted_rows_sum_to_total():
-    # the lifted report must count active classes, not all starter classes
+    # the lifted report must count active classes, not all starter classes,
+    # each weighted by the census's own lift factor
     part = partition_from_cutting_vector((1, 3, 4), 3, 5)
     spec = SCCodeSpec(ab_code(3, 5, 5), part, 6)
     act = active_cycles6(spec)
-    lines = census_csv(act, p=5).splitlines()
+    assert act.p == 5
+    lines = census_csv(act).splitlines()
     total = 0
     for line in lines[1:-1]:
         k, n, mult, contrib = line.split(",")

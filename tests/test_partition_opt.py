@@ -404,4 +404,18 @@ def test_gamma4_m2_search_memory():
     finally:
         tracemalloc.stop()
     assert opt.f_star == 64438
-    assert peak < 48 * 2**20, peak
+    assert peak < 32 * 2**20, peak
+
+
+def test_gamma4_m3_search_memory():
+    # moves are (restart, v, w) triples scored BATCH rows at a time, with no
+    # table over the 256 * 255 pattern pairs; those dense move tables traced
+    # about 426 MB here
+    tracemalloc.start()
+    try:
+        opt = optimize(4, 9, 3, 30, OptimizerConfig(seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert opt.f_star == 5100
+    assert peak < 64 * 2**20, peak

@@ -15,7 +15,7 @@ from scldpc.partition_opt import OptimizerConfig, optimize
 from scldpc import power_opt
 from scldpc.io_formats import trace_csv
 from scldpc.power_opt import (CpoConfig, CycleSystem, _EpochScorer,
-                              _candidate_chunks, _visit_table, refine_layout,
+                              _candidate_chunks, refine_layout,
                               run_cpo, weighted_theta)
 
 from oracles import (dense_candidate_scores, lifted_cycles4, random_partition,
@@ -305,8 +305,6 @@ def scramble_walks(rng, system):
     ncells = system.gamma * system.kappa
     system.res6 = rng.integers(0, ncells, system.res6.shape)
     system.res4 = rng.integers(0, ncells, system.res4.shape)
-    system.visits6 = _visit_table(system.res6, ncells)
-    system.visits4 = _visit_table(system.res4, ncells)
 
 
 def test_cycles_by_cell_match_per_cell_scan():
@@ -316,11 +314,14 @@ def test_cycles_by_cell_match_per_cell_scan():
         if n % 2:
             scramble_walks(rng, system)
         ncells = system.gamma * system.kappa
-        for res, visits in ((system.res6, system.visits6),
-                            (system.res4, system.visits4)):
-            assert visits.shape == (ncells, len(res))
+        f = np.zeros(ncells, dtype=np.int64)
+        visits = _EpochScorer(system, f, system.f_sc(f)).visits
+        n6 = len(system.res6)
+        assert visits.shape == (ncells, n6 + len(system.res4))
+        for res, block in ((system.res6, visits[:, :n6]),
+                           (system.res4, visits[:, n6:])):
             for c in range(ncells):
-                assert np.array_equal(visits[c], (res == c).any(axis=1))
+                assert np.array_equal(block[c], (res == c).any(axis=1))
 
 
 @pytest.mark.parametrize("cap", [None, 40])
@@ -474,7 +475,7 @@ def test_invariant_breaks_raise(monkeypatch, method, message):
                 CpoConfig(seed=1, subset_size_schedule=(1, 2)))
 
 
-def test_epoch_scorer_replays_the_per_subset_scorer():
+def test_run_cpo_matches_replay_oracle():
     # whole runs against a replay of run_cpo's round loop that scores every
     # round afresh with the dense scorer: AB starts without lifted
     # 4-cycles, prime and composite p, and schedules whose larger sizes are
