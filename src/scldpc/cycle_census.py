@@ -223,15 +223,16 @@ _SHAPE_ROWS = 1024  # pattern-count rows ShapeCount contracts at a time
 class ShapeCount:
     """6-cycles under one weight on shapes, from pattern counts.
 
-    Each residue triple's overlaps are one block of shape_row_sets, linear
-    in the pattern counts (`cover_matrix`).  Pair overlaps N12[u], N13[v],
-    N23[w] count the base columns that can sit at each position, so
-    sum K[u,v,w] N12[u] N13[v] N23[w] counts column triples with repeats.
-    Two columns coincide when they share a replica and a base column, which
-    then covers all three rows with components x; inclusion-exclusion (as
-    in count_cycles6) subtracts each coinciding pair, the triple overlap
-    N123[x] against the third pair count, and adds back twice the triples
-    where all three coincide.
+    Each residue triple's overlaps are one block of shape_row_sets(gamma, m),
+    linear in the pattern counts through its cover (`cover_matrix`), which
+    is built once, here.  Pair overlaps N12[u], N13[v], N23[w] count the
+    base columns that can sit at each position, so sum K[u,v,w] N12[u]
+    N13[v] N23[w] counts column triples with repeats.  Two columns coincide
+    when they share a replica and a base column, which then covers all
+    three rows with components x; inclusion-exclusion (as in count_cycles6)
+    subtracts each coinciding pair, the triple overlap N123[x] against the
+    third pair count, and adds back twice the triples where all three
+    coincide.
 
     The contraction runs in float64, on BLAS, _SHAPE_ROWS count rows at a
     time, each chunk converted on its own, so its temporaries stay bounded
@@ -242,12 +243,14 @@ class ShapeCount:
     whose rows could pass it raises ValueError before any chunk runs.
     """
 
-    def __init__(self, weight: np.ndarray):
-        side = weight.shape[0]
-        comps = math.isqrt(side)
+    def __init__(self, gamma: int, m: int, weight: np.ndarray):
+        comps = m + 1
+        side = comps ** 2
         x1, x2, x3 = np.unravel_index(np.arange(comps ** 3), (comps,) * 3)
         u, v, w = x1 * comps + x2, x1 * comps + x3, x2 * comps + x3
         self.side, self.width = side, 3 * side + comps ** 3
+        self.triples = math.comb(gamma, 3)
+        self.cover = cover_matrix(gamma, m, shape_row_sets(gamma, m)).astype(np.float64)
         self.max_weight = int(np.abs(weight).max(initial=0))
         weight = weight.astype(np.float64)
         # transposed: products keep the batch rows on the last, contiguous axis
@@ -257,20 +260,20 @@ class ShapeCount:
             [weight[u, v, :], weight[u, :, w], weight[:, v, w].T], axis=1).T
         self.diagonal = weight[u, v, w]
 
-    def __call__(self, cover: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    def __call__(self, counts: np.ndarray) -> np.ndarray:
         """int64 count for each pattern-count row of `counts`, summed over
-        the residue triples; `cover` is the cover matrix of shape_row_sets."""
-        side, triples = self.side, len(cover) // self.width
+        the residue triples."""
+        side, triples = self.side, self.triples
         counts = np.asarray(counts)
         kappa = int(np.abs(counts).sum(axis=1).max(initial=0))
         if triples * kappa * (kappa + 1) * (kappa + 2) * self.max_weight >= 1 << 53:
             raise ValueError(f"a count row of total {kappa} could pass 2**53, "
                              "where float64 stops being exact")
-        cover, out = cover.astype(np.float64), np.empty(len(counts), np.int64)
+        out = np.empty(len(counts), np.int64)
         for lo in range(0, len(counts), _SHAPE_ROWS):
             chunk = counts[lo:lo + _SHAPE_ROWS].astype(np.float64)
             rows = len(chunk)
-            n = (cover @ chunk.T).reshape(triples, self.width, rows)
+            n = (self.cover @ chunk.T).reshape(triples, self.width, rows)
             p12, p13, p23, t = np.split(n, [side, 2 * side, 3 * side], axis=1)
             both = (p12[:, :, None] * p13[:, None]).reshape(triples, side * side, rows)
             one = self.coincide @ t
@@ -340,11 +343,10 @@ def census_protograph(pc: PatternCounts, L: int) -> CycleCensus:
     """Closed-form 6-cycle census of the coupled protograph with L replicas."""
     if L < 1:
         raise ValueError(f"L must be >= 1, got {L}")
-    # F1[k] for each span k, all from one cover of the shape row sets
-    cover = cover_matrix(pc.gamma, pc.m, shape_row_sets(pc.gamma, pc.m))
+    # F1[k] for each span k: the shape count under the indicator of span k
     span = shape_spans(pc.m)
-    return CycleCensus(L, {k: int(ShapeCount((span == k).astype(np.int64))(
-        cover, pc.counts[None])[0]) for k in range(1, min(pc.m + 1, L) + 1)})
+    return CycleCensus(L, {k: int(ShapeCount(pc.gamma, pc.m, span == k)(
+        pc.counts[None])[0]) for k in range(1, min(pc.m + 1, L) + 1)})
 
 
 def census_from_partition(partition, L: int) -> CycleCensus:

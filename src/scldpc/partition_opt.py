@@ -7,8 +7,9 @@ pattern.  Pattern counts are the natural search space because feasibility
 is just nonnegativity plus the column budget, and the balance constraint
 (each component receives roughly kappa*gamma/(m+1) circulants) is linear.
 
-Three strategies share one vectorized evaluator: the census's shape count
-(`cycle_census.ShapeCount`) over overlaps linear in the pattern counts.
+Three strategies share one vectorized objective, the census's shape count
+(`cycle_census.ShapeCount`), which scores a batch of pattern-count rows
+through its own cover of the shape overlaps.
 Exhaustive search and branch-and-bound also share one block expander,
 `_balanced_blocks`, which emits the balanced compositions in lexicographic
 order, about `BATCH` rows at a time, building only each parent's interval
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cycle_census import ShapeCount, shape_row_sets, shape_weight
+from .cycle_census import ShapeCount, shape_weight
 from .overlaps import (
     IndependentOverlaps,
     PatternCounts,
@@ -78,19 +79,15 @@ class Optimum:
 class _Evaluator:
     """Batched census evaluation over pattern-count vectors.
 
-    A batch's overlaps are linear in its pattern counts (`cover_matrix`), so
-    one product gives every residue triple's shape overlaps, the contraction
-    the census uses (`ShapeCount`).
+    `objective` is the census's shape count (`ShapeCount`) under the
+    L-replica placement weight: the weighted 6-cycle total of each
+    pattern-count row of a batch.  `independent` maps a row to its
+    independent overlaps, the tie-break between equal totals.
     """
 
     def __init__(self, gamma: int, m: int, L: int):
         self.independent = cover_matrix(gamma, m, independent_overlap_sets(gamma, m))
-        self.cover = cover_matrix(gamma, m, shape_row_sets(gamma, m))
-        self.count = ShapeCount(shape_weight(m, L))
-
-    def objective(self, batch: np.ndarray) -> np.ndarray:
-        """Weighted 6-cycle total for each pattern-count row of the batch."""
-        return self.count(self.cover, batch)
+        self.objective = ShapeCount(gamma, m, shape_weight(m, L))
 
     def independent_values(self, n: np.ndarray) -> tuple:
         return tuple(int(v) for v in self.independent @ n)

@@ -303,10 +303,8 @@ def run_cpo(spec: SCCodeSpec, config: CpoConfig) -> CpoState:
         raise ValueError("initial powers induce lifted 4-cycles; start cycle-4-free")
 
     rng = np.random.default_rng(config.seed)
-    sampling = config.power_candidates is not None or any(
-        p**s > config.exhaustive_cap for s in config.subset_size_schedule
-    )
-    if sampling and config.seed is None:
+    if config.seed is None and (config.power_candidates is not None or any(
+            p**s > config.exhaustive_cap for s in config.subset_size_schedule)):
         raise ValueError("a seed is required when candidates are sampled")
 
     f_sc = system.f_sc(f_flat)
@@ -397,7 +395,7 @@ def run_cpo(spec: SCCodeSpec, config: CpoConfig) -> CpoState:
         if level >= len(config.subset_size_schedule):
             level = 0
             stale += 1
-            if config.seed is None and not sampling:
+            if config.seed is None:  # unsampled: a second sweep repeats the first
                 break
             if stale >= config.max_stale_rounds:
                 break

@@ -113,13 +113,14 @@ def classify(h: np.ndarray, vn_cols) -> InducedConfig:
     cols = tuple(sorted(int(c) for c in vn_cols))
     if not cols:
         raise ValueError("empty variable-node set")
-    h = np.asarray(h, dtype=bool)
+    ncols = np.shape(h)[1]
     for c, after in zip(cols, cols[1:] + (None,)):
-        if not 0 <= c < h.shape[1]:
-            raise ValueError(f"column {c} outside [0, {h.shape[1]})")
+        if not 0 <= c < ncols:
+            raise ValueError(f"column {c} outside [0, {ncols})")
         if c == after:
             raise ValueError(f"column {c} repeated")
-    vn, rows = np.nonzero(h[:, list(cols)].T)
+    # only the set's columns are read, so only they are converted
+    vn, rows = np.nonzero(np.asarray(h)[:, list(cols)].T)
     touched, at, deg = np.unique(rows, return_inverse=True, return_counts=True)
     odd = deg % 2 == 1
     n_odd = np.bincount(vn[odd[at]], minlength=len(cols))
@@ -273,14 +274,14 @@ def enumerate_objects(spec: SCCodeSpec, species: ObjectSpecies) -> CycleCensus:
             "subset search capped at a <= %d; use the closed-form cycle "
             "census for protograph-scale audits" % MAX_SUBSET_SIZE)
     chi = min(replica_span(species.path_vns, spec.m), spec.L)
-    w = window(spec, 1, chi, lifted=True)
-    ncols = w.shape[1]
+    p = spec.p
+    cols_per_replica = spec.kappa * p
+    ncols = chi * cols_per_replica  # the window's, known before it is built
     if ncols > MAX_WINDOW_COLUMNS:
         raise ValueError(
             "window has %d columns (cap %d); use the closed-form cycle "
             "census for protograph-scale audits" % (ncols, MAX_WINDOW_COLUMNS))
-    p = spec.p
-    cols_per_replica = spec.kappa * p
+    w = window(spec, 1, chi, lifted=True)
     tally: Counter = Counter()
     roots = np.arange(0, cols_per_replica, p)
     for sub, rows in _connected_subsets(w, roots, species.a):

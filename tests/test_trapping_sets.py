@@ -117,6 +117,23 @@ def test_classify_many_columns_memory():
     assert peak < 8 * 2**20, peak
 
 
+def test_classify_converts_only_its_columns():
+    # a few columns of the gamma = 4 headline lift (2108 x 8670, uint8):
+    # converting the whole matrix to bool first traced about 18 MB
+    spec = SCCodeSpec(ab_code(4, 17, 17),
+                      partition_from_cutting_vector([3, 7, 11, 15], 4, 17), 30)
+    h = sc_lift(spec)
+    assert h.shape == (2108, 8670) and h.dtype == np.uint8
+    tracemalloc.start()
+    try:
+        got = classify(h, [0, 5, 11])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == dense_classify(h, [0, 5, 11])
+    assert peak < 2**20, peak
+
+
 def test_path_width_examples():
     assert max_shortest_path_vns(cycle_template(3)) == 2
     assert max_shortest_path_vns(cycle_template(4)) == 3
@@ -236,6 +253,22 @@ def test_window_size_cap():
     spec = SCCodeSpec(ab_code(3, 17, 131), part, 4)
     with pytest.raises(ValueError, match="columns"):
         enumerate_objects(spec, ObjectSpecies(3, 3, "AS", 2))
+
+
+def test_window_size_cap_before_the_window():
+    # 2 replicas x 17 x 401 = 13,634 columns: the cap is read from the
+    # spec, and building the lifted window first traced about 50 MB
+    spec = SCCodeSpec(ab_code(3, 17, 401),
+                      partition_from_cutting_vector([4, 9, 13], 3, 17), 30)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError,
+                           match=r"window has 13634 columns \(cap 4000\)"):
+            enumerate_objects(spec, ObjectSpecies(3, 3, "AS", 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 def random_species_case(rng):
